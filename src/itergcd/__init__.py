@@ -31,6 +31,7 @@ from .polys import (
     Poly,
     Rational,
     iterate,
+    iterates,
     poly_gcd,
     poly_gcd_subresultant,
     render_poly,
@@ -114,6 +115,7 @@ __all__ = [
     "independence_probe",
     "is_irreducible",
     "iterate",
+    "iterates",
     "jet_at",
     "jet_compose",
     "linear_common_root",

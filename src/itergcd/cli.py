@@ -87,8 +87,7 @@ def _write_out(data: bytes, out_path: str | None) -> None:
 
 def _cmd_gcd_grid(args):
     rep = gcd_grid(_poly_arg(args.f), _poly_arg(args.g), _poly_arg(args.c),
-                   args.N, diagonal_only=args.diagonal, threads=args.threads,
-                   seed=args.seed)
+                   args.N, diagonal_only=args.diagonal, seed=args.seed)
     return rep, "csv", 0
 
 
@@ -210,7 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--diagonal", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     common(p)
     p.set_defaults(body=_cmd_gcd_grid)
 

@@ -10,7 +10,6 @@ the grid, never asserted beyond it.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +17,7 @@ from .errors import DegenerateInputError
 from .factoring import FactorList, factor_irreducible
 from .multiplicity import mult_of_factor
 from .numfield import NumberFieldElem, nf_eval
-from .polys import Poly, iterate, poly_gcd, render_poly
+from .polys import Poly, iterate, iterates, poly_gcd, render_poly
 
 NO_SOLUTION = "no solution"
 
@@ -93,8 +92,7 @@ def _grid_pairs(grid_n: int, diagonal_only: bool):
 
 
 def gcd_grid(f: Poly, g: Poly, c: Poly, grid_n: int,
-             diagonal_only: bool = False, threads: int = 1,
-             seed: int = 0) -> GcdGridReport:
+             diagonal_only: bool = False, seed: int = 0) -> GcdGridReport:
     """Factor every admissible grid cell and aggregate the factor universe.
 
     Cells where an iterate equals c are recorded in `degenerate` and skipped;
@@ -105,38 +103,29 @@ def gcd_grid(f: Poly, g: Poly, c: Poly, grid_n: int,
     if grid_n < 1:
         raise DegenerateInputError("grid size must be >= 1")
     pairs = _grid_pairs(grid_n, diagonal_only)
-    f_its = {m: iterate(f, m) for m in sorted({m for m, _ in pairs})}
-    g_its = {n: iterate(g, n) for n in sorted({n for _, n in pairs})}
-
-    def one_cell(pair):
-        m, n = pair
-        t0 = time.perf_counter()
-        if f_its[m] == c:
-            return pair, None, "f iterate %d equals c" % m, 0.0
-        if g_its[n] == c:
-            return pair, None, "g iterate %d equals c" % n, 0.0
-        gcd_mn = poly_gcd(f_its[m] - c, g_its[n] - c, seed=seed)
-        fl = (FactorList(Fraction(1), ()) if gcd_mn.degree < 1
-              else factor_irreducible(gcd_mn, seed=seed))
-        return pair, fl, None, (time.perf_counter() - t0) * 1000.0
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_cell, pairs))
-    else:
-        results = [one_cell(p) for p in pairs]
+    # one left fold per map; iterate k - c is then formed once per k
+    f_its = iterates(f, grid_n)
+    g_its = iterates(g, grid_n)
+    f_minus_c = [None if q == c else q - c for q in f_its]
+    g_minus_c = [None if q == c else q - c for q in g_its]
 
     cells: dict = {}
     degenerate: dict = {}
     timings: dict = {}
+    for m, n in pairs:
+        t0 = time.perf_counter()
+        fm, gn = f_minus_c[m - 1], g_minus_c[n - 1]
+        if fm is None:
+            degenerate[(m, n)] = "f iterate %d equals c" % m
+        elif gn is None:
+            degenerate[(m, n)] = "g iterate %d equals c" % n
+        else:
+            gcd_mn = poly_gcd(fm, gn, seed=seed)
+            cells[(m, n)] = (FactorList(Fraction(1), ()) if gcd_mn.degree < 1
+                             else factor_irreducible(gcd_mn, seed=seed))
+            timings[(m, n)] = (time.perf_counter() - t0) * 1000.0
     universe: dict = {}
     shell_new = False
-    for pair, fl, why, millis in results:
-        if why is not None:
-            degenerate[pair] = why
-            continue
-        cells[pair] = fl
-        timings[pair] = millis
     for pair in sorted(cells, key=lambda t: (max(t), t)):
         on_shell = max(pair) == grid_n
         for p, e in cells[pair].factors:

@@ -23,7 +23,8 @@ from .numfield import (
     nf_eval,
     poly_complex_roots,
 )
-from .polys import Poly, iterate
+# iterate is re-exported: perfbench/checks.py looks it up in this module
+from .polys import Poly, iterate, iterates  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -144,8 +145,9 @@ def special_probe(f: Poly, c: Poly, n_lo: int, n_hi: int,
     rows: list[ProbeRow] = []
     fit_b: float | None = None
     degc = max(c.degree, 0)
+    its = iterates(f, n_hi)
     for n in range(n_lo, n_hi + 1):
-        target = iterate(f, n) - c
+        target = its[n - 1] - c
         if target.is_zero():
             raise DegenerateInputError("f^%d equals c; no roots to probe" % n)
         p = _pick_factor(target)

@@ -50,7 +50,7 @@ from .numfield import (
     nf_eval,
     root_of_unity_order,
 )
-from .polys import Poly, iterate, poly_gcd, render_poly
+from .polys import Poly, iterate, iterates, poly_gcd, render_poly
 
 
 def mult_of_factor(f: Poly, p: Poly) -> int:
@@ -458,10 +458,10 @@ def divisor_h(f: Poly, g: Poly, c: Poly, grid_n: int):
 
     grid: dict[tuple[int, int], Poly] = {}
     factor_mult: dict[Poly, int] = {}
-    for m in range(1, grid_n + 1):
-        fm = iterate(f, m) - c
-        for n in range(1, grid_n + 1):
-            gn = iterate(g, n) - c
+    g_minus_c = [gn - c for gn in iterates(g, grid_n)]
+    for m, fm in enumerate(iterates(f, grid_n), 1):
+        fm = fm - c
+        for n, gn in enumerate(g_minus_c, 1):
             gcd_mn = poly_gcd(fm, gn)
             grid[(m, n)] = gcd_mn
             if gcd_mn.degree < 1:

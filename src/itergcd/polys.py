@@ -1,15 +1,25 @@
 """Dense univariate polynomials over Q.
 
-Poly is immutable, stores little-endian Fraction coefficients with trailing
-zeros stripped, and routes every heavy product through the integer kernels in
-``modular`` (clear denominators, convolve ints, divide back).  The gcd is the
-modular CRT + rational-reconstruction route; ``poly_gcd_subresultant`` is the
-independent slow route and the two are cross-checked in the test suite.
+Poly is immutable and stores an integer form: a tuple of little-endian
+integer numerators over one positive common denominator, with trailing zeros
+stripped and no factor shared by the denominator and every numerator.  Two
+equal polynomials therefore have equal forms, and arithmetic never leaves
+the integers: sums rescale to the common denominator and cancel only what
+the two denominators share, products go straight to ``modular.zx_mul`` with
+the cross-cancellation of ``Fraction`` multiplication.  ``Fraction``
+coefficients are the public view (``coeffs``, indexing, ``leading``), built
+once per polynomial on first use.  Denominators are cleared once and kept,
+as in von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 6.
+
+The gcd is the modular CRT + rational-reconstruction route;
+``poly_gcd_subresultant`` is the independent slow route and the two are
+cross-checked in the test suite.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Union
@@ -21,28 +31,61 @@ Rational = Fraction
 Scalar = Union[int, Fraction]
 
 
+class _LowestTerms:
+    """A numbers.Rational view of a numerator and denominator already in
+    lowest terms.  Fraction() copies such a value as it is, so a huge
+    coefficient known to be reduced becomes a Fraction without a gcd."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator = numerator
+        self.denominator = denominator
+
+
+numbers.Rational.register(_LowestTerms)
+
+
 class Poly:
-    __slots__ = ("_c",)
+    __slots__ = ("_n", "_d", "_q")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        c = [Fraction(a) for a in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self._c = tuple(c)
+        q = [Fraction(a) for a in coeffs]
+        while q and q[-1] == 0:
+            q.pop()
+        den = reduce(modular.lcm_int, {a.denominator for a in q}, 1)
+        # over the lcm of reduced fractions the form is already canonical
+        self._n = tuple(a.numerator * (den // a.denominator) for a in q)
+        self._d = den
+        self._q = tuple(q)
+
+    @classmethod
+    def _make(cls, nums: tuple, den: int) -> "Poly":
+        """Wrap a form that is already canonical."""
+        p = object.__new__(cls)
+        p._n = nums
+        p._d = den
+        p._q = None
+        return p
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls()
+        return cls._make((), 1)
 
     @classmethod
     def const(cls, a: Scalar) -> "Poly":
-        return cls([Fraction(a)])
+        q = Fraction(a)
+        if not q:
+            return cls.zero()
+        p = cls._make((q.numerator,), q.denominator)
+        p._q = (q,)
+        return p
 
     @classmethod
     def x(cls) -> "Poly":
-        return cls([0, 1])
+        return cls._make((0, 1), 1)
 
     @classmethod
     def monomial(cls, k: int, a: Scalar = 1) -> "Poly":
@@ -52,40 +95,51 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._c
+        q = self._q
+        if q is None:
+            n, d = self._n, self._d
+            if d == 1:
+                q = tuple(map(Fraction, n))
+            elif len(n) - n.count(0) == 1:
+                # a single term is in lowest terms by the canonical form
+                q = tuple(_fraction(c, d) if c else Fraction(0) for c in n)
+            else:
+                q = tuple(Fraction(c, d) for c in n)
+            self._q = q
+        return q
 
     @property
     def degree(self) -> int:
-        return len(self._c) - 1
+        return len(self._n) - 1
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._n
 
     def is_constant(self) -> bool:
-        return len(self._c) <= 1
+        return len(self._n) <= 1
 
     def leading(self) -> Fraction:
-        if not self._c:
+        if not self._n:
             return Fraction(0)
-        return self._c[-1]
+        return self.coeffs[-1]
 
     def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self._c):
-            return self._c[k]
+        if 0 <= k < len(self._n):
+            return self.coeffs[k]
         return Fraction(0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self._c == other._c
+            return self._d == other._d and self._n == other._n
         if isinstance(other, (int, Fraction)):
             return self == Poly.const(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(("Poly", self._c))
+        return hash(("Poly", self.coeffs))
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._n)
 
     def __repr__(self) -> str:
         return "Poly(%r)" % render_poly(self)
@@ -96,37 +150,43 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self._c), len(other._c))
-        return Poly([self[i] + other[i] for i in range(n)])
+        return _add(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly([-a for a in self._c])
+        return Poly._make(tuple(-a for a in self._n), self._d)
 
     def __sub__(self, other) -> "Poly":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self._c), len(other._c))
-        return Poly([self[i] - other[i] for i in range(n)])
+        return _add(self, other, -1)
 
     def __rsub__(self, other) -> "Poly":
         return -(self - other)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return Poly([a * q for a in self._c])
-        if not isinstance(other, Poly):
+            other = Poly.const(other)
+        elif not isinstance(other, Poly):
             return NotImplemented
-        if not self._c or not other._c:
+        an, ad, bn, bd = self._n, self._d, other._n, other._d
+        if not an or not bn:
             return Poly.zero()
-        an, ad = self.int_form()
-        bn, bd = other.int_form()
-        prod = modular.zx_mul(an, bn)
-        den = ad * bd
-        return Poly.from_int_list(prod, den)
+        if ad != bd:
+            # cancel each content against the other denominator, as
+            # Fraction multiplication does; equal denominators (self * self
+            # among them) share nothing with either content
+            g = _content_gcd(an, bd)
+            if g != 1:
+                an = [a // g for a in an]
+                bd //= g
+            g = _content_gcd(bn, ad)
+            if g != 1:
+                bn = [b // g for b in bn]
+                ad //= g
+        return Poly._make(tuple(modular.zx_mul(an, bn)), ad * bd)
 
     __rmul__ = __mul__
 
@@ -144,25 +204,41 @@ class Poly:
         return out
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """Pseudo-division over Z: scale*A = quo*B + rem, then back to Q."""
         if not isinstance(other, Poly):
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._c)
         d = other.degree
-        lc = other.leading()
-        if len(rem) <= d:
+        if self.degree < d:
             return Poly.zero(), self
-        q = [Fraction(0)] * (len(rem) - d)
-        for k in range(len(q) - 1, -1, -1):
-            c = rem[k + d]
-            if c == 0:
+        rem = list(self._n)
+        b = other._n
+        lb = b[-1]
+        quo = [0] * (len(rem) - d)
+        scale = 1
+        for k in range(len(quo) - 1, -1, -1):
+            t = rem[k + d]
+            if not t:
                 continue
-            t = c / lc
-            q[k] = t
-            for j in range(d + 1):
-                rem[k + j] -= t * other._c[j]
-        return Poly(q), Poly(rem[:d])
+            if lb != 1:
+                # scale by just enough to make t divisible by lb
+                g = math.gcd(t, lb)
+                s = lb // g
+                t //= g
+                if s != 1:
+                    scale *= s
+                    for i in range(k + d):
+                        rem[i] *= s
+                    for i in range(k + 1, len(quo)):
+                        quo[i] *= s
+            quo[k] = t
+            rem[k + d] = 0
+            for j in range(d):
+                rem[k + j] -= t * b[j]
+        den = scale * self._d
+        return (_from_ints([q * other._d for q in quo], den),
+                _from_ints(rem[:d], den))
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -174,54 +250,69 @@ class Poly:
 
     def int_form(self) -> tuple[list[int], int]:
         """(integer coefficient list, positive denominator) with f = list/den."""
-        den = reduce(modular.lcm_int, (a.denominator for a in self._c), 1)
-        return [int(a * den) for a in self._c], den
+        return list(self._n), self._d
 
     @classmethod
     def from_int_list(cls, coeffs: list[int], den: int = 1) -> "Poly":
-        return cls([Fraction(c, den) for c in coeffs])
+        return _from_ints(list(coeffs), den)
 
     def primitive(self) -> tuple[Fraction, "Poly"]:
         """f = content * prim with prim integer-primitive, lc(prim) > 0."""
         if self.is_zero():
             return Fraction(0), Poly.zero()
-        nums, den = self.int_form()
-        cont, prim = modular.zx_primitive(nums)
-        return Fraction(cont, den), Poly(prim)
+        cont, prim = modular.zx_primitive(list(self._n))
+        return _fraction(cont, self._d), Poly._make(tuple(prim), 1)
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        n = self._n
+        if not n or n[-1] == self._d:
             return self
-        lc = self.leading()
-        if lc == 1:
-            return self
-        return Poly([a / lc for a in self._c])
+        lc = n[-1]
+        nums = list(n) if lc > 0 else [-a for a in n]
+        return _canon(nums, abs(lc), abs(lc))
 
     def derivative(self) -> "Poly":
-        return Poly([i * a for i, a in enumerate(self._c)][1:])
+        d = self._d
+        return _canon([i * a for i, a in enumerate(self._n)][1:], d, d)
 
     def evaluate(self, x):
         """Horner evaluation; x may be any ring element accepting Fraction ops."""
         acc = x * 0
-        for c in reversed(self._c):
+        for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
     def compose(self, inner: "Poly") -> "Poly":
-        """self(inner) by Horner."""
-        acc = Poly.zero()
-        for c in reversed(self._c):
-            acc = acc * inner + Poly.const(c)
-        return acc
+        """self(inner) by Horner on the numerators, reduced once at the end.
+
+        With self = A/da of degree n and inner = B/db, the result is
+        sum a_i B^i db^(n-i) over da db^n.
+        """
+        a = self._n
+        if not a:
+            return self
+        b, db = inner._n, inner._d
+        acc = [a[-1]]
+        s = 1
+        for c in reversed(a[:-1]):
+            s *= db
+            acc = modular.zx_mul(acc, b)
+            if c:
+                if acc:
+                    acc[0] += c * s
+                else:
+                    acc = [c * s]
+        den = self._d * s
+        return _canon(acc, den, den)
 
     def max_coeff_bits(self) -> int:
         return max((a.numerator.bit_length() + a.denominator.bit_length()
-                    for a in self._c), default=0)
+                    for a in self.coeffs), default=0)
 
     def shift(self, a: Scalar) -> "Poly":
         """Taylor shift: returns f(x + a) by repeated synthetic division."""
         a = Fraction(a)
-        c = list(self._c)
+        c = list(self.coeffs)
         out = []
         while c:
             for k in range(len(c) - 2, -1, -1):
@@ -239,26 +330,109 @@ def _coerce(v) -> "Poly":
     return NotImplemented
 
 
+def _fraction(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for n and d > 0 already coprime, without the gcd."""
+    return Fraction(n) if d == 1 else Fraction(_LowestTerms(n, d))
+
+
+def _content_gcd(nums, g: int) -> int:
+    """gcd(content(nums), g), stopping as soon as it reaches 1."""
+    for a in nums:
+        if g == 1:
+            break
+        g = math.gcd(g, a)
+    return g
+
+
+def _canon(nums: list[int], den: int, g: int) -> Poly:
+    """nums/den in canonical form, for den > 0.
+
+    Only the common factor of the content and g is cancelled, so g must be
+    a multiple of every factor the content can share with den.
+    """
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return Poly.zero()
+    if g != 1:
+        g = _content_gcd(nums, g)
+        if g != 1:
+            nums = [a // g for a in nums]
+            den //= g
+    return Poly._make(tuple(nums), den)
+
+
+def _from_ints(nums: list[int], den: int) -> Poly:
+    """nums/den in canonical form, for any nonzero den."""
+    if den < 0:
+        nums = [-a for a in nums]
+        den = -den
+    elif den == 0:
+        raise ZeroDivisionError("polynomial with zero denominator")
+    return _canon(nums, den, den)
+
+
+def _add(a: Poly, b: Poly, sign: int) -> Poly:
+    """a + sign*b over the lcm of the denominators.
+
+    As in Fraction addition, the sum can share with the lcm only factors of
+    gcd(den a, den b), so the reduction is against that gcd alone.
+    """
+    an, ad, bn, bd = a._n, a._d, b._n, b._d
+    if not bn:
+        return a
+    g = math.gcd(ad, bd)
+    sa, sb = bd // g, sign * (ad // g)
+    if sa != 1:
+        an = [c * sa for c in an]
+    if sb != 1:
+        bn = [c * sb for c in bn]
+    if len(an) < len(bn):
+        an, bn = bn, an
+    out = [p + q for p, q in zip(an, bn)]
+    out.extend(an[len(bn):])
+    return _canon(out, ad * sa, g)
+
+
 # ---------------------------------------------------------------------------
 # composition powers
 # ---------------------------------------------------------------------------
 
-def iterate(f: Poly, n: int) -> Poly:
-    """n-th compositional power of f (n >= 0; f^0 is x).
+def iterates(f: Poly, n: int) -> list[Poly]:
+    """[f^1, ..., f^n], the compositional powers of f, by the left fold
+    F <- f(F).
 
-    Square-and-compose, so linear polynomials support very large n.  Degree
-    and coefficient-size caps are enforced along the way.
+    The small map stays the outer one, so each step is deg f products with
+    the previous iterate, and every prefix comes for free.  The final degree
+    is checked up front and each step's coefficient size as it is made.
     """
     if n < 0:
         raise ValueError("compositional power needs n >= 0")
-    if n == 0:
-        return Poly.x()
     d = f.degree
     if d >= 2:
         # pre-check the final degree without computing huge powers
         if n * math.log2(d) > math.log2(LIMITS.max_degree) + 1e-9:
             check_degree(LIMITS.max_degree + 1)  # raises
         check_degree(d ** n)
+    out = [f] if n else []
+    while len(out) < n:
+        out.append(_compose_checked(f, out[-1]))
+    return out
+
+
+def iterate(f: Poly, n: int) -> Poly:
+    """n-th compositional power of f (n >= 0; f^0 is x).
+
+    For deg f >= 2 this is the last step of the left fold in ``iterates``.
+    Maps of degree at most 1 keep square-and-compose, so that very large n
+    stay cheap for them.
+    """
+    if n < 0:
+        raise ValueError("compositional power needs n >= 0")
+    if n == 0:
+        return Poly.x()
+    if f.degree >= 2:
+        return iterates(f, n)[-1]
     out = None
     base = f
     e = n
@@ -276,7 +450,12 @@ def _compose_checked(outer: Poly, inner: Poly) -> Poly:
     if do >= 1 and di >= 1:
         check_degree(do * di)
     r = outer.compose(inner)
-    check_bits(r.max_coeff_bits())
+    # numerator plus denominator bits bound every reduced coefficient, so
+    # the exact widths are needed only near the cap
+    nums, den = r._n, r._d
+    if (max((a.bit_length() for a in nums), default=0) + den.bit_length()
+            > LIMITS.max_coeff_bits):
+        check_bits(r.max_coeff_bits())
     return r
 
 
@@ -295,7 +474,7 @@ def poly_gcd(f: Poly, g: Poly, seed: int = 0) -> Poly:
     fn, _ = f.int_form()
     gn, _ = g.int_form()
     h = modular.zx_gcd_modular(fn, gn, seed=seed)
-    return Poly(h).monic()
+    return _canon(h, 1, 1).monic()
 
 
 def poly_gcd_subresultant(f: Poly, g: Poly) -> Poly:
@@ -309,7 +488,7 @@ def poly_gcd_subresultant(f: Poly, g: Poly) -> Poly:
     fn, _ = f.int_form()
     gn, _ = g.int_form()
     h = modular.zx_gcd_subresultant(fn, gn)
-    return Poly(h).monic()
+    return _canon(h, 1, 1).monic()
 
 
 def resultant(f: Poly, g: Poly, seed: int = 0) -> Fraction:
@@ -326,10 +505,27 @@ def resultant(f: Poly, g: Poly, seed: int = 0) -> Fraction:
 # canonical rendering (inverse of the CLI parser)
 # ---------------------------------------------------------------------------
 
+# Decimal digits per str() call: below 640, the smallest int->str digit
+# limit an interpreter can be set to, so rendering never depends on it.
+_DIGITS = 600
+_DIGITS_POW = 10 ** _DIGITS
+
+
+def _decimal(n: int) -> str:
+    """Decimal digits of n >= 0, split into str() calls of at most _DIGITS."""
+    if n < _DIGITS_POW:
+        return str(n)
+    k, high = _DIGITS, _DIGITS_POW
+    while high * high <= n:
+        k, high = 2 * k, high * high
+    top, low = divmod(n, high)
+    return _decimal(top) + _decimal(low).zfill(k)
+
+
 def _fmt_coeff(a: Fraction) -> str:
     if a.denominator == 1:
-        return str(a.numerator)
-    return "%d/%d" % (a.numerator, a.denominator)
+        return _decimal(a.numerator)
+    return "%s/%s" % (_decimal(a.numerator), _decimal(a.denominator))
 
 
 def render_poly(f: Poly, var: str = "x") -> str:

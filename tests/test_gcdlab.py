@@ -84,15 +84,6 @@ def test_gcd_grid_degenerate_cells_recorded():
         gcd_grid(X ** 2, X ** 2, X, 0)
 
 
-def test_gcd_grid_threads_match_serial():
-    f, g, c = 2 * X, X + 1, X ** 2
-    serial = gcd_grid(f, g, c, 3)
-    threaded = gcd_grid(f, g, c, 3, threads=4)
-    assert serial.cells == threaded.cells
-    assert serial.factor_universe == threaded.factor_universe
-    assert serial.stabilized == threaded.stabilized
-
-
 def test_gcd_grid_stabilization_flag_grows_monotone():
     # the (2x, x+1, x^2) universe gains x - 4 only at n = 2 cells with
     # large m; at small grid sizes the shell keeps finding new factors

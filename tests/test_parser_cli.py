@@ -228,6 +228,23 @@ def test_cli_orbit(capsys):
     assert d["period"] == 2 and d["preperiod"] == 0
 
 
+def test_cli_orbit_escaping_past_int_str_limit(capsys):
+    # the orbit of 1/3 under x^2+1/4 escapes by size; its last points have
+    # more than the 4300 decimal digits str(int) allows by default
+    code, out, _ = run_cli(capsys, "orbit", "--q", "x^2+1/4", "--x", "1/3")
+    assert code == 0
+    d = json.loads(out)
+    assert d["escape_reason"] == "size cap"
+    y = Fraction(1, 3)
+    for point in d["points"][1:]:
+        y = y * y + Fraction(1, 4)
+        num, den = point.split("/")
+        assert 10 ** (len(num) - 1) <= y.numerator < 10 ** len(num)
+        assert int(num[-40:]) == y.numerator % 10 ** 40
+        assert int(den[-40:]) == y.denominator % 10 ** 40
+    assert len(num) > 4300
+
+
 def test_cli_indep_witness(capsys):
     code, out, _ = run_cli(capsys, "indep", "--f", "2*x", "--g", "x+1",
                            "--max-len", "4")

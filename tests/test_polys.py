@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 import sympy
@@ -8,6 +10,7 @@ from itergcd.errors import DegenerateInputError, ResourceLimitError
 from itergcd.polys import (
     Poly,
     iterate,
+    iterates,
     poly_gcd,
     poly_gcd_subresultant,
     render_poly,
@@ -188,3 +191,157 @@ def test_render_examples():
     assert render_poly(Poly.zero()) == "0"
     assert render_poly(-x) == "-x"
     assert render_poly(Poly.const(Fraction(-2, 7))) == "-2/7"
+
+
+def test_render_huge_coefficients():
+    # past the interpreter's default int->str limit of 4300 digits
+    assert render_poly(Poly.const(10 ** 5000 + 7)) == "1" + "0" * 4999 + "7"
+    big = Fraction(-(10 ** 9000), 3 ** 7)
+    assert render_poly(big * x) == "-1%s/2187*x" % ("0" * 9000)
+
+
+# ---------------------------------------------------------------------------
+# seeded property suite: the integer form against a Fraction-list reference
+# ---------------------------------------------------------------------------
+
+def ref_trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a = a + [Fraction(0)] * (n - len(a))
+    b = b + [Fraction(0)] * (n - len(b))
+    return ref_trim(p + sign * q for p, q in zip(a, b))
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, p in enumerate(a):
+        for j, q in enumerate(b):
+            out[i + j] += p * q
+    return ref_trim(out)
+
+
+def ref_divmod(a, b):
+    rem = list(a)
+    d = len(b) - 1
+    if len(rem) <= d:
+        return [], ref_trim(rem)
+    quo = [Fraction(0)] * (len(rem) - d)
+    for k in range(len(quo) - 1, -1, -1):
+        t = rem[k + d] / b[-1]
+        quo[k] = t
+        for j in range(d + 1):
+            rem[k + j] -= t * b[j]
+    return ref_trim(quo), ref_trim(rem[:d])
+
+
+def ref_compose(a, b):
+    acc = []
+    for c in reversed(a):
+        acc = ref_add(ref_mul(acc, b), [c])
+    return acc
+
+
+def ref_square_and_compose(a, n):
+    out, base = None, a
+    while n:
+        if n & 1:
+            out = base if out is None else ref_compose(base, out)
+        n >>= 1
+        if n:
+            base = ref_compose(base, base)
+    return out
+
+
+def ref_poly(rng, max_deg=5, den_pool=(1, 1, 2, 3, 4, 6, 35, 2 ** 61 - 1)):
+    deg = rng.randint(-1, max_deg)
+    return ref_trim(Fraction(rng.randint(-40, 40), rng.choice(den_pool))
+                    for _ in range(deg + 1))
+
+
+def assert_matches(p, ref):
+    """p is in canonical integer form and has the reference's value."""
+    nums, den = p.int_form()
+    assert den > 0
+    assert not nums or nums[-1] != 0
+    assert math.gcd(reduce(math.gcd, nums, 0), den) == 1
+    assert p.coeffs == tuple(ref)
+    assert p == Poly(ref) and hash(p) == hash(("Poly", tuple(ref)))
+    assert p.degree == len(ref) - 1
+    assert p.leading() == (ref[-1] if ref else 0)
+    assert [p[k] for k in range(-1, len(ref) + 1)] == \
+        [0] + list(ref) + [0]
+    assert p.max_coeff_bits() == max(
+        (a.numerator.bit_length() + a.denominator.bit_length() for a in ref),
+        default=0)
+
+
+def test_int_form_matches_fraction_reference_random():
+    rng = random.Random(31)
+    for _ in range(300):
+        a, b = ref_poly(rng), ref_poly(rng)
+        pa, pb = Poly(a), Poly(b)
+        assert_matches(pa, a)
+        assert_matches(pa + pb, ref_add(a, b))
+        assert_matches(pa - pb, ref_add(a, b, -1))
+        assert_matches(-pa, ref_add([], a, -1))
+        assert_matches(pa * pb, ref_mul(a, b))
+        assert_matches(pa * pa, ref_mul(a, a))
+        q = Fraction(rng.randint(-9, 9), rng.choice((1, 5, 12)))
+        assert_matches(pa * q, ref_mul(a, [q] if q else []))
+        assert_matches(q - pa, ref_add([q] if q else [], a, -1))
+        assert_matches(pa.compose(pb), ref_compose(a, b))
+        if b:
+            quo, rem = divmod(pa, pb)
+            rq, rr = ref_divmod(a, b)
+            assert_matches(quo, rq)
+            assert_matches(rem, rr)
+        nums, den = pa.int_form()
+        assert Poly.from_int_list(nums, den) == pa
+        k = rng.choice((-6, -1, 2, 35))
+        assert_matches(Poly.from_int_list([c * k for c in nums], den * k), a)
+        assert (pa == pb) == (a == b)
+
+
+def test_int_form_huge_denominators_orbit():
+    # the orbit of 1 under x^2 - 1/2: step k has denominator 2^(2^(k-1))
+    y, ref = Poly.const(1), Fraction(1)
+    half = Poly.const(Fraction(1, 2))
+    for _ in range(12):
+        square = y * Poly.const(ref)    # equal values held by two objects
+        assert_matches(square, [ref * ref])
+        assert_matches(y * y, [ref * ref])
+        y = square - half
+        ref = ref * ref - Fraction(1, 2)
+        assert_matches(y, [ref])
+    assert y.coeffs[0].denominator == 2 ** (2 ** 11)
+    # mixed sizes: a huge constant against a small polynomial
+    f = Poly([Fraction(1, 3), 0, Fraction(-5, 7)])
+    assert_matches(f * y, ref_mul([Fraction(1, 3), 0, Fraction(-5, 7)], [ref]))
+    assert_matches(f + y, ref_add([Fraction(1, 3), 0, Fraction(-5, 7)], [ref]))
+
+
+def test_iterates_match_square_and_compose_rational():
+    maps = (
+        [Fraction(-5, 7), Fraction(1, 3), Fraction(1)],
+        [Fraction(2, 3), Fraction(-1, 5), Fraction(3, 4)],
+        [Fraction(1, 2), 0, Fraction(-2, 3), Fraction(1, 5)],
+    )
+    for ref in maps:
+        f = Poly(ref)
+        n = 5 if f.degree == 2 else 3
+        its = iterates(f, n)
+        assert len(its) == n
+        for k in range(1, n + 1):
+            assert_matches(its[k - 1], ref_square_and_compose(ref, k))
+        assert iterate(f, n) == its[-1]
+    assert iterates(x ** 2 + 1, 0) == []
+    with pytest.raises(ResourceLimitError):
+        iterates(x ** 3, 12)
