@@ -14,6 +14,7 @@ from fractions import Fraction
 from .errors import DegenerateInputError
 from .gcdlab import GcdGridReport, SuiteReport
 from .multiplicity import MultiplicityCertificate
+from .polys import _decimal
 
 FORMATS = ("json", "csv", "md")
 
@@ -22,8 +23,11 @@ def _round_floats(obj):
     if isinstance(obj, float):
         return float("%.12g" % obj)
     if isinstance(obj, Fraction):
-        return str(obj.numerator) if obj.denominator == 1 else \
-            "%d/%d" % (obj.numerator, obj.denominator)
+        # _decimal renders integers past the interpreter's int->str limit
+        text = _decimal(abs(obj.numerator))
+        if obj.denominator != 1:
+            text += "/" + _decimal(obj.denominator)
+        return "-" + text if obj < 0 else text
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -17,11 +17,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import modular
 from .errors import VerificationError
 from .modular import (
-    gf_compose_mod, gf_deriv, gf_from_zx, gf_gcd, gf_divmod, gf_monic,
-    gf_mul, gf_powmod, gf_sub, gf_xgcd, is_prime,
+    gf_add, gf_compose_mod, gf_deriv, gf_from_zx, gf_gcd, gf_divmod,
+    gf_monic, gf_mul, gf_powmod, gf_sub, gf_xgcd, is_prime,
     zx_deg, zx_divides, zx_mul, zx_primitive, zx_trim,
 )
 from .polys import Poly, poly_gcd
@@ -185,7 +184,7 @@ def _gf_edf(w: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]
     e = (p ** d - 1) // 2
     while True:
         r = [rng.randrange(p) for _ in range(zx_deg(w))]
-        r = modular.gf_trim(r)
+        r = zx_trim(r)
         if zx_deg(r) < 1:
             continue
         s = gf_powmod(r, e, w, p)
@@ -206,30 +205,6 @@ def _gf_factor_squarefree(g: list[int], p: int, seed: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # Hensel lifting (monic, quadratic, factor tree)
 # ---------------------------------------------------------------------------
-
-def _mm_mul(f: list[int], g: list[int], m: int) -> list[int]:
-    return zx_trim([c % m for c in zx_mul(f, g)])
-
-
-def _mm_sub(f: list[int], g: list[int], m: int) -> list[int]:
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] - c) % m
-    return zx_trim(out)
-
-
-def _mm_add(f: list[int], g: list[int], m: int) -> list[int]:
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % m
-    return zx_trim(out)
-
 
 def _mm_divmod_monic(f: list[int], g: list[int], m: int):
     """Division by a monic g over Z/m (no inverses needed)."""
@@ -252,14 +227,14 @@ def _hensel_step(G, A, B, S, T, m):
     """One quadratic step: modulus m -> m*m, all of A, B monic."""
     M = m * m
     Gm = [c % M for c in G]
-    e = _mm_sub(Gm, _mm_mul(A, B, M), M)
-    q, r = _mm_divmod_monic(_mm_mul(S, e, M), B, M)
-    A1 = _mm_add(A, _mm_add(_mm_mul(T, e, M), _mm_mul(q, A, M), M), M)
-    B1 = _mm_add(B, r, M)
-    b = _mm_sub(_mm_add(_mm_mul(S, A1, M), _mm_mul(T, B1, M), M), [1], M)
-    c, d = _mm_divmod_monic(_mm_mul(S, b, M), B1, M)
-    S1 = _mm_sub(S, d, M)
-    T1 = _mm_sub(_mm_sub(T, _mm_mul(T, b, M), M), _mm_mul(c, A1, M), M)
+    e = gf_sub(Gm, gf_mul(A, B, M), M)
+    q, r = _mm_divmod_monic(gf_mul(S, e, M), B, M)
+    A1 = gf_add(A, gf_add(gf_mul(T, e, M), gf_mul(q, A, M), M), M)
+    B1 = gf_add(B, r, M)
+    b = gf_sub(gf_add(gf_mul(S, A1, M), gf_mul(T, B1, M), M), [1], M)
+    c, d = _mm_divmod_monic(gf_mul(S, b, M), B1, M)
+    S1 = gf_sub(S, d, M)
+    T1 = gf_sub(gf_sub(T, gf_mul(T, b, M), M), gf_mul(c, A1, M), M)
     if not A1 or A1[-1] != 1 or len(A1) != len(A):
         raise VerificationError("Hensel step lost monic normalization")
     return A1, B1, S1, T1
@@ -357,7 +332,7 @@ def _factor_squarefree_z(G: list[int], seed: int) -> list[list[int]]:
                 continue
             cand = [1]
             for i in combo:
-                cand = _mm_mul(cand, lifted[i], M)
+                cand = gf_mul(cand, lifted[i], M)
             cand = _symmetric(cand, M)
             if cand[0] != 0 and H[0] != 0 and H[0] % cand[0] != 0:
                 continue

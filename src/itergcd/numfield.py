@@ -441,9 +441,17 @@ class Jet:
         if self.center != other.center or self.order != other.order:
             raise DegenerateInputError("jet centers/orders do not match")
 
-    def __add__(self, other: "Jet") -> "Jet":
+    def __add__(self, other) -> "Jet":
+        if isinstance(other, (int, Fraction, NumberFieldElem)):
+            # a constant moves the value only, so Horner runs on jets
+            return Jet(self.center,
+                       (self.coeffs[0] + other,) + self.coeffs[1:])
+        if not isinstance(other, Jet):
+            return NotImplemented
         self._check_peer(other)
         return Jet(self.center, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    __radd__ = __add__
 
     def __sub__(self, other: "Jet") -> "Jet":
         self._check_peer(other)

@@ -276,10 +276,20 @@ class Poly:
         return _canon([i * a for i, a in enumerate(self._n)][1:], d, d)
 
     def evaluate(self, x):
-        """Horner evaluation; x may be any ring element accepting Fraction ops."""
-        acc = x * 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
+        """Horner evaluation; x may be any ring element accepting Fraction ops.
+
+        From degree 2 on the first two Horner steps become
+        c_d x^2 + c_(d-1) x + c_(d-2) with x^2 formed as ``x * x``: a product
+        of one object with itself, which the integer kernels below hand to
+        CPython's squaring path.
+        """
+        c = self.coeffs
+        if len(c) < 3:
+            acc, top = x * 0, len(c)
+        else:
+            acc, top = c[-1] * (x * x) + c[-2] * x + c[-3], len(c) - 3
+        for k in range(top - 1, -1, -1):
+            acc = acc * x + c[k]
         return acc
 
     def compose(self, inner: "Poly") -> "Poly":

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from itergcd.errors import DegenerateInputError
+from itergcd.errors import DegenerateInputError, EmbeddingError
 from itergcd.heights import (
     HeightValue,
     canonical_height,
@@ -11,7 +11,7 @@ from itergcd.heights import (
     weil_height,
     weil_height_alg,
 )
-from itergcd.numfield import NumberField
+from itergcd.numfield import NumberField, poly_complex_roots
 from itergcd.polys import Poly
 
 X = Poly.x()
@@ -133,3 +133,15 @@ def test_special_probe_power_map_exact():
 
 def test_height_value_float_protocol():
     assert float(HeightValue(1.5, 0.1)) == 1.5
+
+
+@pytest.mark.xfail(strict=True, reason="open defect, ROADMAP item 4: "
+                   "poly_complex_roots drops non-finite iterates")
+def test_weil_height_alg_refuses_lost_roots():
+    # the start radius 1 + max|c| is about 2e8 here, so z^60 overflows and
+    # every iterate turns NaN; numpy gives log M(P) = 19.11
+    P = X ** 60 - 2 * (10000 * X - 1) ** 2
+    with pytest.raises(EmbeddingError):
+        poly_complex_roots(P)
+    with pytest.raises(EmbeddingError):
+        weil_height_alg(NumberField(P, check=False).generator())

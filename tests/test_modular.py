@@ -1,11 +1,22 @@
+import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
 
+import pytest
+
+from itergcd import modular
 from itergcd.modular import (
+    KRON_NATIVE_LEN,
+    KRON_NATIVE_SQR,
+    KRON_WIDE_LEN,
+    KRON_WIDE_SQR,
     crt_pair,
     gf_divmod,
     gf_from_zx,
     gf_gcd,
+    gf_mul,
     gf_powmod,
     is_prime,
     prime_stream,
@@ -39,6 +50,69 @@ def test_prime_stream_seed_determinism():
     a = [next(prime_stream(seed=5)) for _ in range(1)]
     b = [next(prime_stream(seed=5)) for _ in range(1)]
     assert a == b
+
+
+def _fresh_primes(seed, count, bits=29):
+    """The first primes of a stream, straight from is_prime."""
+    n = (1 << bits) - 1 - 2 * (seed & 0xFFFF)
+    out = []
+    while len(out) < count:
+        if is_prime(n):
+            out.append(n)
+        n -= 2
+    return out
+
+
+def test_prime_stream_memo_keeps_order(monkeypatch):
+    monkeypatch.setattr(modular, "_STREAMS", {})
+    a, b = prime_stream(seed=9), prime_stream(seed=9)
+    first = [next(a) for _ in range(5)]
+    # b replays the five, then both extend the one shared list
+    got_b = [next(b) for _ in range(12)]
+    got_a = first + [next(a) for _ in range(10)]
+    assert got_b == _fresh_primes(9, 12)
+    assert got_a == _fresh_primes(9, 15)
+    assert next(prime_stream(seed=9 + 0x10000)) == first[0]
+    assert next(prime_stream(seed=9, bits=20)) == _fresh_primes(9, 1, 20)[0]
+
+
+def test_prime_stream_memo_threads(monkeypatch):
+    monkeypatch.setattr(modular, "_STREAMS", {})
+    want = _fresh_primes(77, 400)
+    got = {}
+
+    start = threading.Barrier(6, timeout=60)
+
+    def pull(t):
+        stream = prime_stream(seed=77)
+        start.wait()
+        got[t] = list(itertools.islice(stream, 400))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=pull, args=(t,)) for t in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(w.is_alive() for w in workers)
+    assert got == {t: want for t in range(6)}
+    assert modular._STREAMS[(77, 29)] == want
+
+
+def test_prime_stream_memo_skips_retests(monkeypatch):
+    monkeypatch.setattr(modular, "_STREAMS", {})
+    calls = []
+    real = modular.is_prime
+    monkeypatch.setattr(modular, "is_prime",
+                        lambda n: calls.append(n) or real(n))
+    first = list(itertools.islice(prime_stream(seed=4), 6))
+    tested = len(calls)
+    again = list(itertools.islice(prime_stream(seed=4), 6))
+    assert again == first and len(calls) == tested
 
 
 def test_crt_pair_reconstructs():
@@ -136,3 +210,129 @@ def test_zx_gcd_modular_random_products():
         assert zx_divides(a, g) is not None
         assert zx_divides(b, g) is not None
         assert zx_divides(g, cp) is not None
+
+
+# ---------------------------------------------------------------------------
+# Kronecker zx_mul / gf_mul against the schoolbook route they replace
+# ---------------------------------------------------------------------------
+
+def school_mul(f, g):
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def school_gf_mul(f, g, p):
+    out = [c % p for c in school_mul(f, g)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _rand_vec(rng, n, lo, hi, zeros=0.3):
+    """Length-n vector with inner zeros and a nonzero leading entry."""
+    f = [0 if rng.random() < zeros else rng.randint(lo, hi) for _ in range(n)]
+    if n:
+        while f[-1] == 0:
+            f[-1] = rng.randint(lo, hi)
+    return f
+
+
+_LENGTHS = sorted({1, 2, 3, KRON_NATIVE_SQR - 1, KRON_NATIVE_SQR,
+                   KRON_NATIVE_LEN - 1, KRON_NATIVE_LEN, KRON_WIDE_SQR - 1,
+                   KRON_WIDE_SQR, KRON_WIDE_LEN - 1, KRON_WIDE_LEN,
+                   KRON_WIDE_LEN + 1, 40, 97})
+
+
+@pytest.fixture(params=["crossover", "always", "bytewise"])
+def kron_mode(request, monkeypatch):
+    """Run at the measured crossovers, then with Kronecker for every length,
+    then also without the machine-format digits (as on a big-endian host)."""
+    if request.param != "crossover":
+        for name in ("KRON_NATIVE_LEN", "KRON_NATIVE_SQR", "KRON_WIDE_LEN",
+                     "KRON_WIDE_SQR"):
+            monkeypatch.setattr(modular, name, 1)
+    if request.param == "bytewise":
+        monkeypatch.setattr(modular, "_NATIVE", {})
+    return request.param
+
+
+def test_kron_zx_mul_matches_schoolbook_random(kron_mode):
+    rng = random.Random(41)
+    # 1..62 bits give digits of 1, 2, 4 and 8 bytes, the rest wider ones
+    for bits in (1, 2, 5, 6, 13, 14, 28, 29, 30, 62, 64, 65, 300, 3000):
+        top = 1 << bits
+        for _ in range(12):
+            n, m = rng.choice(_LENGTHS), rng.choice(_LENGTHS)
+            sign = rng.choice(("mixed", "pos", "neg"))
+            lo = 0 if sign == "pos" else -top
+            hi = 0 if sign == "neg" else top
+            f = _rand_vec(rng, n, lo, hi)
+            g = _rand_vec(rng, m, lo, hi)
+            want = school_mul(f, g)
+            assert zx_mul(f, g) == want
+            assert zx_mul(tuple(f), tuple(g)) == want
+            assert zx_mul(g, f) == want
+            sq = school_mul(f, f)
+            assert zx_mul(f, f) == sq
+            t = tuple(f)
+            assert zx_mul(t, t) == sq
+            assert zx_mul(f, list(f)) == sq
+
+
+def test_kron_zx_mul_extremes(kron_mode):
+    # coefficients of 2**b - 1 and 2**b at lengths 2**L - 1 and 2**L bring
+    # the product coefficients to the top of their digit, every digit width
+    # from 1 byte up: no digit may borrow from or carry into the next, and
+    # the sign bit must fit
+    for n in (1, 3, 7, 8, 15, 16, 31):
+        for b in range(1, 70):
+            for c in (2 ** b - 1, 2 ** b):
+                f = [c] * n
+                g = [-c] * n
+                h = [(-c) ** (i % 3 + 1) for i in range(n)]
+                for a, d in ((f, f[:]), (f, g), (g, f), (h, f), (h, g)):
+                    assert zx_mul(a, d) == school_mul(a, d)
+                for a in (f, g, h):
+                    assert zx_mul(a, a) == school_mul(a, a)
+    # long inner zero runs
+    f = [3] + [0] * 40 + [-5]
+    assert zx_mul(f, f) == school_mul(f, f)
+    assert zx_mul([0, 0, 7] * 9, [0, -2] * 9) == school_mul([0, 0, 7] * 9,
+                                                             [0, -2] * 9)
+    assert zx_mul([], [1, 2]) == [] and zx_mul([1] * 20, []) == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 10007, (1 << 29) - 3])
+def test_kron_gf_mul_matches_schoolbook(p, kron_mode):
+    assert is_prime(p)
+    rng = random.Random(p)
+    for _ in range(25):
+        n, m = rng.choice(_LENGTHS), rng.choice(_LENGTHS)
+        f = _rand_vec(rng, n, 0, p - 1)
+        g = _rand_vec(rng, m, 0, p - 1)
+        assert gf_mul(f, g, p) == school_gf_mul(f, g, p)
+        assert gf_mul(f, f, p) == school_gf_mul(f, f, p)
+    # a prime power modulus, as in Hensel lifting
+    M = p ** 4
+    f = _rand_vec(rng, 30, 0, M - 1)
+    g = _rand_vec(rng, 20, 0, M - 1)
+    assert gf_mul(f, g, M) == school_gf_mul(f, g, M)
+
+
+def test_kron_gf_powmod_matches_repeated_multiplication(kron_mode):
+    rng = random.Random(43)
+    for p in (2, (1 << 29) - 3):
+        mod = _rand_vec(rng, 40, 0, p - 1)
+        mod[-1] = 1
+        base = _rand_vec(rng, 30, 0, p - 1)
+        want = [1]
+        for e in range(1, 21):
+            want = gf_divmod(school_gf_mul(want, base, p), mod, p)[1]
+            assert gf_powmod(base, e, mod, p) == want

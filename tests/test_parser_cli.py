@@ -245,6 +245,27 @@ def test_cli_orbit_escaping_past_int_str_limit(capsys):
     assert len(num) > 4300
 
 
+def test_cli_linear_root_past_int_str_limit(capsys):
+    # lambda = (3^n - 1) / (2 (2^n - 3^n)) has about 9500 digits at n = 20000
+    n = 20000
+    want = Fraction(3 ** n - 1, 2 * (2 ** n - 3 ** n))
+    code, out, _ = run_cli(capsys, "linear", "--alpha", "2", "--beta", "3",
+                           "--gamma", "1", "--n", str(n))
+    assert code == 0
+    text = json.loads(out)["lambda"]
+    num, den = text.split("/")
+    assert num[0] == "-" and 10 ** (len(num) - 2) <= -want.numerator
+    assert -want.numerator < 10 ** (len(num) - 1)
+    assert int(num[-40:]) == -want.numerator % 10 ** 40
+    assert int(den[-40:]) == want.denominator % 10 ** 40
+    assert len(den) > 4300
+    for fmt in ("csv", "md"):
+        code, out, _ = run_cli(capsys, "linear", "--alpha", "2", "--beta",
+                               "3", "--gamma", "1", "--n", str(n),
+                               "--format", fmt)
+        assert code == 0 and text in out
+
+
 def test_cli_indep_witness(capsys):
     code, out, _ = run_cli(capsys, "indep", "--f", "2*x", "--g", "x+1",
                            "--max-len", "4")

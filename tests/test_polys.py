@@ -7,6 +7,7 @@ import pytest
 import sympy
 
 from itergcd.errors import DegenerateInputError, ResourceLimitError
+from itergcd.numfield import NumberField, identity_jet, jet_at
 from itergcd.polys import (
     Poly,
     iterate,
@@ -345,3 +346,77 @@ def test_iterates_match_square_and_compose_rational():
     assert iterates(x ** 2 + 1, 0) == []
     with pytest.raises(ResourceLimitError):
         iterates(x ** 3, 12)
+
+
+# ---------------------------------------------------------------------------
+# Poly.evaluate against plain Horner
+# ---------------------------------------------------------------------------
+
+def plain_horner(f, v):
+    acc = v * 0
+    for c in reversed(f.coeffs):
+        acc = acc * v + c
+    return acc
+
+
+class _Squares:
+    """An integer that records whether it was multiplied by itself."""
+
+    def __init__(self, v, log):
+        self.v, self.log = v, log
+
+    def __mul__(self, other):
+        if isinstance(other, _Squares):
+            self.log.append(other is self)
+            return _Squares(self.v * other.v, self.log)
+        return _Squares(self.v * other, self.log)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        o = other.v if isinstance(other, _Squares) else other
+        return _Squares(self.v + o, self.log)
+
+    __radd__ = __add__
+
+
+def test_evaluate_matches_plain_horner_random():
+    rng = random.Random(53)
+    field = NumberField(x ** 3 - 2 * x + 5)
+    gen = field.generator()
+    for _ in range(120):
+        f = random_poly(rng, max_deg=7)
+        args = [rng.randint(-40, 40),
+                Fraction(rng.randint(-9, 9), rng.randint(1, 8)),
+                random_poly(rng, max_deg=3),
+                gen * Fraction(rng.randint(-5, 5), 3) + rng.randint(-4, 4)]
+        for v in args:
+            got, want = f.evaluate(v), plain_horner(f, v)
+            assert got == want
+            assert type(got) is type(want)
+        # a point of a degree-1 field is a constant representative
+        q = NumberField(x - rng.randint(-6, 6), check=False).generator()
+        assert f.evaluate(q) == plain_horner(f, q)
+
+
+def test_evaluate_on_jets_is_the_taylor_expansion():
+    rng = random.Random(59)
+    field = NumberField(x ** 2 - 3)
+    for _ in range(25):
+        f = random_poly(rng, max_deg=6)
+        center = field.generator() + rng.randint(-3, 3)
+        for order in (1, 2, 5):
+            jet = identity_jet(center, order)
+            got = f.evaluate(jet)
+            assert got == plain_horner(f, jet)
+            assert got == jet_at(f, center, order)
+
+
+def test_evaluate_squares_one_object():
+    log = []
+    assert Poly([1, -2, 0, 3]).evaluate(_Squares(7, log)).v == 3 * 343 - 14 + 1
+    # x*x is one object times itself; plain Horner would log four False
+    assert log == [True, False]
+    log.clear()
+    assert Poly([4, 5]).evaluate(_Squares(7, log)).v == 39
+    assert log == [False, False]
