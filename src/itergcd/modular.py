@@ -154,40 +154,6 @@ def _kron_pack(f, k: int, neg: bool) -> int:
     return t
 
 
-def _mul(f, g) -> list[int]:
-    """f*g over Z for zx_mul and gf_mul; accepts tuples.
-
-    Lengths alone pick the schoolbook loop for short operands, so small
-    products never scan their coefficients.  Longer ones find the digit
-    width that holds every product coefficient and its sign, and take the
-    Kronecker route when that width is fast at their length.  A square is
-    packed once and multiplied by itself.
-    """
-    if not f or not g:
-        return []
-    sq = f is g
-    m = min(len(f), len(g))
-    if m >= (KRON_NATIVE_SQR if sq else KRON_NATIVE_LEN):
-        bits = max(map(int.bit_length, f))
-        bits = 2 * bits if sq else bits + max(map(int.bit_length, g))
-        # |h_i| <= m max|f| max|g| < 2**(bits + m.bit_length()); one more
-        # bit holds the sign
-        k = (bits + m.bit_length() + 8) >> 3
-        if k <= 8 and _NATIVE:
-            k = 1 << (k - 1).bit_length()
-        elif m < (KRON_WIDE_SQR if sq else KRON_WIDE_LEN):
-            k = 0
-        if k:
-            return _kron_mul(f, g, k)
-    out = [0] * (len(f) + len(g) - 1)
-    gnz = [(j, c) for j, c in enumerate(g) if c]
-    for i, a in enumerate(f):
-        if a:
-            for j, b in gnz:
-                out[i + j] += a * b
-    return zx_trim(out)
-
-
 def _kron_mul(f, g, k: int) -> list[int]:
     """f*g with k-byte digits.
 
@@ -217,11 +183,37 @@ def _kron_mul(f, g, k: int) -> list[int]:
 
 
 def zx_mul(f: list[int], g: list[int]) -> list[int]:
-    """f*g over Z; also takes tuples, and squares when f is g.
+    """f*g over Z; also takes tuples.
 
-    gf_mul calls _mul itself, so a traced run reports the two kernels
-    apart."""
-    return _mul(f, g)
+    Lengths alone pick the schoolbook loop for short operands, so small
+    products never scan their coefficients.  Longer ones find the digit
+    width that holds every product coefficient and its sign, and take the
+    Kronecker route when that width is fast at their length.  A square
+    (f is g) is packed once and multiplied by itself.
+    """
+    if not f or not g:
+        return []
+    sq = f is g
+    m = min(len(f), len(g))
+    if m >= (KRON_NATIVE_SQR if sq else KRON_NATIVE_LEN):
+        bits = max(map(int.bit_length, f))
+        bits = 2 * bits if sq else bits + max(map(int.bit_length, g))
+        # |h_i| <= m max|f| max|g| < 2**(bits + m.bit_length()); one more
+        # bit holds the sign
+        k = (bits + m.bit_length() + 8) >> 3
+        if k <= 8 and _NATIVE:
+            k = 1 << (k - 1).bit_length()
+        elif m < (KRON_WIDE_SQR if sq else KRON_WIDE_LEN):
+            k = 0
+        if k:
+            return _kron_mul(f, g, k)
+    out = [0] * (len(f) + len(g) - 1)
+    gnz = [(j, c) for j, c in enumerate(g) if c]
+    for i, a in enumerate(f):
+        if a:
+            for j, b in gnz:
+                out[i + j] += a * b
+    return zx_trim(out)
 
 
 def zx_content(f: list[int]) -> int:
@@ -314,7 +306,7 @@ def gf_sub(f: list[int], g: list[int], p: int) -> list[int]:
 
 def gf_mul(f: list[int], g: list[int], p: int) -> list[int]:
     """f*g mod p, for any modulus p >= 2 (Hensel lifts use prime powers)."""
-    return zx_trim([c % p for c in _mul(f, g)])
+    return zx_trim([c % p for c in zx_mul(f, g)])
 
 
 def gf_scale(f: list[int], a: int, p: int) -> list[int]:
