@@ -32,6 +32,7 @@ from .polys import (
     Rational,
     iterate,
     iterates,
+    mult_of_factor,
     poly_gcd,
     poly_gcd_subresultant,
     render_poly,
@@ -60,7 +61,6 @@ from .multiplicity import (
     MultiplicityCertificate,
     direct_v,
     divisor_h,
-    mult_of_factor,
     multiplicity_bound,
 )
 from .heights import (

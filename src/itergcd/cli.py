@@ -87,7 +87,7 @@ def _write_out(data: bytes, out_path: str | None) -> None:
 
 def _cmd_gcd_grid(args):
     rep = gcd_grid(_poly_arg(args.f), _poly_arg(args.g), _poly_arg(args.c),
-                   args.N, diagonal_only=args.diagonal, seed=args.seed)
+                   args.N, diagonal_only=args.diagonal)
     return rep, "csv", 0
 
 
@@ -201,7 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=FORMATS, default=None)
         p.add_argument("--out", default=None, metavar="FILE")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("gcd-grid", help="grid of gcd(f^(m)-c, g^(n)-c)")
     p.add_argument("--f", required=True)

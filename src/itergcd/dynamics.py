@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateInputError, LIMITS
-from .polys import Poly, iterate, render_poly
+from .polys import Poly, iterate
 from .numfield import NumberFieldElem, nf_eval
 
 IN_RAMIFIED = "in-ramified-cycle"

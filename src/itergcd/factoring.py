@@ -129,24 +129,13 @@ def _eisenstein_at(f: list[int]) -> bool:
     return False
 
 
-def _zx_shift(f: list[int], s: int) -> list[int]:
-    """f(x + s) over Z by repeated synthetic division."""
-    c = list(f)
-    out = []
-    while c:
-        for k in range(len(c) - 2, -1, -1):
-            c[k] += s * c[k + 1]
-        out.append(c[0])
-        c = c[1:]
-    return out
-
-
 def _eisenstein_shifted(f: list[int]) -> bool:
     """Eisenstein after a small shift proves irreducibility of f itself."""
-    for s in (0, 1, -1, 2, -2):
-        if _eisenstein_at(f if s == 0 else _zx_shift(f, s)):
-            return True
-    return False
+    if _eisenstein_at(f):
+        return True
+    fx = Poly.from_int_list(f)
+    return any(_eisenstein_at(fx.shift(s).int_form()[0])
+               for s in (1, -1, 2, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -206,33 +195,16 @@ def _gf_factor_squarefree(g: list[int], p: int, seed: int) -> list[list[int]]:
 # Hensel lifting (monic, quadratic, factor tree)
 # ---------------------------------------------------------------------------
 
-def _mm_divmod_monic(f: list[int], g: list[int], m: int):
-    """Division by a monic g over Z/m (no inverses needed)."""
-    if len(f) < len(g):
-        return [], list(f)
-    rem = [c % m for c in f]
-    q = [0] * (len(f) - len(g) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        t = rem[k + len(g) - 1] % m
-        if t == 0:
-            rem[k + len(g) - 1] = 0
-            continue
-        q[k] = t
-        for j, b in enumerate(g):
-            rem[k + j] = (rem[k + j] - t * b) % m
-    return zx_trim(q), zx_trim(rem)
-
-
 def _hensel_step(G, A, B, S, T, m):
     """One quadratic step: modulus m -> m*m, all of A, B monic."""
     M = m * m
     Gm = [c % M for c in G]
     e = gf_sub(Gm, gf_mul(A, B, M), M)
-    q, r = _mm_divmod_monic(gf_mul(S, e, M), B, M)
+    q, r = gf_divmod(gf_mul(S, e, M), B, M)
     A1 = gf_add(A, gf_add(gf_mul(T, e, M), gf_mul(q, A, M), M), M)
     B1 = gf_add(B, r, M)
     b = gf_sub(gf_add(gf_mul(S, A1, M), gf_mul(T, B1, M), M), [1], M)
-    c, d = _mm_divmod_monic(gf_mul(S, b, M), B1, M)
+    c, d = gf_divmod(gf_mul(S, b, M), B1, M)
     S1 = gf_sub(S, d, M)
     T1 = gf_sub(gf_sub(T, gf_mul(T, b, M), M), gf_mul(c, A1, M), M)
     if not A1 or A1[-1] != 1 or len(A1) != len(A):

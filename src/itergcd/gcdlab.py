@@ -15,9 +15,10 @@ from fractions import Fraction
 
 from .errors import DegenerateInputError
 from .factoring import FactorList, factor_irreducible
-from .multiplicity import mult_of_factor
 from .numfield import NumberFieldElem, nf_eval
-from .polys import Poly, iterate, iterates, poly_gcd, render_poly
+from .polys import (
+    Poly, iterate, iterates, mult_of_factor, poly_gcd, render_poly,
+)
 
 NO_SOLUTION = "no solution"
 
@@ -47,24 +48,26 @@ class GcdGridReport:
     grid_n: int
     diagonal_only: bool
     cells: dict            # (m, n) -> FactorList of the monic cell gcd
+    gcds: dict             # (m, n) -> the monic cell gcd itself
     degenerate: dict       # (m, n) -> reason string, for skipped cells
     factor_universe: dict  # irreducible monic Poly -> max multiplicity seen
     stabilized: bool
     timings: dict          # (m, n) -> milliseconds
 
     def cell_gcd(self, m: int, n: int) -> Poly:
-        return self.cells[(m, n)].expand()
+        return self.gcds[(m, n)]
 
     def to_json_dict(self) -> dict:
         cells = []
         for (m, n) in sorted(self.cells):
-            fl = self.cells[(m, n)]
+            gcd_mn = self.gcds[(m, n)]
             cells.append({
                 "m": m,
                 "n": n,
-                "gcd": render_poly(fl.expand()),
-                "degree": fl.expand().degree,
-                "factors": [[render_poly(p), e] for p, e in fl.factors],
+                "gcd": render_poly(gcd_mn),
+                "degree": gcd_mn.degree,
+                "factors": [[render_poly(p), e]
+                            for p, e in self.cells[(m, n)].factors],
                 "millis": self.timings[(m, n)],
             })
         return {
@@ -110,6 +113,7 @@ def gcd_grid(f: Poly, g: Poly, c: Poly, grid_n: int,
     g_minus_c = [None if q == c else q - c for q in g_its]
 
     cells: dict = {}
+    gcds: dict = {}
     degenerate: dict = {}
     timings: dict = {}
     for m, n in pairs:
@@ -120,7 +124,7 @@ def gcd_grid(f: Poly, g: Poly, c: Poly, grid_n: int,
         elif gn is None:
             degenerate[(m, n)] = "g iterate %d equals c" % n
         else:
-            gcd_mn = poly_gcd(fm, gn, seed=seed)
+            gcds[(m, n)] = gcd_mn = poly_gcd(fm, gn, seed=seed)
             cells[(m, n)] = (FactorList(Fraction(1), ()) if gcd_mn.degree < 1
                              else factor_irreducible(gcd_mn, seed=seed))
             timings[(m, n)] = (time.perf_counter() - t0) * 1000.0
@@ -133,8 +137,8 @@ def gcd_grid(f: Poly, g: Poly, c: Poly, grid_n: int,
                 shell_new = True
             if universe.get(p, 0) < e:
                 universe[p] = e
-    return GcdGridReport(f, g, c, grid_n, diagonal_only, cells, degenerate,
-                         universe, not shell_new, timings)
+    return GcdGridReport(f, g, c, grid_n, diagonal_only, cells, gcds,
+                         degenerate, universe, not shell_new, timings)
 
 
 # ---------------------------------------------------------------------------

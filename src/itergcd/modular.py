@@ -317,16 +317,21 @@ def gf_scale(f: list[int], a: int, p: int) -> list[int]:
 def gf_monic(f: list[int], p: int) -> list[int]:
     if not f:
         return []
-    return gf_scale(f, pow(f[-1], p - 2, p), p)
+    return gf_scale(f, pow(f[-1], -1, p), p)
 
 
 def gf_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(q, r) with f = q*g + r mod p and deg r < deg g.
+
+    Any modulus p works as long as lc(g) is a unit mod p (Hensel lifts divide
+    by monic factors modulo prime powers); otherwise pow raises ValueError.
+    """
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     if len(f) < len(g):
         return [], list(f)
     rem = list(f)
-    inv = pow(g[-1], p - 2, p)
+    inv = pow(g[-1], -1, p)
     q = [0] * (len(f) - len(g) + 1)
     gnz = [(j, c) for j, c in enumerate(g[:-1]) if c]
     for k in range(len(q) - 1, -1, -1):
@@ -365,7 +370,7 @@ def gf_xgcd(f: list[int], g: list[int], p: int):
         t0, t1 = t1, gf_sub(t0, gf_mul(q, t1, p), p)
     if not r0:
         return [], [], []
-    inv = pow(r0[-1], p - 2, p)
+    inv = pow(r0[-1], -1, p)
     return gf_scale(r0, inv, p), gf_scale(s0, inv, p), gf_scale(t0, inv, p)
 
 
@@ -489,7 +494,7 @@ def zx_gcd_modular(f: list[int], g: list[int], seed: int = 0) -> list[int]:
             stable += 1
         else:
             candidate, stable = cand, 0
-        den = reduce(lcm_int, (c.denominator for c in cand), 1)
+        den = math.lcm(*(c.denominator for c in cand))
         h = zx_trim([int(c * den) for c in cand])
         _, h = zx_primitive(h)
         if zx_divides(fp, h) is not None and zx_divides(gp, h) is not None:
@@ -497,10 +502,6 @@ def zx_gcd_modular(f: list[int], g: list[int], seed: int = 0) -> list[int]:
         if stable > 8:
             raise VerificationError("modular gcd failed to stabilize")
     raise VerificationError("prime stream exhausted")  # pragma: no cover
-
-
-def lcm_int(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
 
 
 def zx_gcd_subresultant(f: list[int], g: list[int]) -> list[int]:

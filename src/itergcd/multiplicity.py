@@ -36,7 +36,7 @@ from .errors import (
     UndecidedError,
     VerificationError,
 )
-from .factoring import factor_irreducible
+from .gcdlab import gcd_grid
 from .heights import weil_height_alg
 from .numfield import (
     Jet,
@@ -50,22 +50,7 @@ from .numfield import (
     nf_eval,
     root_of_unity_order,
 )
-from .polys import Poly, iterate, iterates, poly_gcd, render_poly
-
-
-def mult_of_factor(f: Poly, p: Poly) -> int:
-    """Largest e with p^e dividing f, by repeated exact division."""
-    if f.is_zero():
-        raise DegenerateInputError("vanishing order of the zero polynomial")
-    if p.degree < 1:
-        raise DegenerateInputError("factor must be nonconstant")
-    e = 0
-    while True:
-        quo, rem = divmod(f, p)
-        if not rem.is_zero():
-            return e
-        f = quo
-        e += 1
+from .polys import Poly, iterate, render_poly
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +399,7 @@ def _v_on_cycle(q: Poly, c: Poly, lam: NumberFieldElem, g_pts, rs_pts,
 
 def _base_map_for_constant(f: Poly, g: Poly, c0q: Fraction):
     """Pick whichever map does not hold c0 in a ramified cycle."""
-    from .numfield import NumberField as NF
-
-    rationals = NF.rationals()
-    elem = rationals.element(c0q)
+    elem = NumberField.rationals().element(c0q)
     states = [(m, ramified_cycle_check(m, elem)) for m in (f, g)]
     usable = [m for m, st in states if st not in (IN_RAMIFIED, UNDECIDED_CAP)]
     if usable:
@@ -432,11 +414,12 @@ def _base_map_for_constant(f: Poly, g: Poly, c0q: Fraction):
 def divisor_h(f: Poly, g: Poly, c: Poly, grid_n: int):
     """h = prod p^(M_p) over the factor set of a grid of iterate gcds.
 
-    Every gcd(f^(m) - c, g^(n) - c) with m, n <= grid_n is computed exactly,
-    factored, and each irreducible factor certified by multiplicity_bound
-    against a map satisfying the non-ramified hypothesis.  The returned h is
-    verified to be divisible by every grid gcd; failure of that check is an
-    internal error, never an expected outcome.
+    Each factor in the universe of gcd_grid(f, g, c, grid_n), the monic
+    irreducible factors of every gcd(f^(m) - c, g^(n) - c) with
+    m, n <= grid_n, is certified by multiplicity_bound against a map
+    satisfying the non-ramified hypothesis.  The returned h is verified to
+    be divisible by every grid gcd; failure of that check is an internal
+    error, never an expected outcome.
 
     Returns (h, certificates) with certificates a dict from monic irreducible
     factor to its MultiplicityCertificate.
@@ -456,24 +439,12 @@ def divisor_h(f: Poly, g: Poly, c: Poly, grid_n: int):
     else:
         primary, fallback = f, g
 
-    grid: dict[tuple[int, int], Poly] = {}
-    factor_mult: dict[Poly, int] = {}
-    g_minus_c = [gn - c for gn in iterates(g, grid_n)]
-    for m, fm in enumerate(iterates(f, grid_n), 1):
-        fm = fm - c
-        for n, gn in enumerate(g_minus_c, 1):
-            gcd_mn = poly_gcd(fm, gn)
-            grid[(m, n)] = gcd_mn
-            if gcd_mn.degree < 1:
-                continue
-            for p, mult in factor_irreducible(gcd_mn).factors:
-                key = p.monic()
-                if factor_mult.get(key, 0) < mult:
-                    factor_mult[key] = mult
-
+    # compositional_power_check above rules out degenerate cells
+    grid = gcd_grid(f, g, c, grid_n)
     certs: dict[Poly, MultiplicityCertificate] = {}
     h = Poly.const(1)
-    for p in sorted(factor_mult, key=lambda t: (t.degree, t.coeffs)):
+    for p, mult in sorted(grid.factor_universe.items(),
+                          key=lambda t: (t[0].degree, t[0].coeffs)):
         lam_field = NumberField(p, check=False)
         try:
             cert = multiplicity_bound(primary, c, lam_field)
@@ -481,13 +452,15 @@ def divisor_h(f: Poly, g: Poly, c: Poly, grid_n: int):
             if fallback is None:
                 raise
             cert = multiplicity_bound(fallback, c, lam_field)
-        if factor_mult[p] > cert.bound_M:
+        if mult > cert.bound_M:
             raise VerificationError(
                 "grid exhibits %s^%d but the certificate bounds it by %d"
-                % (render_poly(p), factor_mult[p], cert.bound_M))
+                % (render_poly(p), mult, cert.bound_M))
         certs[p] = cert
         h = h * p ** cert.bound_M
-    for (m, n), gcd_mn in grid.items():
+    # divide by the gcds themselves, not by their factor lists: each
+    # exponent of those lists is already checked against its bound
+    for (m, n), gcd_mn in grid.gcds.items():
         if not (h % gcd_mn).is_zero():
             raise VerificationError(
                 "grid gcd at (%d, %d) does not divide the divisor polynomial"

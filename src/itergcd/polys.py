@@ -21,11 +21,10 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
-from functools import reduce
 from typing import Iterable, Union
 
 from . import modular
-from .errors import LIMITS, check_bits, check_degree
+from .errors import DegenerateInputError, LIMITS, check_bits, check_degree
 
 Rational = Fraction
 Scalar = Union[int, Fraction]
@@ -53,7 +52,7 @@ class Poly:
         q = [Fraction(a) for a in coeffs]
         while q and q[-1] == 0:
             q.pop()
-        den = reduce(modular.lcm_int, {a.denominator for a in q}, 1)
+        den = math.lcm(*{a.denominator for a in q})
         # over the lcm of reduced fractions the form is already canonical
         self._n = tuple(a.numerator * (den // a.denominator) for a in q)
         self._d = den
@@ -320,16 +319,8 @@ class Poly:
                     for a in self.coeffs), default=0)
 
     def shift(self, a: Scalar) -> "Poly":
-        """Taylor shift: returns f(x + a) by repeated synthetic division."""
-        a = Fraction(a)
-        c = list(self.coeffs)
-        out = []
-        while c:
-            for k in range(len(c) - 2, -1, -1):
-                c[k] = c[k] + a * c[k + 1]
-            out.append(c[0])   # remainder of division by (x - a)
-            c = c[1:]          # quotient continues
-        return Poly(out)
+        """Taylor shift: returns f(x + a)."""
+        return self.compose(Poly((a, 1)))
 
 
 def _coerce(v) -> "Poly":
@@ -509,6 +500,21 @@ def resultant(f: Poly, g: Poly, seed: int = 0) -> Fraction:
     gn, gd = g.int_form()
     r = modular.zx_resultant(fn, gn, seed=seed)
     return Fraction(r, fd ** g.degree * gd ** f.degree)
+
+
+def mult_of_factor(f: Poly, p: Poly) -> int:
+    """Largest e with p^e dividing f, by repeated exact division."""
+    if f.is_zero():
+        raise DegenerateInputError("vanishing order of the zero polynomial")
+    if p.degree < 1:
+        raise DegenerateInputError("factor must be nonconstant")
+    e = 0
+    while True:
+        quo, rem = divmod(f, p)
+        if not rem.is_zero():
+            return e
+        f = quo
+        e += 1
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,13 @@ from itergcd.heights import canonical_height, special_probe
 from itergcd.multiplicity import (
     direct_v,
     divisor_h,
-    mult_of_factor,
     multiplicity_bound,
 )
 from itergcd.numfield import NumberField, jet_at, jet_compose
 from itergcd.polys import (
     Poly,
     iterate,
+    mult_of_factor,
     poly_gcd,
     poly_gcd_subresultant,
     render_poly,

@@ -13,9 +13,11 @@ from itergcd.modular import (
     KRON_WIDE_LEN,
     KRON_WIDE_SQR,
     crt_pair,
+    gf_add,
     gf_divmod,
     gf_from_zx,
     gf_gcd,
+    gf_monic,
     gf_mul,
     gf_powmod,
     is_prime,
@@ -172,6 +174,29 @@ def test_gf_divmod_identity():
         while total and total[-1] == 0:
             total.pop()
         assert total == ftrim
+
+
+def test_gf_divmod_modulo_prime_powers():
+    # Hensel lifting divides by monic factors modulo p^(2^k)
+    rng = random.Random(41)
+    for m in (3 ** 8, 2 ** 16):
+        for lc in (1, 5, m - 1):        # units mod m
+            for _ in range(60):
+                g = [rng.randrange(m) for _ in range(rng.randint(0, 6))] + [lc]
+                f = [rng.randrange(m) for _ in range(rng.randint(0, 14))]
+                q, r = gf_divmod(f, g, m)
+                assert len(r) < len(g)
+                assert gf_add(gf_mul(q, g, m), r, m) == gf_from_zx(f, m)
+        assert gf_monic([2, 5], m) == [2 * pow(5, -1, m) % m, 1]
+
+
+def test_gf_inverse_of_a_non_unit_raises():
+    with pytest.raises(ValueError):
+        gf_divmod([1, 0, 0, 1], [1, 3], 3 ** 8)
+    with pytest.raises(ValueError):
+        gf_divmod([1, 0, 0, 1], [1, 6], 2 ** 16)
+    with pytest.raises(ValueError):
+        gf_monic([1, 2], 2 ** 16)
 
 
 def test_gf_powmod_frobenius():

@@ -5,16 +5,16 @@ import pytest
 from itergcd.errors import (
     DegenerateInputError,
     HypothesisViolationError,
+    VerificationError,
 )
 from itergcd.multiplicity import (
     MultiplicityCertificate,
     direct_v,
     divisor_h,
-    mult_of_factor,
     multiplicity_bound,
 )
 from itergcd.numfield import NumberField
-from itergcd.polys import Poly, iterate
+from itergcd.polys import Poly, iterate, mult_of_factor
 
 X = Poly.x()
 Q_AT = {}
@@ -248,3 +248,21 @@ def test_divisor_h_respects_certified_bounds():
             for n in range(1, 5):
                 G = gcd_iterates(f, g, Poly.zero(), m, n)
                 assert mult_of_factor(G, p) <= cert.bound_M
+
+
+def test_divisor_h_checks_the_grid_gcds_themselves(monkeypatch):
+    # a factor list that loses x^2 - 2 leaves it out of h; only dividing by
+    # the gcds poly_gcd returned, not by re-expanded lists, catches that
+    from itergcd import gcdlab
+    from itergcd.factoring import FactorList
+
+    factor = gcdlab.factor_irreducible
+
+    def lossy(f, seed=0):
+        fl = factor(f, seed=seed)
+        return FactorList(fl.content, tuple(
+            (p, e) for p, e in fl.factors if p != X ** 2 - 2))
+
+    monkeypatch.setattr(gcdlab, "factor_irreducible", lossy)
+    with pytest.raises(VerificationError, match="does not divide"):
+        divisor_h(X ** 2 - 2, X ** 2 - 1, Poly.zero(), 4)

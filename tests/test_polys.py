@@ -172,14 +172,6 @@ def test_resultant_linear_matches_root_product():
         assert resultant(f, g) == expect
 
 
-def test_shift_is_composition_with_translation():
-    rng = random.Random(23)
-    for _ in range(40):
-        f = random_poly(rng, max_deg=5)
-        a = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        assert f.shift(a) == f.compose(x + a)
-
-
 def test_monic_and_leading():
     f = Poly([2, 0, 4])
     assert f.leading() == 4
@@ -327,6 +319,28 @@ def test_int_form_huge_denominators_orbit():
     f = Poly([Fraction(1, 3), 0, Fraction(-5, 7)])
     assert_matches(f * y, ref_mul([Fraction(1, 3), 0, Fraction(-5, 7)], [ref]))
     assert_matches(f + y, ref_add([Fraction(1, 3), 0, Fraction(-5, 7)], [ref]))
+
+
+def ref_shift(a, s):
+    """a(x + s) by repeated synthetic division by x - s."""
+    c, out = list(a), []
+    while c:
+        for k in range(len(c) - 2, -1, -1):
+            c[k] += s * c[k + 1]
+        out.append(c[0])    # remainder of the division
+        c = c[1:]           # the quotient continues
+    return out
+
+
+def test_shift_is_composition_with_translation():
+    rng = random.Random(23)
+    for _ in range(200):
+        a = ref_poly(rng)
+        s = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 35)))
+        ref = ref_shift(a, s)
+        assert ref == ref_compose(a, [s, Fraction(1)])
+        assert_matches(Poly(a).shift(s), ref)
+        assert_matches(Poly(a).shift(int(s)), ref_shift(a, int(s)))
 
 
 def test_iterates_match_square_and_compose_rational():

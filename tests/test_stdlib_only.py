@@ -1,0 +1,35 @@
+"""The library is pure standard library: ``dependencies = []``."""
+
+import ast
+import pathlib
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "itergcd"
+
+
+def test_every_import_is_relative_or_stdlib():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 10
+    outside = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += ["%s: %s" % (path.name, name) for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+
+
+def test_pyproject_lists_no_dependencies():
+    tomllib = pytest.importorskip("tomllib")   # stdlib from Python 3.11
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []
