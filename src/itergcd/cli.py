@@ -36,7 +36,7 @@ from .gcdlab import (
     linear_normal_form,
     reference_suite,
 )
-from .heights import canonical_height, special_probe
+from .heights import ProbeReport, canonical_height, special_probe
 from .multiplicity import divisor_h, multiplicity_bound
 from .numfield import NumberField
 from .parser import parse_poly
@@ -56,10 +56,12 @@ def _fraction_arg(text: str) -> Fraction:
 
 def _field_point(args):
     """The point named by --lambda-minpoly (its distinguished root) or --x."""
-    if getattr(args, "lambda_minpoly", None):
-        field = NumberField(parse_poly(args.lambda_minpoly))
-        return field.generator()
-    if getattr(args, "x", None) is None:
+    minpoly = args.lambda_minpoly
+    if minpoly and args.x is not None:
+        raise DegenerateInputError("give --x or --lambda-minpoly, not both")
+    if minpoly:
+        return NumberField(parse_poly(minpoly)).generator()
+    if args.x is None:
         raise DegenerateInputError("need --x or --lambda-minpoly")
     return NumberField.rationals().element(_fraction_arg(args.x))
 
@@ -121,11 +123,7 @@ def _cmd_height(args):
 def _cmd_special_probe(args):
     rows = special_probe(_poly_arg(args.f), _poly_arg(args.c),
                          args.n_lo, args.n_hi, steps=args.steps)
-    report = {"f": args.f, "c": args.c,
-              "rows": [{"n": r.n, "factor_degree": r.factor_degree,
-                        "height": r.height, "error": r.error,
-                        "predicted": r.predicted} for r in rows]}
-    return report, "csv", 0
+    return ProbeReport(args.f, args.c, tuple(rows)), "csv", 0
 
 
 def _cmd_orbit(args):

@@ -1,22 +1,26 @@
 """Deterministic report serialization: json, csv, and markdown.
 
-Every report type carries its own to_json_dict; this module flattens those
-dicts to bytes with stable ordering (sorted JSON keys, fixed CSV columns),
-rationals printed as a/b, and floats clipped to 12 significant digits so
-repeated runs are byte-identical.
+A report is a plain dict or an object that says how it serialises, through
+three methods: to_json_dict() for json, table() -> (header, rows) for csv,
+and to_md() for markdown.  This module writes the bytes: sorted JSON keys,
+rationals printed as a/b, and floats clipped to 12 significant digits, so
+repeated runs are byte-identical.  Report modules build their markdown
+tables with md_table.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from fractions import Fraction
 
 from .errors import DegenerateInputError
-from .gcdlab import GcdGridReport, SuiteReport
-from .multiplicity import MultiplicityCertificate
 from .polys import _decimal
 
 FORMATS = ("json", "csv", "md")
+
+_METHODS = {"json": "to_json_dict", "csv": "table", "md": "to_md"}
 
 
 def _round_floats(obj):
@@ -35,16 +39,6 @@ def _round_floats(obj):
     return obj
 
 
-def _as_dict(report) -> dict:
-    if isinstance(report, dict):
-        return report
-    to_dict = getattr(report, "to_json_dict", None)
-    if to_dict is None:
-        raise DegenerateInputError("report type %s is not serializable"
-                                   % type(report).__name__)
-    return to_dict()
-
-
 def _fmt_cell(v) -> str:
     if isinstance(v, float):
         return "%.12g" % v
@@ -57,14 +51,16 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv_table(header, rows) -> str:
+    """A header line and one line per row, cells quoted where csv needs it."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt_cell(v) for v in row] for row in rows)
+    return out.getvalue()
 
 
-def _md_table(header, rows) -> str:
+def md_table(header, rows) -> str:
     lines = ["| " + " | ".join(header) + " |",
              "| " + " | ".join("---" for _ in header) + " |"]
     for row in rows:
@@ -72,75 +68,19 @@ def _md_table(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _factors_token(factors) -> str:
-    return ";".join("%s:%d" % (p, e) for p, e in factors)
+def _json_text(d: dict) -> str:
+    return json.dumps(_round_floats(d), sort_keys=True, indent=2) + "\n"
 
 
-GRID_COLUMNS = ("m", "n", "degree", "gcd", "factors", "millis")
-SUITE_COLUMNS = ("family", "n", "claim", "ok")
-CERT_COLUMNS = ("case", "bound", "congruence", "ell", "r", "e", "u", "s",
-                "d", "exceptional", "notes", "lambda_modulus", "c0")
-PROBE_COLUMNS = ("n", "factor_degree", "height", "error", "predicted")
-
-
-def _grid_rows(d: dict):
-    return [(c["m"], c["n"], c["degree"], c["gcd"],
-             _factors_token(c["factors"]), c["millis"]) for c in d["cells"]]
-
-
-def _cert_row(d: dict):
-    return [(d["case"], d["bound"], d["congruence"], d["ell"], d["r"],
-             d["e"], d["u"], d["s"], d["d"],
-             ";".join("%d:%d" % (n, v) for n, v in d["exceptional"]),
-             ";".join(d["notes"]), d["lambda_modulus"], d["c0"])]
-
-
-def _suite_rows(d: dict):
-    return [(r["family"], r["n"], r["claim"], r["ok"]) for r in d["rows"]]
-
-
-def _probe_rows(d: dict):
-    return [(r["n"], r["factor_degree"], r["height"], r["error"],
-             r["predicted"]) for r in d["rows"]]
-
-
-def _to_csv(report, d: dict) -> str:
-    if isinstance(report, GcdGridReport) or "cells" in d:
-        return _csv(GRID_COLUMNS, _grid_rows(d))
-    if isinstance(report, MultiplicityCertificate) or "congruence" in d:
-        return _csv(CERT_COLUMNS, _cert_row(d))
-    if isinstance(report, SuiteReport):
-        return _csv(SUITE_COLUMNS, _suite_rows(d))
-    if "rows" in d and d["rows"] and "predicted" in d["rows"][0]:
-        return _csv(PROBE_COLUMNS, _probe_rows(d))
+def _dict_text(d: dict, fmt: str) -> str:
+    """A plain dict: json, one csv row, or a table of field and value."""
+    if fmt == "json":
+        return _json_text(d)
     keys = sorted(d)
-    return _csv(tuple(keys), [tuple(d[k] for k in keys)])
-
-
-def _to_md(report, d: dict) -> str:
-    if isinstance(report, GcdGridReport) or "cells" in d:
-        head = ("gcd grid: f = %s, g = %s, c = %s, N = %d%s\n\n"
-                % (d["f"], d["g"], d["c"], d["grid_n"],
-                   " (diagonal)" if d["diagonal_only"] else ""))
-        uni = _md_table(("factor", "max multiplicity"),
-                        [(p, e) for p, e in d["factor_universe"]])
-        cells = _md_table(GRID_COLUMNS, _grid_rows(d))
-        tail = "\nstabilized: %s\n" % _fmt_cell(d["stabilized"])
-        if d["degenerate_cells"]:
-            tail += _md_table(("m", "n", "reason"),
-                              [(c["m"], c["n"], c["reason"])
-                               for c in d["degenerate_cells"]])
-        return head + uni + "\n" + cells + tail
-    if isinstance(report, MultiplicityCertificate) or "congruence" in d:
-        return _md_table(CERT_COLUMNS, _cert_row(d))
-    if isinstance(report, SuiteReport):
-        body = _md_table(SUITE_COLUMNS, _suite_rows(d))
-        return body + "\nall pass: %s\n" % _fmt_cell(d["all_pass"])
-    if "rows" in d and d["rows"] and "predicted" in d["rows"][0]:
-        return _md_table(PROBE_COLUMNS, _probe_rows(d))
-    keys = sorted(d)
-    return _md_table(("field", "value"), [(k, _fmt_cell(_round_floats(d[k])))
-                                          for k in keys])
+    if fmt == "csv":
+        return _csv_table(keys, [[d[k] for k in keys]])
+    return md_table(("field", "value"),
+                    [(k, _fmt_cell(_round_floats(d[k]))) for k in keys])
 
 
 def emit(report, fmt: str = "json") -> bytes:
@@ -148,11 +88,15 @@ def emit(report, fmt: str = "json") -> bytes:
     if fmt not in FORMATS:
         raise DegenerateInputError("unsupported format %r (choose from %s)"
                                    % (fmt, ", ".join(FORMATS)))
-    d = _as_dict(report)
+    if isinstance(report, dict):
+        return _dict_text(report, fmt).encode("utf-8")
+    render = getattr(report, _METHODS[fmt], None)
+    if render is None:
+        raise DegenerateInputError("report type %s is not serializable"
+                                   % type(report).__name__)
+    out = render()
     if fmt == "json":
-        text = json.dumps(_round_floats(d), sort_keys=True, indent=2) + "\n"
+        out = _json_text(out)
     elif fmt == "csv":
-        text = _to_csv(report, d)
-    else:
-        text = _to_md(report, d)
-    return text.encode("utf-8")
+        out = _csv_table(*out)
+    return out.encode("utf-8")

@@ -10,9 +10,10 @@ the grid, never asserted beyond it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
 
+from .emit import md_table
 from .errors import DegenerateInputError
 from .factoring import FactorList, factor_irreducible
 from .numfield import NumberFieldElem, nf_eval
@@ -40,6 +41,9 @@ def gcd_iterates(f: Poly, g: Poly, c: Poly, m: int, n: int,
                     seed=seed)
 
 
+GRID_COLUMNS = ("m", "n", "degree", "gcd", "factors", "millis")
+
+
 @dataclass(frozen=True)
 class GcdGridReport:
     f: Poly
@@ -57,35 +61,54 @@ class GcdGridReport:
     def cell_gcd(self, m: int, n: int) -> Poly:
         return self.gcds[(m, n)]
 
+    def _cells(self):
+        """(m, n, gcd, [[rendered factor, e], ...], millis) per cell."""
+        for mn in sorted(self.cells):
+            yield (*mn, self.gcds[mn],
+                   [[render_poly(p), e] for p, e in self.cells[mn].factors],
+                   self.timings[mn])
+
+    def _universe(self):
+        return [[render_poly(p), e]
+                for p, e in sorted(self.factor_universe.items(),
+                                   key=lambda t: (t[0].degree, t[0].coeffs))]
+
     def to_json_dict(self) -> dict:
-        cells = []
-        for (m, n) in sorted(self.cells):
-            gcd_mn = self.gcds[(m, n)]
-            cells.append({
-                "m": m,
-                "n": n,
-                "gcd": render_poly(gcd_mn),
-                "degree": gcd_mn.degree,
-                "factors": [[render_poly(p), e]
-                            for p, e in self.cells[(m, n)].factors],
-                "millis": self.timings[(m, n)],
-            })
         return {
             "f": render_poly(self.f),
             "g": render_poly(self.g),
             "c": render_poly(self.c),
             "grid_n": self.grid_n,
             "diagonal_only": self.diagonal_only,
-            "cells": cells,
+            "cells": [{"m": m, "n": n, "gcd": render_poly(gcd_mn),
+                       "degree": gcd_mn.degree, "factors": factors,
+                       "millis": millis}
+                      for m, n, gcd_mn, factors, millis in self._cells()],
             "degenerate_cells": [
                 {"m": m, "n": n, "reason": why}
                 for (m, n), why in sorted(self.degenerate.items())],
-            "factor_universe": [
-                [render_poly(p), e]
-                for p, e in sorted(self.factor_universe.items(),
-                                   key=lambda t: (t[0].degree, t[0].coeffs))],
+            "factor_universe": self._universe(),
             "stabilized": self.stabilized,
         }
+
+    def table(self):
+        return GRID_COLUMNS, [
+            (m, n, gcd_mn.degree, render_poly(gcd_mn),
+             ";".join("%s:%d" % (p, e) for p, e in factors), millis)
+            for m, n, gcd_mn, factors, millis in self._cells()]
+
+    def to_md(self) -> str:
+        head = ("gcd grid: f = %s, g = %s, c = %s, N = %d%s\n\n"
+                % (render_poly(self.f), render_poly(self.g),
+                   render_poly(self.c), self.grid_n,
+                   " (diagonal)" if self.diagonal_only else ""))
+        universe = md_table(("factor", "max multiplicity"), self._universe())
+        tail = "\nstabilized: %s\n" % ("true" if self.stabilized else "false")
+        if self.degenerate:
+            tail += md_table(("m", "n", "reason"),
+                             [(m, n, why) for (m, n), why
+                              in sorted(self.degenerate.items())])
+        return head + universe + "\n" + md_table(*self.table()) + tail
 
 
 def _grid_pairs(grid_n: int, diagonal_only: bool):
@@ -234,11 +257,16 @@ class SuiteReport:
         return all(r.ok for r in self.rows)
 
     def to_json_dict(self) -> dict:
-        return {
-            "rows": [{"family": r.family, "n": r.n, "claim": r.claim,
-                      "ok": r.ok} for r in self.rows],
-            "all_pass": self.all_pass,
-        }
+        return {"rows": [asdict(r) for r in self.rows],
+                "all_pass": self.all_pass}
+
+    def table(self):
+        return ([f.name for f in fields(SuiteRow)],
+                [astuple(r) for r in self.rows])
+
+    def to_md(self) -> str:
+        return (md_table(*self.table())
+                + "\nall pass: %s\n" % ("true" if self.all_pass else "false"))
 
 
 def reference_suite() -> SuiteReport:

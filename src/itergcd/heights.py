@@ -11,9 +11,10 @@ seen to repeat is certified preperiodic and gets canonical height exactly 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
 
+from .emit import md_table
 from .errors import DegenerateInputError, LIMITS, ResourceLimitError
 from .factoring import factor_irreducible
 from .numfield import (
@@ -120,6 +121,26 @@ class ProbeRow:
     height: float
     error: float
     predicted: float | None
+
+
+@dataclass(frozen=True)
+class ProbeReport:
+    """special_probe's rows under the argv text of f and c, echoed as given."""
+
+    f: str
+    c: str
+    rows: tuple
+
+    def to_json_dict(self) -> dict:
+        return {"f": self.f, "c": self.c,
+                "rows": [asdict(r) for r in self.rows]}
+
+    def table(self):
+        return ([f.name for f in fields(ProbeRow)],
+                [astuple(r) for r in self.rows])
+
+    def to_md(self) -> str:
+        return md_table(*self.table())
 
 
 def _pick_factor(p: Poly) -> Poly:

@@ -16,6 +16,7 @@ import threading
 from array import array
 from fractions import Fraction
 from functools import reduce
+from itertools import zip_longest
 
 from .errors import VerificationError
 
@@ -95,26 +96,6 @@ def zx_trim(f: list[int]) -> list[int]:
 
 def zx_deg(f: list[int]) -> int:
     return len(f) - 1
-
-
-def zx_add(f: list[int], g: list[int]) -> list[int]:
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] += c
-    for i, c in enumerate(g):
-        out[i] += c
-    return zx_trim(out)
-
-
-def zx_sub(f: list[int], g: list[int]) -> list[int]:
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] += c
-    for i, c in enumerate(g):
-        out[i] -= c
-    return zx_trim(out)
 
 
 # Kronecker substitution (Harvey, J. Symb. Comp. 2009, section 2): pack each
@@ -261,17 +242,6 @@ def zx_divides(f: list[int], g: list[int]):
     return zx_trim(q)
 
 
-def zx_eval(f: list[int], x: int) -> int:
-    out = 0
-    for c in reversed(f):
-        out = out * x + c
-    return out
-
-
-def zx_max_norm(f: list[int]) -> int:
-    return max((abs(c) for c in f), default=0)
-
-
 # ---------------------------------------------------------------------------
 # GF(p)[x] basics
 # ---------------------------------------------------------------------------
@@ -280,28 +250,12 @@ def gf_from_zx(f: list[int], p: int) -> list[int]:
     return zx_trim([c % p for c in f])
 
 
-def gf_neg(f: list[int], p: int) -> list[int]:
-    return [(-c) % p for c in f]
-
-
 def gf_add(f: list[int], g: list[int], p: int) -> list[int]:
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return zx_trim(out)
+    return zx_trim([(a + b) % p for a, b in zip_longest(f, g, fillvalue=0)])
 
 
 def gf_sub(f: list[int], g: list[int], p: int) -> list[int]:
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] - c) % p
-    return zx_trim(out)
+    return zx_trim([(a - b) % p for a, b in zip_longest(f, g, fillvalue=0)])
 
 
 def gf_mul(f: list[int], g: list[int], p: int) -> list[int]:
@@ -323,6 +277,8 @@ def gf_monic(f: list[int], p: int) -> list[int]:
 def gf_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
     """(q, r) with f = q*g + r mod p and deg r < deg g.
 
+    f must already be reduced mod p: when deg f < deg g it comes back as r
+    unchanged, and the loop reduces only the coefficients it touches.
     Any modulus p works as long as lc(g) is a unit mod p (Hensel lifts divide
     by monic factors modulo prime powers); otherwise pow raises ValueError.
     """
@@ -393,13 +349,6 @@ def gf_compose_mod(f: list[int], g: list[int], mod: list[int], p: int) -> list[i
         out = gf_rem(gf_mul(out, g, p), mod, p)
         if c:
             out = gf_add(out, [c], p)
-    return out
-
-
-def gf_eval(f: list[int], x: int, p: int) -> int:
-    out = 0
-    for c in reversed(f):
-        out = (out * x + c) % p
     return out
 
 

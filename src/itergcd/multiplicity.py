@@ -28,6 +28,7 @@ from .dynamics import (
     orbit,
     ramified_cycle_check,
 )
+from .emit import md_table
 from .errors import (
     DegenerateInputError,
     HypothesisViolationError,
@@ -140,6 +141,10 @@ class ApproachParams:
     notes: tuple = ()
 
 
+CERT_COLUMNS = ("case", "bound", "congruence", "ell", "r", "e", "u", "s",
+                "d", "exceptional", "notes", "lambda_modulus", "c0")
+
+
 @dataclass(frozen=True)
 class MultiplicityCertificate:
     lambda_field: NumberField
@@ -173,6 +178,15 @@ class MultiplicityCertificate:
             "exceptional": [[n, v] for n, v in self.exceptional_ns],
             "notes": list(self.notes),
         }
+
+    def table(self):
+        d = self.to_json_dict()
+        d["exceptional"] = ";".join("%d:%d" % nv for nv in self.exceptional_ns)
+        d["notes"] = ";".join(self.notes)
+        return CERT_COLUMNS, [[d[k] for k in CERT_COLUMNS]]
+
+    def to_md(self) -> str:
+        return md_table(*self.table())
 
 
 def _resolved_orbit(q: Poly, x0: NumberFieldElem):

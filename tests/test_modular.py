@@ -20,6 +20,7 @@ from itergcd.modular import (
     gf_monic,
     gf_mul,
     gf_powmod,
+    gf_sub,
     is_prime,
     prime_stream,
     rational_reconstruct,
@@ -188,6 +189,22 @@ def test_gf_divmod_modulo_prime_powers():
                 assert len(r) < len(g)
                 assert gf_add(gf_mul(q, g, m), r, m) == gf_from_zx(f, m)
         assert gf_monic([2, 5], m) == [2 * pow(5, -1, m) % m, 1]
+
+
+def test_gf_add_sub_reduce_every_coefficient():
+    assert gf_sub([5, 7], [1], 3) == [1, 1]
+    assert gf_add([1], [5, 7], 3) == [0, 1]
+    rng = random.Random(43)
+    for m in (3, 3 ** 4):
+        for _ in range(200):
+            f = [rng.randint(-3 * m, 3 * m) for _ in range(rng.randint(0, 8))]
+            g = [rng.randint(-3 * m, 3 * m) for _ in range(rng.randint(0, 8))]
+            fr, gr = gf_from_zx(f, m), gf_from_zx(g, m)
+            for op in (gf_add, gf_sub):
+                out = op(f, g, m)
+                assert out == op(fr, gr, m)
+                assert all(0 <= c < m for c in out)
+                assert not out or out[-1] != 0
 
 
 def test_gf_inverse_of_a_non_unit_raises():

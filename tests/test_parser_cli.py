@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import random
 from fractions import Fraction
@@ -120,6 +122,22 @@ def test_emit_rejects_unknown_format():
         emit({}, "xml")
     with pytest.raises(DegenerateInputError):
         emit(object(), "json")
+
+
+def test_emit_renders_through_the_report_methods():
+    class Report:
+        def to_json_dict(self):
+            return {"b": 0.1 + 0.2, "a": Fraction(-1, 3)}
+
+        def table(self):
+            return ("x", "y"), [(1.0 / 3.0, None), ("p,q", True)]
+
+        def to_md(self):
+            return "free text\n"
+
+    assert emit(Report(), "json") == b'{\n  "a": "-1/3",\n  "b": 0.3\n}\n'
+    assert emit(Report(), "csv") == b'x,y\n0.333333333333,\n"p,q",true\n'
+    assert emit(Report(), "md") == b"free text\n"
 
 
 def run_cli(capsys, *argv):
@@ -273,3 +291,30 @@ def test_cli_indep_witness(capsys):
     d = json.loads(out)
     assert d["status"] == "dependent"
     assert sorted(d["witness"]) == ["FG", "G^2F"]
+
+
+@pytest.mark.parametrize("argv, listed", [
+    (("divisor", "--f", "x^2-2", "--g", "x^2-1", "--c", "0", "--N", "3"),
+     "certificates"),
+    (("orbit", "--q", "x^2-3/4", "--x", "1/2"), "points"),
+    (("indep", "--f", "2*x", "--g", "x+1", "--max-len", "4"), "witness"),
+])
+def test_cli_plain_report_csv_parses(capsys, argv, listed):
+    # a list-valued field prints as a Python list, whose commas are quoted
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert len(rows) == 1 and len(rows[0]) == len(header)
+    assert rows[0][header.index(listed)].startswith("[")
+
+
+@pytest.mark.parametrize("command, f", [
+    ("height", "--f"), ("orbit", "--q"), ("ramified", "--q")])
+def test_cli_point_from_x_or_minpoly_not_both(capsys, command, f):
+    code, out, err = run_cli(capsys, command, f, "x^2-1", "--x", "0",
+                             "--lambda-minpoly", "t-5")
+    assert (code, out) == (2, "")
+    assert "give --x or --lambda-minpoly, not both" in err
+    for point in (("--x", "0"), ("--lambda-minpoly", "t-5")):
+        assert run_cli(capsys, command, f, "x^2-1", *point)[0] == 0
+

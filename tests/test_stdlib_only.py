@@ -33,3 +33,18 @@ def test_pyproject_lists_no_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
+
+
+def test_emit_knows_no_report_type():
+    # reports say how they serialise; emit imports no domain module and
+    # looks up no report key
+    tree = ast.parse((PACKAGE / "emit.py").read_text(encoding="utf-8"))
+    package = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert package <= {"errors", "polys"}
+    strings = {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant)}
+    assert not strings & {"cells", "congruence", "rows", "predicted"}
+    assigned = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert not {name for name in assigned if name.endswith("_COLUMNS")}
