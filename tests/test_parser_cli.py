@@ -317,4 +317,3 @@ def test_cli_point_from_x_or_minpoly_not_both(capsys, command, f):
     assert "give --x or --lambda-minpoly, not both" in err
     for point in (("--x", "0"), ("--lambda-minpoly", "t-5")):
         assert run_cli(capsys, command, f, "x^2-1", *point)[0] == 0
-
