@@ -37,9 +37,16 @@ COMMANDS = (
     ("mult-cert", "--q", "x^2", "--c", "3", "--lambda-minpoly", "t-5"),
     ("height", "--f", "x^2-1/2", "--x", "1", "--steps", "10"),
     ("height", "--f", "x^2+x", "--lambda-minpoly", "t^2-2", "--steps", "3"),
+    # integer orbits that escape: a negative start under an odd degree, a
+    # non-monic map
+    ("height", "--f", "x^2+5", "--x", "61", "--steps", "18"),
+    ("height", "--f", "x^3+2", "--x=-60", "--steps", "11"),
+    ("height", "--f", "3*x^2-7", "--x", "9", "--steps", "14"),
     # the report echoes the argv text, not the parsed polynomial
     ("special-probe", "--f", "x^2 + 1", "--c", "0", "--n-hi", "3",
      "--steps", "12"),
+    # default steps: the size cap ends every row's orbit
+    ("special-probe", "--f", "x^2+1", "--c", "0", "--n-hi", "4"),
     ("orbit", "--q", "x^2-3/4", "--x", "1/2"),
     ("orbit", "--q", "x^2-2", "--lambda-minpoly", "t^2-2"),
     ("ramified", "--q", "x^2-1", "--x", "0"),
