@@ -12,6 +12,7 @@ violated, 2 usage or input error, 3 a resource cap or undecidable search.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -190,6 +191,8 @@ def _cmd_suite(args):
 
 # ---------------------------------------------------------------------------
 
+# built once per process: parsing leaves the tree unchanged
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="itergcd",

@@ -71,6 +71,7 @@ class Limits:
     unity_order: int = 360         # root-of-unity search cap
     power_search: int = 64         # exceptional-exponent search cap
     height_elem_bits: int = 1 << 22  # size cap on canonical-height iterates
+    recombination_subsets: int = 1 << 16  # Zassenhaus subsets tried
 
 
 LIMITS = Limits()

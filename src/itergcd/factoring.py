@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import VerificationError
+from .errors import LIMITS, ResourceLimitError, VerificationError
 from .modular import (
     gf_add, gf_compose_mod, gf_deriv, gf_from_zx, gf_gcd, gf_divmod,
     gf_monic, gf_mul, gf_powmod, gf_sub, gf_xgcd, is_prime,
@@ -296,9 +296,15 @@ def _factor_squarefree_z(G: list[int], seed: int) -> list[list[int]]:
     rem_idx = list(range(len(lifted)))
     H = Gm
     size = 1
+    tried = 0
     while 2 * size <= len(rem_idx):
         hit = False
         for combo in itertools.combinations(rem_idx, size):
+            tried += 1
+            if tried > LIMITS.recombination_subsets:
+                raise ResourceLimitError(
+                    "recombination of %d modular factors tried more than %d "
+                    "subsets" % (len(lifted), LIMITS.recombination_subsets))
             dsum = sum(zx_deg(lifted[i]) for i in combo)
             if not (mask >> dsum) & 1:
                 continue

@@ -6,6 +6,16 @@ polynomial, so the only approximation is the complex root finding, whose
 residual is certified.  Canonical heights use the limit definition
 h(f^N(x))/d^N with an explicit geometric error bound; a point whose orbit is
 seen to repeat is certified preperiodic and gets canonical height exactly 0.
+
+An integer orbit under an integer map that has escaped (|y| >= S + 2, S the
+sum of the non-leading |coefficients|) only grows, so its last iterate is
+needed for one log alone.  The escape tail carries it as an enclosure
+[lo, hi]*2^s of fixed width with outward rounding, and keeps the result only
+when Ziv's rounding test passes: both ends round to the same double, so the
+exact iterate does too, and math.log of an int reads nothing else.  The size
+cap is decided on the enclosure the same way.  When either test is
+undecided the exact loop resumes from the escape point, so the output never
+depends on the width, only the speed does.
 """
 
 from __future__ import annotations
@@ -76,6 +86,70 @@ def _comparison_constant(f: Poly) -> float:
     return math.log((f.degree + 1) * hf) + f.degree * math.log(2)
 
 
+# width in bits of the escape tail's enclosure; below 1024 so that float()
+# of an end never overflows.  Only the speed depends on it.
+_TAIL_BITS = 256
+
+
+def _trim(lo: int, hi: int, t: int) -> tuple[int, int, int]:
+    """[lo, hi]*2^t widened outward until both ends fit in _TAIL_BITS bits."""
+    k = max(abs(lo).bit_length(), abs(hi).bit_length()) - _TAIL_BITS
+    if k <= 0:
+        return lo, hi, t
+    return lo >> k, -(-hi >> k), t + k
+
+
+def _magnitudes(lo: int, hi: int):
+    """Bounds on |y| for y in [lo, hi], or None if the interval holds 0."""
+    if lo > 0:
+        return lo, hi
+    if hi < 0:
+        return -hi, -lo
+    return None
+
+
+def _f_enclosure(nums: list[int], lo: int, hi: int, s: int):
+    """[alo, ahi]*2^t holding f(y) for every y in [lo, hi]*2^s: Horner on
+    intervals, each end rounded outward, coefficients shifted to scale."""
+    alo = ahi = nums[-1]
+    t = 0
+    for c in reversed(nums[:-1]):
+        prods = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        t += s
+        alo, ahi, t = _trim(min(prods) + (c >> t), max(prods) - (-c >> t), t)
+    return alo, ahi, t
+
+
+def _escape_tail(nums: list[int], y: int, n: int, steps: int):
+    """(h(f^N(x)), N) from the escaped integer y = f^n(x), or None.
+
+    Runs the steps n..N of the exact loop on an enclosure of the orbit and
+    stops where it would: at `steps`, or before the first iterate whose
+    bit_size (|z|.bit_length() + 1) passes the cap.  None means the
+    enclosure could not decide the cap or the rounding of the final log.
+    """
+    lo = hi = y
+    s = 0
+    while n < steps:
+        alo, ahi, t = _f_enclosure(nums, lo, hi, s)
+        mags = _magnitudes(alo, ahi)
+        if mags is None:
+            return None
+        if mags[0].bit_length() + t + 1 > LIMITS.height_elem_bits:
+            if n == 0:
+                raise ResourceLimitError("first iterate exceeds size budget")
+            break
+        if mags[1].bit_length() + t + 1 > LIMITS.height_elem_bits:
+            return None
+        lo, hi, s = alo, ahi, t
+        n += 1
+    mags = _magnitudes(lo, hi)
+    # s = 0: never trimmed, so y itself, of any size
+    if mags is None or (s and float(mags[0]) != float(mags[1])):
+        return None
+    return HeightValue(math.log(mags[0] << s), 0.0), n
+
+
 def canonical_height(f: Poly, x: NumberFieldElem, steps: int = 32) -> HeightValue:
     """h-hat_f(x) as h(f^N(x))/d^N for the largest affordable N <= steps.
 
@@ -84,16 +158,33 @@ def canonical_height(f: Poly, x: NumberFieldElem, steps: int = 32) -> HeightValu
     zero.  If iterates outgrow the size budget before `steps`, the partial
     value is returned with the correspondingly larger error bound; only a
     budget bust before the very first step raises.
+
+    For f in Z[x], once the orbit reaches an integer of absolute value at
+    least S + 2 it cannot repeat, and the escape tail (see the module
+    docstring) finishes it without building the iterates; the result is
+    the one the exact loop gives, bit for bit.
     """
     d = f.degree
     if d < 2:
         raise DegenerateInputError("canonical height needs degree >= 2")
     if steps < 1:
         raise DegenerateInputError("need at least one iteration step")
+    nums, den = f.int_form()
+    # from |y| >= S + 2 on, |f(y)| >= |y|^(d-1) (|y| - S) >= 2|y|
+    escape = sum(map(abs, nums[:-1])) + 2 if den == 1 else None
     seen = {x}
     y = x
     n = 0
+    h = None
     while n < steps:
+        if escape is not None and y.is_rational():
+            q = y.as_fraction()
+            if q.denominator == 1 and abs(q) >= escape:
+                escape = None   # tried once; a failed tail resumes exactly
+                tail = _escape_tail(nums, q.numerator, n, steps)
+                if tail is not None:
+                    h, n = tail
+                    break
         z = nf_eval(f, y)
         if z.bit_size() > LIMITS.height_elem_bits:
             if n == 0:
@@ -104,7 +195,8 @@ def canonical_height(f: Poly, x: NumberFieldElem, steps: int = 32) -> HeightValu
         if y in seen:
             return HeightValue(0.0, 0.0)   # orbit repeated: preperiodic
         seen.add(y)
-    h = weil_height_alg(y)
+    if h is None:
+        h = weil_height_alg(y)
     scale = float(d) ** n
     return HeightValue(h.value / scale,
                        (_comparison_constant(f) + h.error_bound) / scale)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from itergcd.errors import LIMITS, ResourceLimitError
 from itergcd.factoring import (
     FactorList,
     factor_irreducible,
@@ -152,3 +153,15 @@ def test_factorlist_iter_len():
     fl = factor_irreducible((X - 1) * (X + 1))
     assert len(fl) == 2
     assert [e for _, e in fl] == [1, 1]
+
+
+def test_recombination_subsets_are_capped(monkeypatch):
+    # both factors split mod the chosen prime: 3 modular factors, and the
+    # third subset tried is the first true factor
+    f = (X ** 4 + 1) * (X ** 4 + 2)
+    monkeypatch.setattr(LIMITS, "recombination_subsets", 2)
+    with pytest.raises(ResourceLimitError):
+        factor_irreducible(f)
+    monkeypatch.setattr(LIMITS, "recombination_subsets", 3)
+    assert {g.coeffs for g, _ in factor_irreducible(f).factors} == \
+        {(X ** 4 + 1).coeffs, (X ** 4 + 2).coeffs}

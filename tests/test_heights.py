@@ -1,9 +1,16 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from itergcd.errors import DegenerateInputError, EmbeddingError
+from itergcd import heights
+from itergcd.errors import (
+    LIMITS,
+    DegenerateInputError,
+    EmbeddingError,
+    ResourceLimitError,
+)
 from itergcd.heights import (
     HeightValue,
     canonical_height,
@@ -133,6 +140,139 @@ def test_special_probe_power_map_exact():
 
 def test_height_value_float_protocol():
     assert float(HeightValue(1.5, 0.1)) == 1.5
+
+
+# ---------------------------------------------------------------------------
+# the escape tail against an exact reference loop
+# ---------------------------------------------------------------------------
+
+def exact_height(nums, x, steps):
+    """canonical_height of the integer map sum nums[i] x^i at the rational x,
+    by the plain loop in Fractions: same seen set, size cap and first-step
+    refusal, every iterate built exactly."""
+    d = len(nums) - 1
+    seen = {x}
+    y = x
+    n = 0
+    while n < steps:
+        z = Fraction(0)
+        for c in reversed(nums):
+            z = z * y + c
+        if z.numerator.bit_length() + z.denominator.bit_length() \
+                > LIMITS.height_elem_bits:
+            if n == 0:
+                raise ResourceLimitError("first iterate exceeds size budget")
+            break
+        y = z
+        n += 1
+        if y in seen:
+            return HeightValue(0.0, 0.0)
+        seen.add(y)
+    c = math.log((d + 1) * max(map(abs, nums))) + d * math.log(2)
+    scale = float(d) ** n
+    return HeightValue(math.log(max(abs(y.numerator), y.denominator)) / scale,
+                       c / scale)
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except ResourceLimitError as ex:
+        return type(ex), str(ex)
+
+
+def draw_tail_case(rng):
+    """(nums, x, steps, cap): an integer map of degree 2-4 and an integer
+    point at, just below or far above the escape radius S + 2, with a cap
+    that fires at the first step, mid-orbit, or not at all."""
+    d = rng.randint(2, 4)
+    nums = [rng.randint(-30, 30) for _ in range(d)]
+    nums.append(rng.choice((1, -1, 2, 3, -5)))
+    esc = sum(map(abs, nums[:-1])) + 2
+    x = rng.choice((esc, esc - 1, esc + rng.randint(0, 40),
+                    rng.randint(esc, 1 << rng.randint(8, 300)),
+                    rng.randint(-3, 3)))
+    x *= rng.choice((1, -1))
+    first = sum(c * x ** i for i, c in enumerate(nums))
+    first_bits = abs(first).bit_length() + 1
+    cap = rng.choice((first_bits - 1, first_bits,
+                      first_bits + rng.randint(1, 64),
+                      rng.randint(first_bits, 6000), 6000))
+    return nums, x, rng.randint(1, 14), max(cap, 1)
+
+
+def check_tail_cases(seed, count, monkeypatch):
+    """Every drawn case matches exact_height; returns the tail's verdicts."""
+    verdicts = []
+    tail = heights._escape_tail
+
+    def spy(*args):
+        out = tail(*args)
+        verdicts.append(out is not None)
+        return out
+
+    monkeypatch.setattr(heights, "_escape_tail", spy)
+    rng = random.Random(seed)
+    for _ in range(count):
+        nums, x, steps, cap = draw_tail_case(rng)
+        monkeypatch.setattr(LIMITS, "height_elem_bits", cap)
+        f = Poly.from_int_list(nums)
+        got = outcome(lambda: canonical_height(f, Q.element(x), steps))
+        want = outcome(lambda: exact_height(nums, Fraction(x), steps))
+        assert got == want, (nums, x, steps, cap)
+    return verdicts
+
+
+def test_escape_tail_matches_exact_loop(monkeypatch):
+    verdicts = check_tail_cases(61, 240, monkeypatch)
+    # the tail decides nearly every escaped orbit at the default width
+    assert len(verdicts) > 120 and sum(verdicts) >= 0.95 * len(verdicts)
+
+
+@pytest.mark.parametrize("bits", [2, 3, 8, 53, 54, 56, 60])
+def test_escape_tail_narrow_width_falls_back(bits, monkeypatch):
+    # near 53 bits the rounding test is decided either way; at a few bits
+    # the enclosure is too wide for it and the exact loop takes over
+    monkeypatch.setattr(heights, "_TAIL_BITS", bits)
+    verdicts = check_tail_cases(70 + bits, 120, monkeypatch)
+    assert not all(verdicts)
+    if bits >= 53:
+        assert any(verdicts)
+
+
+def test_escape_tail_matches_exact_loop_at_the_default_cap():
+    # the default cap is reached within `steps` in every case but the first
+    for nums, x, steps in (([5, 0, 1], 61, 18), ([2, 0, 0, 1], -60, 11),
+                           ([-7, 0, 3], 9, 14), ([1, 0, 1], 5, 40)):
+        got = canonical_height(Poly.from_int_list(nums), Q.element(x), steps)
+        assert got == exact_height(nums, Fraction(x), steps)
+
+
+def test_f_enclosure_holds_the_exact_value():
+    # y enclosed at a few widths, from exact (s = 0) to a handful of bits;
+    # the image must hold f(y).  From an exact y the width at most doubles
+    # plus two per Horner step.
+    rng = random.Random(63)
+    for _ in range(200):
+        nums, x, _, _ = draw_tail_case(rng)
+        y = x * rng.randint(1, 1 << 200)
+        fy = sum(c * y ** i for i, c in enumerate(nums))
+        for k in (0, 1, 7, max(abs(y).bit_length() - 3, 0)):
+            lo, hi = y >> k, -(-y >> k)
+            alo, ahi, t = heights._f_enclosure(nums, lo, hi, k)
+            assert alo << t <= fy <= ahi << t, (nums, y, k)
+            if k == 0:
+                assert ahi - alo < 1 << len(nums)
+
+
+def test_escape_tail_stopped_on_a_huge_exact_start(monkeypatch):
+    # 0 -> 2^2000 -> 2^4000 + 2^2000 escapes at step 2, past float range,
+    # and the cap stops the tail before its first step
+    nums = [1 << 2000, 0, 1]
+    y3 = ((1 << 4000) + (1 << 2000)) ** 2 + (1 << 2000)
+    monkeypatch.setattr(LIMITS, "height_elem_bits", y3.bit_length())
+    assert canonical_height(Poly.from_int_list(nums), Q.element(0), 5) == \
+        exact_height(nums, Fraction(0), 5)
 
 
 @pytest.mark.xfail(strict=True, reason="open defect, ROADMAP item 4: "

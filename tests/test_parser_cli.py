@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -317,3 +320,30 @@ def test_cli_point_from_x_or_minpoly_not_both(capsys, command, f):
     assert "give --x or --lambda-minpoly, not both" in err
     for point in (("--x", "0"), ("--lambda-minpoly", "t-5")):
         assert run_cli(capsys, command, f, "x^2-1", *point)[0] == 0
+
+
+def test_cli_reused_parser_matches_fresh_processes(capsys):
+    # the argparse tree is built once per process; a usage error must leave
+    # it fit for the next calls, so each in-process result equals a fresh
+    # interpreter's
+    argvs = (["gcd-grid", "--f", "x^2", "--N", "three"],
+             ["height", "--f", "x^2+5", "--x", "61", "--steps", "6"],
+             ["orbit", "--q", "x^2-2", "--x", "0", "--format", "csv"])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["itergcd"].__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    codes = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as ex:
+            code = ex.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import sys; from itergcd.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv],
+            capture_output=True, text=True, env=env)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout,
+                                    fresh.stderr)
+        codes.append(code)
+    assert codes == [2, 0, 0]
