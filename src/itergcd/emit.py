@@ -77,10 +77,14 @@ def _dict_text(d: dict, fmt: str) -> str:
     if fmt == "json":
         return _json_text(d)
     keys = sorted(d)
+    # a list or dict value is one cell of JSON, not a Python repr
+    cells = [json.dumps(_round_floats(d[k]), sort_keys=True)
+             if isinstance(d[k], (list, tuple, dict)) else d[k] for k in keys]
     if fmt == "csv":
-        return _csv_table(keys, [[d[k] for k in keys]])
+        return _csv_table(keys, [cells])
     return md_table(("field", "value"),
-                    [(k, _fmt_cell(_round_floats(d[k]))) for k in keys])
+                    [(k, _fmt_cell(_round_floats(v)))
+                     for k, v in zip(keys, cells)])
 
 
 def emit(report, fmt: str = "json") -> bytes:

@@ -143,6 +143,24 @@ def test_emit_renders_through_the_report_methods():
     assert emit(Report(), "md") == b"free text\n"
 
 
+def test_emit_dict_list_cells_are_json(capsys):
+    rep = {"points": [Fraction(1, 2), -2], "c": 0,
+           "certs": [{"r": None, "e": [1.0 / 3.0], "ok": True}]}
+    want = {"points": ["1/2", -2],
+            "certs": [{"r": None, "e": [0.333333333333], "ok": True}]}
+    row = next(csv.DictReader(io.StringIO(emit(rep, "csv").decode())))
+    assert row["c"] == "0"
+    assert {k: json.loads(row[k]) for k in want} == want
+    lines = emit(rep, "md").decode().splitlines()[2:]
+    cells = dict(ln[2:-2].split(" | ") for ln in lines)
+    assert {k: json.loads(cells[k]) for k in want} == want
+    # a CLI report, through csv
+    code, out, _ = run_cli(capsys, "orbit", "--q", "x^2-3/4", "--x", "1/2",
+                           "--format", "csv")
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert code == 0 and json.loads(row["points"]) == ["1/2", "-1/2", "-1/2"]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
