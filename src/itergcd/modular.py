@@ -153,14 +153,17 @@ def _kron_mul(f, g, k: int) -> list[int]:
     if signed:
         o = _top_bits(k, n)
         H = (H + o) ^ o
+    return zx_trim(_kron_unpack(H, n, k))
+
+
+def _kron_unpack(H: int, n: int, k: int) -> list[int]:
+    """The n k-byte two's complement digits of 0 <= H < 256**(k n)."""
     b = H.to_bytes(n * k, "little")
     code = _NATIVE.get(k)
     if code:
-        out = memoryview(b).cast(code).tolist()
-    else:
-        out = [int.from_bytes(b[i:i + k], "little", signed=True)
-               for i in range(0, n * k, k)]
-    return zx_trim(out)
+        return memoryview(b).cast(code).tolist()
+    return [int.from_bytes(b[i:i + k], "little", signed=True)
+            for i in range(0, n * k, k)]
 
 
 def zx_mul(f: list[int], g: list[int]) -> list[int]:
@@ -274,18 +277,135 @@ def gf_monic(f: list[int], p: int) -> list[int]:
     return gf_scale(f, pow(f[-1], -1, p), p)
 
 
+# Division mod p on packed digits (classical division and Euclid with
+# Kronecker packing; von zur Gathen and Gerhard, Modern Computer Algebra,
+# ch. 2, 3 and 8): f and g are packed once as 64-bit digits, and each
+# quotient term costs one read of the top live digit and one big-int
+# multiply-add of g into place, both in C.  The scalar loop costs one step
+# per nonzero divisor term, the packed one a pass over the whole divisor
+# plus packing, so the packed route needs a divisor of GF_PACK_LEN terms or
+# more, at least one in GF_PACK_DENSITY of them nonzero, and a quotient of
+# GF_PACK_QUO terms or more.  Measured on CPython 3.11 with 29-bit primes:
+# at 16 terms and a 3-term quotient the two routes cost the same, and on
+# x^32 - a (two nonzero terms of 33) the packed one costs 2.7 times the
+# scalar one.
+GF_PACK_LEN, GF_PACK_QUO, GF_PACK_DENSITY = 16, 3, 3
+_DIGIT = (1 << 64) - 1
+
+# p -> (digits, E, Q, m, K) for _gf_reduce, masks covering `digits` digits
+_REDUCERS: dict[int, tuple] = {}
+
+
+def _pack_budget(p: int) -> int:
+    """Quotient terms between two reductions of the packed digits.
+
+    A digit starts below p and each term adds at most (p - 1)**2 to it, so
+    after this many terms it is still below 2**63 and reads back as a
+    non-negative 64-bit integer."""
+    return ((1 << 63) - p) // (p - 1) ** 2
+
+
+def _packs(g: list[int], p: int) -> bool:
+    """Whether division by g mod p takes the packed route, given f and g
+    reduced mod p."""
+    return (len(g) >= GF_PACK_LEN
+            and GF_PACK_DENSITY * (len(g) - g.count(0)) >= len(g)
+            and bool(_NATIVE) and _pack_budget(p) > 0)
+
+
+def _reduced(f: list[int], p: int) -> bool:
+    return not f or (min(f) >= 0 and max(f) < p)
+
+
+def _gf_reduce(W: int, n: int, p: int) -> int:
+    """Each of the n 64-bit digits of W, all below 2**63, reduced mod p.
+
+    Division by an invariant integer (Granlund and Montgomery, PLDI 1994):
+    with K = 63 + bitlen(p) and m = ceil(2**K / p), d*m >> K is d // p for
+    every d < 2**63, and d*m < 2**128.  So the even digits, then the odd
+    ones, each alone in a 128-bit slot, are divided by one multiply and one
+    shift for all of them at once; Q masks the quotients, which are below
+    2**(64 - bitlen(p)), off the next slot's bits.  No digit borrows when
+    the quotients times p are subtracted."""
+    red = _REDUCERS.get(p)
+    if red is None or red[0] < n:
+        if len(_REDUCERS) >= 16:
+            _REDUCERS.clear()
+        slots = max(n, 2 * red[0] if red else 64) // 2 + 1
+        b = p.bit_length()
+        E = int.from_bytes((bytes([255] * 8) + bytes(8)) * slots, "little")
+        Q = int.from_bytes((((1 << (64 - b)) - 1).to_bytes(8, "little")
+                            + bytes(8)) * slots, "little")
+        red = _REDUCERS[p] = (2 * slots, E, Q, -(-(1 << (63 + b)) // p),
+                              63 + b)
+    _, E, Q, m, K = red
+    X, Y = W & E, (W >> 64) & E
+    return W - ((((X * m) >> K) & Q) | ((((Y * m) >> K) & Q) << 64)) * p
+
+
+def _gf_rem_packed(F: int, lf: int, G: int, lg: int, p: int, block: int,
+                   q: list[int] | None = None) -> int:
+    """The remainder of f by g mod p, packed; the quotient goes to q.
+
+    F packs the lf digits of f, G the lg digits of g, all below p, and
+    block is at most the budget.  Digits stay non-negative: a term adds
+    (p - t)*g, not -t*g.  The terms run top down in blocks.  A block works
+    on the window of digits from its lowest term up, and at its end the
+    window's live digits, the only ones that grew, are reduced and put back
+    in place; the digits above them are spent quotient positions and are
+    dropped."""
+    n1 = lg - 1
+    inv = pow(G >> (64 * n1), -1, p)
+    top = 64 * n1
+    live = (1 << top) - 1
+    k = lf - lg
+    while k >= 0:
+        lo = max(k - block + 1, 0)
+        W = F >> (64 * lo)
+        for j in range(k - lo, -1, -1):
+            t = ((W >> (64 * j + top)) & _DIGIT) % p * inv % p
+            if t:
+                if q is not None:
+                    q[lo + j] = t
+                W += ((p - t) * G) << (64 * j)
+        W = _gf_reduce(W & live, n1, p)
+        F = (F & ((1 << (64 * lo)) - 1)) | (W << (64 * lo)) if lo else W
+        k = lo - 1
+    return F
+
+
+def _digits(R: int) -> int:
+    """How many 64-bit digits R has."""
+    return (R.bit_length() + 63) >> 6
+
+
 def gf_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
     """(q, r) with f = q*g + r mod p and deg r < deg g.
 
     f must already be reduced mod p: when deg f < deg g it comes back as r
-    unchanged, and the loop reduces only the coefficients it touches.
+    unchanged, and the scalar loop reduces only the coefficients it touches.
     Any modulus p works as long as lc(g) is a unit mod p (Hensel lifts divide
     by monic factors modulo prime powers); otherwise pow raises ValueError.
+
+    Routes: the packed loop (_gf_rem_packed) takes the division when
+    the divisor is long and dense enough (_packs: GF_PACK_LEN terms, one in
+    GF_PACK_DENSITY nonzero), the quotient has GF_PACK_QUO terms or more,
+    f and g are reduced mod p, p leaves a budget of at least one term
+    between reductions (p <= 3037000500, so not Hensel's large prime powers)
+    and the host has machine-format digits.  Everything else takes the scalar
+    loop: short or sparse divisors, short quotients, unreduced f.
     """
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     if len(f) < len(g):
         return [], list(f)
+    if (len(f) - len(g) >= GF_PACK_QUO - 1 and _packs(g, p)
+            and _reduced(f, p) and _reduced(g, p)):
+        q = [0] * (len(f) - len(g) + 1)
+        R = _gf_rem_packed(_kron_pack(f, 8, False), len(f),
+                           _kron_pack(g, 8, False), len(g), p,
+                           min(_pack_budget(p), len(g)), q)
+        return zx_trim(q), _kron_unpack(R, _digits(R), 8)
     rem = list(f)
     inv = pow(g[-1], -1, p)
     q = [0] * (len(f) - len(g) + 1)
@@ -308,7 +428,24 @@ def gf_rem(f: list[int], g: list[int], p: int) -> list[int]:
 
 
 def gf_gcd(f: list[int], g: list[int], p: int) -> list[int]:
+    """Monic gcd mod p by Euclid.
+
+    When the first divisor takes the packed route (_packs), the whole
+    remainder sequence stays packed: each remainder is packed once and
+    serves as divisor, then as dividend.  Later divisors are not checked;
+    the packed step costs about what the scalar one does at short lengths
+    (measured on the benchmark's grid gcds), and remainders are dense."""
     a, b = list(f), list(g)
+    if len(a) < len(b):
+        a, b = b, a
+    if b and _packs(b, p) and _reduced(a, p) and _reduced(b, p):
+        budget = _pack_budget(p)
+        A, la = _kron_pack(a, 8, False), len(a)
+        B, lb = _kron_pack(b, 8, False), len(b)
+        while lb:
+            R = _gf_rem_packed(A, la, B, lb, p, min(budget, lb))
+            A, la, B, lb = B, lb, R, _digits(R)
+        return gf_monic(_kron_unpack(A, la, 8), p)
     while b:
         a, b = b, gf_rem(a, b, p)
     return gf_monic(a, p)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 import threading
@@ -21,6 +22,7 @@ from itergcd.modular import (
     gf_mul,
     gf_powmod,
     gf_sub,
+    gf_xgcd,
     is_prime,
     prime_stream,
     rational_reconstruct,
@@ -376,5 +378,173 @@ def test_kron_gf_powmod_matches_repeated_multiplication(kron_mode):
         base = _rand_vec(rng, 30, 0, p - 1)
         want = [1]
         for e in range(1, 21):
-            want = gf_divmod(school_gf_mul(want, base, p), mod, p)[1]
+            want = school_gf_divmod(school_gf_mul(want, base, p), mod, p)[1]
             assert gf_powmod(base, e, mod, p) == want
+
+
+# ---------------------------------------------------------------------------
+# packed gf_divmod against the long division it replaces
+# ---------------------------------------------------------------------------
+
+def _trim(f):
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def school_gf_divmod(f, g, p):
+    """Long division mod p, one quotient term and one coefficient at a
+    time."""
+    rem = [c % p for c in f]
+    if len(rem) < len(g):
+        return [], _trim(rem)
+    inv = pow(g[-1], -1, p)
+    q = [0] * (len(f) - len(g) + 1)
+    for k in reversed(range(len(q))):
+        t = rem[k + len(g) - 1] * inv % p
+        q[k] = t
+        for j, b in enumerate(g):
+            rem[k + j] = (rem[k + j] - t * b) % p
+    return _trim(q), _trim(rem)
+
+
+def school_gf_gcd(f, g, p):
+    while g:
+        f, g = g, school_gf_divmod(f, g, p)[1]
+    return [c * pow(f[-1], -1, p) % p for c in f] if f else []
+
+
+# primes from 2 up to 2**31 - 1, whose budget is two terms between
+# reductions, and two prime powers with unit leading coefficients
+_DIV_PRIMES = (2, 3, 101, 10007, (1 << 29) - 3, (1 << 31) - 1)
+_DIV_MODULI = _DIV_PRIMES + (3 ** 8, 2 ** 16)
+_DIV_LENGTHS = sorted({1, 2, 3, modular.GF_PACK_LEN - 1, modular.GF_PACK_LEN,
+                       modular.GF_PACK_LEN + 1, 40, 257})
+
+
+@pytest.fixture(params=["crossover", "packed", "scalar", "bytewise"])
+def pack_mode(request, monkeypatch):
+    """Run at the measured crossovers, with the packed route for every
+    shape, with the scalar loop alone, and on a host without machine-format
+    digits (which turns the packed route off)."""
+    if request.param in ("packed", "bytewise"):
+        monkeypatch.setattr(modular, "GF_PACK_LEN", 1)
+        monkeypatch.setattr(modular, "GF_PACK_QUO", 1)
+        monkeypatch.setattr(modular, "GF_PACK_DENSITY", 1 << 20)
+    if request.param == "scalar":
+        monkeypatch.setattr(modular, "GF_PACK_LEN", 1 << 20)
+    if request.param == "bytewise":
+        monkeypatch.setattr(modular, "_NATIVE", {})
+    return request.param
+
+
+def _unit(rng, m):
+    while True:
+        c = rng.randrange(1, m)
+        if math.gcd(c, m) == 1:
+            return c
+
+
+def _divisor(rng, n, m, shape):
+    """Length-n divisor mod m: dense, monic, sparse (at most three nonzero
+    terms) or all m - 1; its leading coefficient is a unit."""
+    if shape == "top":
+        return [m - 1] * n
+    g = [rng.randrange(m) for _ in range(n)] if shape != "sparse" else [0] * n
+    if shape == "sparse":
+        for i in rng.sample(range(n - 1), min(2, n - 1)):
+            g[i] = rng.randrange(1, m)
+    g[-1] = 1 if shape == "monic" else _unit(rng, m)
+    return g
+
+
+@pytest.mark.parametrize("p", _DIV_MODULI)
+def test_packed_gf_divmod_matches_school(p, pack_mode):
+    rng = random.Random(p)
+    for n in _DIV_LENGTHS:
+        for shape in ("dense", "monic", "sparse", "top"):
+            g = _divisor(rng, n, p, shape)
+            for lf in {0, 1, n - 1, n, n + 1, n + 2, 2 * n, n + 45}:
+                if n == 257 and lf > 2 * n - 200:
+                    continue     # the schoolbook oracle is slow there
+                f = _rand_vec(rng, lf, 0, p - 1, zeros=0.1)
+                assert gf_divmod(f, g, p) == school_gf_divmod(f, g, p)
+            # exact division, and remainders that lose their top terms
+            q = _rand_vec(rng, rng.randint(1, 60), 0, p - 1)
+            for r in ([], _rand_vec(rng, rng.randint(1, n), 0, p - 1),
+                      _rand_vec(rng, rng.randint(0, n // 2), 0, p - 1)):
+                r = r[:n - 1]
+                f = gf_add(gf_mul(q, g, p), _trim(r), p)
+                assert gf_divmod(f, g, p) == (q, _trim(list(r)))
+
+
+@pytest.mark.parametrize("p", _DIV_PRIMES)
+def test_packed_gf_divmod_at_the_digit_budget(p, pack_mode, monkeypatch):
+    # every quotient term is 1 against g = (p-1, ..., p-1, 1), so each term
+    # adds the most it can, (p - 1)**2, to every digit below the top; and
+    # f = g = all p - 1.  Quotients of 60 and 300 terms outlast the budget
+    # of the 31-bit and 29-bit primes.  Every digit handed to a reduction
+    # must be below 2**63.
+    budget = modular._pack_budget(p)
+    assert p - 1 + budget * (p - 1) ** 2 < 1 << 63
+    assert p - 1 + (budget + 1) * (p - 1) ** 2 >= 1 << 63
+    seen = []
+    real = modular._gf_reduce
+
+    def checked(W, n, p):
+        assert W < 1 << (64 * n) and not W & modular._top_bits(8, n)
+        seen.append(n)
+        return real(W, n, p)
+
+    monkeypatch.setattr(modular, "_gf_reduce", checked)
+    for n, lq in ((40, 60), (16, 300), (3, 300)):
+        g = [p - 1] * (n - 1) + [1]
+        q = [1] * lq
+        f = gf_mul(q, g, p)
+        assert gf_divmod(f, g, p) == (q, [])
+        r = [p - 1] * (n - 1)
+        assert gf_divmod(gf_add(f, r, p), g, p) == (q, _trim(list(r)))
+        top = [p - 1] * (n + lq - 1)
+        assert gf_divmod(top, [p - 1] * n, p) == school_gf_divmod(
+            top, [p - 1] * n, p)
+        assert gf_gcd(f, g, p) == gf_monic(g, p)
+        assert gf_gcd(top, [p - 1] * n, p) == school_gf_gcd(
+            top, [p - 1] * n, p)
+    if pack_mode == "packed" and budget < 300:
+        assert len(seen) > 3     # reductions mid-loop, not only at the end
+
+
+@pytest.mark.parametrize("p", _DIV_PRIMES)
+def test_packed_gf_gcd_xgcd_powmod(p, pack_mode):
+    rng = random.Random(p + 1)
+    for n, m, k in ((40, 30, 0), (17, 16, 15), (60, 45, 20), (257, 40, 3)):
+        common = _rand_vec(rng, k + 1, 0, p - 1) if k else [1]
+        f = gf_mul(_rand_vec(rng, n - k, 0, p - 1), common, p)
+        g = gf_mul(_rand_vec(rng, m - k, 0, p - 1), common, p)
+        d = gf_gcd(f, g, p)
+        assert d == school_gf_gcd(f, g, p) == gf_gcd(g, f, p)
+        assert not school_gf_divmod(d, gf_monic(common, p), p)[1]
+        d2, s, t = gf_xgcd(f, g, p)
+        assert d2 == d
+        assert gf_add(school_gf_mul(s, f, p), school_gf_mul(t, g, p), p) == d
+    mod = _rand_vec(rng, 40, 0, p - 1)
+    mod[-1] = 1
+    base = _rand_vec(rng, 50, 0, p - 1)
+    want = school_gf_divmod(base, mod, p)[1]
+    acc = [1]
+    for e in range(1, 12):
+        acc = school_gf_divmod(school_gf_mul(acc, want, p), mod, p)[1]
+        assert gf_powmod(base, e, mod, p) == acc
+    assert gf_gcd([], [], p) == [] and gf_gcd([3 % p or 1], [], p) == [1]
+
+
+def test_gf_divmod_unreduced_input_keeps_the_scalar_contract():
+    # f need not be reduced: the scalar loop reduces what it touches, and
+    # the packed route must not take such an f
+    p = (1 << 29) - 3
+    rng = random.Random(7)
+    g = _rand_vec(rng, 40, 0, p - 1)
+    for f in ([c + p for c in _rand_vec(rng, 90, 0, p - 1)],
+              [-c for c in _rand_vec(rng, 90, 0, p - 1)]):
+        q, r = gf_divmod(f, g, p)
+        assert (q, _trim([c % p for c in r])) == school_gf_divmod(f, g, p)
