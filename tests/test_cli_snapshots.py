@@ -47,6 +47,13 @@ COMMANDS = (
      "--steps", "12"),
     # default steps: the size cap ends every row's orbit
     ("special-probe", "--f", "x^2+1", "--c", "0", "--n-hi", "4"),
+    # every level of x^64 - c splits: 16 = 2^4 and 1 = 1^2
+    ("special-probe", "--f", "x^2", "--c", "16"),
+    ("special-probe", "--f", "x^2", "--c", "1"),
+    # 2 is a critical value of x^2 - 2 at n = 2: levels with repeated factors
+    ("special-probe", "--f", "x^2-2", "--c", "2", "--n-hi", "5"),
+    # a non-constant c
+    ("special-probe", "--f", "x^2", "--c", "x", "--n-hi", "4"),
     ("orbit", "--q", "x^2-3/4", "--x", "1/2"),
     ("orbit", "--q", "x^2-2", "--lambda-minpoly", "t^2-2"),
     ("ramified", "--q", "x^2-1", "--x", "0"),
