@@ -72,6 +72,7 @@ class Limits:
     power_search: int = 64         # exceptional-exponent search cap
     height_elem_bits: int = 1 << 22  # size cap on canonical-height iterates
     recombination_subsets: int = 1 << 16  # Zassenhaus subsets tried
+    gcd_primes: int = 4096         # primes drawn by one modular gcd
 
 
 LIMITS = Limits()

@@ -16,6 +16,14 @@ exact iterate does too, and math.log of an int reads nothing else.  The size
 cap is decided on the enclosure the same way.  When either test is
 undecided the exact loop resumes from the escape point, so the output never
 depends on the width, only the speed does.
+
+The decay probe takes a root of the smallest irreducible factor of f^n - c.
+For constant c, f^n - c = (f^(n-1) - c) o f, so the factors of level n are
+the factors of P o f over the factors P of level n - 1, and the probe
+factors these pieces level by level instead of f^n - c from scratch.  For
+x^2 and c = 16 the pieces of f^6 - c have degree at most 16, where the whole
+polynomial has degree 64.  The identity fails for a non-constant c, since
+(f^(n-1) - c) o f = f^n - c o f; such a c is factored whole at each n.
 """
 
 from __future__ import annotations
@@ -235,18 +243,59 @@ class ProbeReport:
         return md_table(*self.table())
 
 
-def _pick_factor(p: Poly) -> Poly:
+def _factors(p: Poly) -> list[Poly]:
+    """The distinct monic irreducible factors of p."""
+    return [q for q, _ in factor_irreducible(p).factors]
+
+
+def _pick_factor(factors: list[Poly]) -> Poly:
     """Deterministic factor choice: lowest degree, then smallest coeffs."""
-    fl = factor_irreducible(p)
-    if not fl.factors:
+    if not factors:
         raise DegenerateInputError("no irreducible factors to choose a root from")
-    return min((f for f, _ in fl.factors),
-               key=lambda f: (f.degree, f.coeffs))
+    return min(factors, key=lambda q: (q.degree, q.coeffs))
+
+
+def _tower(f: Poly, c: Poly, its: list[Poly]):
+    """For constant c, the monic irreducible factors of f^n - c, n = 1, 2, ...
+
+    Level n factors the pieces P o f over the factors P of level n - 1 (see
+    the module docstring).  A common root a of two pieces would make f(a) a
+    root of two distinct P, so no factor repeats.  A level with one factor
+    factors its iterate instead: the same set, with no composition.
+    """
+    level: list[Poly] = []
+    for it in its:
+        if len(level) > 1:
+            level = [q for p in level for q in _factors(p.compose(f))]
+        else:
+            level = _factors(it - c)
+        yield level
+
+
+def _probe_factors(f: Poly, c: Poly, n_lo: int, n_hi: int):
+    """For n in [n_lo, n_hi], the factor of f^n - c whose root is probed."""
+    its = iterates(f, n_hi)
+    if c.degree > 0:   # (f^(n-1) - c) o f = f^n - c o f: no tower
+        for n in range(n_lo, n_hi + 1):
+            target = its[n - 1] - c
+            if target.is_zero():
+                raise DegenerateInputError(
+                    "f^%d equals c; no roots to probe" % n)
+            yield _pick_factor(_factors(target))
+        return
+    for n, level in enumerate(_tower(f, c, its), 1):
+        if n >= n_lo:
+            yield _pick_factor(level)
 
 
 def special_probe(f: Poly, c: Poly, n_lo: int, n_hi: int,
                   steps: int = 40) -> list[ProbeRow]:
     """For n in [n_lo, n_hi]: canonical height of one root of f^n - c.
+
+    The root is taken from the monic irreducible factor of least degree,
+    then of least coefficients.  For constant c the factors come level by
+    level from _tower, which finds the same factors as factoring f^n - c
+    whole, so the choice is the same; a non-constant c is factored whole.
 
     The predicted column is B/(d^n - deg c) with B fitted so the first row
     matches exactly; later rows then exhibit (or refute) the 1/d^n decay.
@@ -258,12 +307,7 @@ def special_probe(f: Poly, c: Poly, n_lo: int, n_hi: int,
     rows: list[ProbeRow] = []
     fit_b: float | None = None
     degc = max(c.degree, 0)
-    its = iterates(f, n_hi)
-    for n in range(n_lo, n_hi + 1):
-        target = its[n - 1] - c
-        if target.is_zero():
-            raise DegenerateInputError("f^%d equals c; no roots to probe" % n)
-        p = _pick_factor(target)
+    for n, p in enumerate(_probe_factors(f, c, n_lo, n_hi), n_lo):
         field = NumberField(p.monic(), check=False)
         lam = field.generator()
         h = canonical_height(f, lam, steps=steps)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import zip_longest
 
-from .errors import VerificationError
+from .errors import LIMITS, ResourceLimitError, VerificationError
 
 # ---------------------------------------------------------------------------
 # primes
@@ -535,6 +535,8 @@ def zx_gcd_modular(f: list[int], g: list[int], seed: int = 0) -> list[int]:
     avoiding the leading coefficients, unlucky primes discarded by degree
     comparison, CRT-combined images lifted back to Q by rational
     reconstruction, and the candidate certified by exact trial division.
+    Images that never reconstruct would keep the loop going, so more than
+    LIMITS.gcd_primes primes raise ResourceLimitError.
     """
     if not f and not g:
         return []
@@ -553,7 +555,11 @@ def zx_gcd_modular(f: list[int], g: list[int], seed: int = 0) -> list[int]:
     mod = 1
     stable = 0           # primes in a row that confirmed the candidate
     candidate = None
-    for p in prime_stream(seed):
+    for drawn, p in enumerate(prime_stream(seed), 1):
+        if drawn > LIMITS.gcd_primes:
+            raise ResourceLimitError(
+                "modular gcd used %d primes without a certified candidate"
+                % LIMITS.gcd_primes)
         if lcs % p == 0:
             continue
         hp = gf_gcd(gf_from_zx(fp, p), gf_from_zx(gp, p), p)

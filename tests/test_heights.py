@@ -11,6 +11,7 @@ from itergcd.errors import (
     EmbeddingError,
     ResourceLimitError,
 )
+from itergcd.factoring import factor_irreducible
 from itergcd.heights import (
     HeightValue,
     canonical_height,
@@ -19,7 +20,7 @@ from itergcd.heights import (
     weil_height_alg,
 )
 from itergcd.numfield import NumberField, poly_complex_roots
-from itergcd.polys import Poly
+from itergcd.polys import Poly, iterate, iterates
 
 X = Poly.x()
 Q = NumberField.rationals()
@@ -285,3 +286,70 @@ def test_weil_height_alg_refuses_lost_roots():
         poly_complex_roots(P)
     with pytest.raises(EmbeddingError):
         weil_height_alg(NumberField(P, check=False).generator())
+
+
+# ---------------------------------------------------------------------------
+# the probe's factor tower against factoring f^n - c whole
+# ---------------------------------------------------------------------------
+
+def _key(q):
+    return q.degree, q.coeffs
+
+
+def whole_factors(f, c, n):
+    """The monic irreducible factors of f^n - c by the route the tower
+    replaced: factor_irreducible of the whole polynomial, sorted by _key."""
+    return sorted((q for q, _ in factor_irreducible(iterate(f, n) - c).factors),
+                  key=_key)
+
+
+def draw_tower_case(rng):
+    """(f, c, n_hi): f of degree 2-3 with a rational critical point r and a
+    leading coefficient that is often not a unit.  c is the critical value
+    f(r) (level 1 has a square), a value f(s) or f(f(s)) (levels 1 or 2
+    split), a random or zero constant, or the moving x + f(s) - s."""
+    d = rng.choice((2, 3))
+    n_hi = rng.randint(1, 4 if d == 2 else 3)
+    lead = rng.choice((1, -1, 2, -3, Fraction(1, 2), Fraction(-4, 3)))
+    r = Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+    coeffs = [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 1, 2, 5)))
+              for _ in range(d + 1)]
+    coeffs[d] = lead
+    # f'(r) = 0 fixes the linear coefficient
+    coeffs[1] = -sum(k * coeffs[k] * r ** (k - 1) for k in range(2, d + 1))
+    f = Poly(coeffs)
+    s = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+    c = rng.choice((
+        Poly.const(f.evaluate(r)), Poly.const(f.evaluate(s)),
+        Poly.const(f.evaluate(f.evaluate(s))),
+        Poly.const(Fraction(rng.randint(-9, 9), rng.choice((1, 4)))),
+        Poly.zero(), X + (f.evaluate(s) - s)))
+    return f, c, n_hi
+
+
+TOWER_FIXED = [(X ** 2, Poly.const(16), 4), (X ** 2, Poly.const(1), 4),
+               (X ** 2 - 2, Poly.const(2), 4), (X ** 2, X, 4)]
+
+
+def test_probe_factors_match_whole_factoring():
+    rng = random.Random(20)
+    cases = TOWER_FIXED + [draw_tower_case(rng) for _ in range(220)]
+    for f, c, n_hi in cases:
+        want = [whole_factors(f, c, n) for n in range(1, n_hi + 1)]
+        if c.degree <= 0:
+            levels = list(heights._tower(f, c, iterates(f, n_hi)))
+            assert [sorted(lv, key=_key) for lv in levels] == want, (f, c)
+        n_lo = rng.randint(1, n_hi)
+        got = list(heights._probe_factors(f, c, n_lo, n_hi))
+        assert got == [w[0] for w in want[n_lo - 1:]], (f, c, n_lo)
+
+
+def test_probe_factors_pieces_not_the_whole_iterate(monkeypatch):
+    # x^64 - 16 is never factored whole: its pieces have degree <= 16
+    degrees = []
+    real = heights.factor_irreducible
+    monkeypatch.setattr(heights, "factor_irreducible",
+                        lambda p: degrees.append(p.degree) or real(p))
+    rows = special_probe(X ** 2, Poly.const(16), 1, 6)
+    assert [r.factor_degree for r in rows] == [1, 1, 2, 4, 8, 16]
+    assert degrees and max(degrees) <= 16

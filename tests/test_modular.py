@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from itergcd import modular
+from itergcd.errors import LIMITS, ResourceLimitError
 from itergcd.modular import (
     KRON_NATIVE_LEN,
     KRON_NATIVE_SQR,
@@ -254,6 +255,16 @@ def test_zx_gcd_modular_random_products():
         assert zx_divides(a, g) is not None
         assert zx_divides(b, g) is not None
         assert zx_divides(g, cp) is not None
+
+
+def test_zx_gcd_modular_bad_images_hit_the_prime_cap(monkeypatch):
+    # images that never agree reset the stability count at every prime, so
+    # only the cap ends the loop
+    rng = random.Random(8)
+    monkeypatch.setattr(modular, "gf_gcd", lambda f, g, p: [rng.randrange(p), 1])
+    monkeypatch.setattr(LIMITS, "gcd_primes", 20)
+    with pytest.raises(ResourceLimitError):
+        zx_gcd_modular([-1, 0, 1], [-1, 1])
 
 
 # ---------------------------------------------------------------------------
