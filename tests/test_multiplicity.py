@@ -5,6 +5,8 @@ import pytest
 from itergcd.errors import (
     DegenerateInputError,
     HypothesisViolationError,
+    LIMITS,
+    ResourceLimitError,
     VerificationError,
 )
 from itergcd.multiplicity import (
@@ -266,3 +268,83 @@ def test_divisor_h_checks_the_grid_gcds_themselves(monkeypatch):
     monkeypatch.setattr(gcdlab, "factor_irreducible", lossy)
     with pytest.raises(VerificationError, match="does not divide"):
         divisor_h(X ** 2 - 2, X ** 2 - 1, Poly.zero(), 4)
+
+
+# ---------------------------------------------------------------------------
+# the jet-order cap at every escalation site
+# ---------------------------------------------------------------------------
+
+CAP_MESSAGE = "jet refinement exceeded order cap 8"
+
+
+def test_jet_cap_stops_direct_v(monkeypatch):
+    # v_0(x^8) = 8 shows only in a jet of order 9
+    field = field_at(0)
+    assert direct_v(X ** 2, Poly.zero(), field, 3) == 8
+    monkeypatch.setattr(LIMITS, "jet_order", 8)
+    with pytest.raises(ResourceLimitError, match=CAP_MESSAGE):
+        direct_v(X ** 2, Poly.zero(), field, 3)
+
+
+def test_jet_cap_stops_the_approach_order_e(monkeypatch):
+    # lambda = 1 reaches the fixed point 0 of x(x - 1)^8 with order e = 8
+    q = X * (X - 1) ** 8
+    cert = multiplicity_bound(q, X - 1, field_at(1))
+    assert (cert.e, cert.u) == (8, 1)
+    monkeypatch.setattr(LIMITS, "jet_order", 8)
+    with pytest.raises(ResourceLimitError, match=CAP_MESSAGE):
+        multiplicity_bound(q, X - 1, field_at(1))
+
+
+def test_jet_cap_stops_the_cycle_order_u(monkeypatch):
+    # lambda = 1 reaches 0 simply, but 0 is a fixed point of order u = 8
+    q = X ** 8 - X ** 9
+    cert = multiplicity_bound(q, X - 1, field_at(1))
+    assert (cert.e, cert.u) == (1, 8)
+    monkeypatch.setattr(LIMITS, "jet_order", 8)
+    with pytest.raises(ResourceLimitError, match=CAP_MESSAGE):
+        multiplicity_bound(q, X - 1, field_at(1))
+
+
+def test_jet_cap_stops_the_torsion_order_d(monkeypatch):
+    # the parabolic return map x + x^8 is tangent to the identity to order 8
+    q = X + X ** 8
+    cert = multiplicity_bound(q, X, field_at(0))
+    assert (cert.case_tag, cert.d) == ("u1-torsion", 8)
+    monkeypatch.setattr(LIMITS, "jet_order", 8)
+    with pytest.raises(ResourceLimitError, match=CAP_MESSAGE):
+        multiplicity_bound(q, X, field_at(0))
+
+
+def test_jet_cap_stops_the_torsion_order_t(monkeypatch):
+    # t equals e, so the cap is lowered only once e is known; d = 2 still
+    # fits under it and the t probe is the first to need order 9
+    from itergcd import multiplicity
+
+    q = X * (X - 1) ** 8
+    cert = multiplicity_bound(q, X - 1, field_at(1))
+    assert (cert.case_tag, cert.d) == ("u1-torsion", 2)
+    params = multiplicity.local_approach_params
+
+    def params_then_cap(*args):
+        out = params(*args)
+        monkeypatch.setattr(LIMITS, "jet_order", 8)
+        return out
+
+    monkeypatch.setattr(multiplicity, "local_approach_params", params_then_cap)
+    with pytest.raises(ResourceLimitError, match=CAP_MESSAGE):
+        multiplicity_bound(q, X - 1, field_at(1))
+
+
+def test_jet_cap_stops_the_order_on_the_cycle(monkeypatch):
+    # at n = 1 + 3 the parabolic order is 2, which a jet of order 2 misses
+    from itergcd.multiplicity import _v_on_cycle
+
+    q = X ** 2 + Poly.const(Fraction(1, 4))
+    field = field_at(Fraction(1, 2))
+    lam = field.generator()
+    pts = [lam]
+    assert _v_on_cycle(q, X, lam, pts, pts, 3, 2) == direct_v(q, X, field, 4) == 2
+    monkeypatch.setattr(LIMITS, "jet_order", 2)
+    with pytest.raises(ResourceLimitError, match="order cap 2"):
+        _v_on_cycle(q, X, lam, pts, pts, 3, 2)
