@@ -467,16 +467,21 @@ def gf_xgcd(f: list[int], g: list[int], p: int):
     return gf_scale(r0, inv, p), gf_scale(s0, inv, p), gf_scale(t0, inv, p)
 
 
-def gf_powmod(f: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    out = [1]
-    base = gf_rem(f, mod, p)
+def _binary_power(x, e: int, one, mul):
+    """x**e for e >= 0; multiplies as out = mul(x, out), squares as mul(x, x)."""
+    out = one
     while e:
         if e & 1:
-            out = gf_rem(gf_mul(out, base, p), mod, p)
+            out = mul(x, out)
         e >>= 1
         if e:
-            base = gf_rem(gf_mul(base, base, p), mod, p)
+            x = mul(x, x)
     return out
+
+
+def gf_powmod(f: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    return _binary_power(gf_rem(f, mod, p), e, [1],
+                         lambda a, b: gf_rem(gf_mul(a, b, p), mod, p))
 
 
 def gf_compose_mod(f: list[int], g: list[int], mod: list[int], p: int) -> list[int]:

@@ -39,6 +39,7 @@ from .errors import (
 )
 from .gcdlab import gcd_grid
 from .heights import weil_height_alg
+from .modular import _binary_power
 from .numfield import (
     Jet,
     NOT_A_ROOT_OF_UNITY,
@@ -70,15 +71,7 @@ def _self_compose(j: Jet, k: int) -> Jet:
     """k-fold self-composition of a jet fixing its center (binary powering)."""
     if j.coeffs[0] != j.center:
         raise DegenerateInputError("self-composition needs a center-fixing jet")
-    out = identity_jet(j.center, j.order)
-    base = j
-    while k:
-        if k & 1:
-            out = jet_compose(base, out)
-        k >>= 1
-        if k:
-            base = jet_compose(base, base)
-    return out
+    return _binary_power(j, k, identity_jet(j.center, j.order), jet_compose)
 
 
 def _orbit_points(q: Poly, x0: NumberFieldElem, count: int) -> list:
@@ -89,12 +82,16 @@ def _orbit_points(q: Poly, x0: NumberFieldElem, count: int) -> list:
     return pts
 
 
-def _grow(order: int) -> int:
-    nxt = order * 2
-    if order >= LIMITS.jet_order:
-        raise ResourceLimitError("jet refinement exceeded order cap %d"
-                                 % LIMITS.jet_order)
-    return min(nxt, LIMITS.jet_order)
+def _least_index(probe, order: int = 8) -> int:
+    """First non-None probe(order) as the order doubles up to LIMITS.jet_order."""
+    while True:
+        index = probe(order)
+        if index is not None:
+            return index
+        if order >= LIMITS.jet_order:
+            raise ResourceLimitError("jet refinement exceeded order cap %d"
+                                     % LIMITS.jet_order)
+        order = min(order * 2, LIMITS.jet_order)
 
 
 def direct_v(q: Poly, c: Poly, lam_field: NumberField, n: int) -> int:
@@ -113,13 +110,8 @@ def direct_v(q: Poly, c: Poly, lam_field: NumberField, n: int) -> int:
     pts = _orbit_points(q, lam, n)
     if nf_eval(q, pts[-1]) != nf_eval(c, lam):
         return 0
-    order = 8
-    while True:
-        diff = _chain_jet(q, pts, order) - jet_at(c, lam, order)
-        v = diff.first_nonzero(1)
-        if v is not None:
-            return v
-        order = _grow(order)
+    return _least_index(lambda order: (
+        _chain_jet(q, pts, order) - jet_at(c, lam, order)).first_nonzero(1))
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +213,8 @@ def local_approach_params(q: Poly, c: Poly, lam_field: NumberField) -> ApproachP
     r = c0_rec.period
     lam_pts = lam_rec.points[:ell]
     cyc_pts = c0_rec.points[:r]
-    order = 8
-    e = u = None
-    while e is None or u is None:
-        if e is None:
-            e = _chain_jet(q, lam_pts, order).first_nonzero(1)
-        if u is None:
-            u = _chain_jet(q, cyc_pts, order).first_nonzero(1)
-        if e is None or u is None:
-            order = _grow(order)
+    e = _least_index(lambda order: _chain_jet(q, lam_pts, order).first_nonzero(1))
+    u = _least_index(lambda order: _chain_jet(q, cyc_pts, order).first_nonzero(1))
     a_jet = _chain_jet(q, cyc_pts, max(2, u + 1))
     return ApproachParams(c0, True, ell, True, r, e, u, a_jet.coeffs[1],
                        tuple(notes))
@@ -344,28 +329,22 @@ def multiplicity_bound(q: Poly, c: Poly,
     # identity and the decisive data is its first nonlinear coefficient
     cyc = _orbit_points(q, c0, r)
     rs_pts = [cyc[i % r] for i in range(r * s)]
-    order = 8
-    d = None
-    while d is None:
+
+    def nonlinear_index(order):
         rs_jet = _chain_jet(q, rs_pts, order)
         if rs_jet.coeffs[1] != 1:
             raise VerificationError("torsion return map is not tangent to "
                                     "the identity")
-        d = rs_jet.first_nonzero(2)
-        if d is None:
-            order = _grow(order)
+        return rs_jet.first_nonzero(2)
+
+    d = _least_index(nonlinear_index)
     exceptional = []
     big = 0
     lam_pts = _orbit_points(q, lam, ell + (s - 1) * r)
     for idx in range(s):
         y = ell + idx * r
         g_pts = lam_pts[:y]
-        t = None
-        t_order = 8
-        while t is None:
-            t = _chain_jet(q, g_pts, t_order).first_nonzero(1)
-            if t is None:
-                t_order = _grow(t_order)
+        t = _least_index(lambda order: _chain_jet(q, g_pts, order).first_nonzero(1))
         depth = max(t * d, degc) + 1
         g_jet = _chain_jet(q, g_pts, depth)
         rs_deep = _chain_jet(q, rs_pts, depth)
@@ -396,15 +375,12 @@ def _v_on_cycle(q: Poly, c: Poly, lam: NumberFieldElem, g_pts, rs_pts,
     Binary self-composition keeps the cost logarithmic in k, so exceptional
     n found far out on the arithmetic progression stay reachable.
     """
-    while True:
-        rs_jet = _chain_jet(q, rs_pts, order)
-        g_jet = _chain_jet(q, g_pts, order)
-        total = jet_compose(_self_compose(rs_jet, k), g_jet)
-        diff = total - jet_at(c, lam, order)
-        v = diff.first_nonzero(1)
-        if v is not None:
-            return v
-        order = _grow(order)
+    def order_at(order):
+        total = jet_compose(_self_compose(_chain_jet(q, rs_pts, order), k),
+                            _chain_jet(q, g_pts, order))
+        return (total - jet_at(c, lam, order)).first_nonzero(1)
+
+    return _least_index(order_at, order)
 
 
 # ---------------------------------------------------------------------------

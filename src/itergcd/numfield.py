@@ -24,6 +24,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .factoring import is_irreducible
+from .modular import _binary_power
 from .polys import Poly, render_poly
 
 NOT_A_ROOT_OF_UNITY = "not a root of unity"
@@ -161,15 +162,7 @@ class NumberFieldElem:
     def __pow__(self, e: int):
         if e < 0:
             return nf_invert(self) ** (-e)
-        out = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        return _binary_power(self, e, self.field.one(), NumberFieldElem.__mul__)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, NumberFieldElem):
@@ -478,11 +471,6 @@ class Jet:
         return Jet(self.center, out)
 
     __rmul__ = __mul__
-
-    def truncate(self, order: int) -> "Jet":
-        if order < 1 or order > self.order:
-            raise DegenerateInputError("bad truncation order")
-        return Jet(self.center, self.coeffs[:order])
 
     def first_nonzero(self, start: int = 0):
         """Smallest index >= start with a nonzero coefficient, or None."""

@@ -192,15 +192,7 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative polynomial power")
-        out = Poly.const(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        return modular._binary_power(self, e, Poly.const(1), Poly.__mul__)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Pseudo-division over Z: scale*A = quo*B + rem, then back to Q."""
@@ -434,16 +426,7 @@ def iterate(f: Poly, n: int) -> Poly:
         return Poly.x()
     if f.degree >= 2:
         return iterates(f, n)[-1]
-    out = None
-    base = f
-    e = n
-    while e:
-        if e & 1:
-            out = base if out is None else _compose_checked(base, out)
-        e >>= 1
-        if e:
-            base = _compose_checked(base, base)
-    return out
+    return modular._binary_power(f, n, Poly.x(), _compose_checked)
 
 
 def _compose_checked(outer: Poly, inner: Poly) -> Poly:

@@ -254,4 +254,3 @@ def test_jet_ring_operations():
     d = jet_at(X ** 2 - Poly.const(4), a, 5)
     assert d.first_nonzero() == 1
     assert d.first_nonzero(start=2) == 2
-    assert d.truncate(2).order == 2
