@@ -32,6 +32,14 @@ COMMANDS = (
     ("gcd-grid", "--f", "x^2", "--g", "x^2+1", "--c", "x^2", "--N", "2"),
     ("gcd-grid", "--f", "2*x", "--g", "3*x+1", "--c", "x^2", "--N", "4",
      "--diagonal"),
+    # a rational pair whose cells all have gcd 1
+    ("gcd-grid", "--f", "x^2+x/3-5/7", "--g", "x^2-1", "--c", "0", "--N", "7"),
+    # trivial and nontrivial cells side by side, against a non-constant c
+    ("gcd-grid", "--f", "x^2-1", "--g", "x^2+x-1", "--c", "x", "--N", "5"),
+    # a shared squared seed: every cell is nontrivial
+    ("gcd-grid", "--f", "x^3+x^2", "--g", "x^3+5*x^2", "--c", "0", "--N", "3"),
+    # f iterate 2 equals c, in the row whose degree is deg c
+    ("gcd-grid", "--f", "x^2", "--g", "x^2+1", "--c", "x^4", "--N", "3"),
     ("divisor", "--f", "x^2-2", "--g", "x^2-1", "--c", "0", "--N", "3"),
     ("mult-cert", "--q", "x^2-2", "--c", "0", "--lambda-minpoly", "t^2-2"),
     ("mult-cert", "--q", "x^2", "--c", "3", "--lambda-minpoly", "t-5"),
