@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateInputError, LIMITS
-from .polys import Poly, iterate
+from .errors import DegenerateInputError, LIMITS, VerificationError
+from .polys import Poly, _compose_checked, iterate
 from .numfield import NumberFieldElem, nf_eval
 
 IN_RAMIFIED = "in-ramified-cycle"
@@ -177,6 +177,12 @@ def word_compose(w: Word, f: Poly, g: Poly) -> Poly:
     return acc
 
 
+def _word(length: int, mask: int) -> Word:
+    """The word whose i-th letter is G when bit length - 1 - i of mask is set."""
+    return Word.from_letters("".join(
+        "G" if (mask >> (length - 1 - i)) & 1 else "F" for i in range(length)))
+
+
 def independence_probe(f: Poly, g: Poly, max_len: int):
     """Search for two distinct words of total exponent <= max_len that
     evaluate to the same polynomial.
@@ -185,21 +191,34 @@ def independence_probe(f: Poly, g: Poly, max_len: int):
     lexicographic order (F before G), or ("no-collision-up-to", max_len).
     Only dependence is ever certified; absence of a collision up to a bound
     proves nothing beyond the bound.
+
+    Each word of length L is its first letter composed with the word of its
+    last L - 1 letters, which the previous length already holds: one
+    composition per word, the small map outside, as in ``iterates``.  Words
+    past the degree or coefficient caps raise ResourceLimitError.  The two
+    colliding words are evaluated again by ``word_compose``.
     """
     if f.degree < 1 or g.degree < 1:
         raise DegenerateInputError("independence probe needs nonconstant maps")
-    seen: dict[Poly, Word] = {}
+    seen: dict[Poly, tuple] = {}   # polynomial -> (length, mask) of its word
+    suffixes = [Poly.x()]
     for length in range(1, max_len + 1):
+        top = 1 << (length - 1)
+        words = []
         for mask in range(1 << length):
-            letters = "".join(
-                "G" if (mask >> (length - 1 - i)) & 1 else "F"
-                for i in range(length))
-            w = Word.from_letters(letters)
-            p = word_compose(w, f, g)
+            p = _compose_checked(g if mask & top else f,
+                                 suffixes[mask & (top - 1)])
             other = seen.get(p)
             if other is not None:
-                return ("dependent", (other, w))
-            seen[p] = w
+                w1, w2 = _word(*other), _word(length, mask)
+                if word_compose(w1, f, g) != word_compose(w2, f, g):
+                    raise VerificationError(
+                        "words %s and %s do not collide"
+                        % (w1.render(), w2.render()))
+                return ("dependent", (w1, w2))
+            seen[p] = (length, mask)
+            words.append(p)
+        suffixes = words
     return ("no-collision-up-to", max_len)
 
 

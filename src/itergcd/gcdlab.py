@@ -16,9 +16,14 @@ from fractions import Fraction
 from .emit import md_table
 from .errors import DegenerateInputError
 from .factoring import FactorList, factor_irreducible
+from .modular import (
+    gf_add, gf_compose_mod, gf_gcd, gf_mul, gf_rem, gf_scale, gf_sub,
+    prime_stream,
+)
 from .numfield import NumberFieldElem, nf_eval
 from .polys import (
-    Poly, iterate, iterates, mult_of_factor, poly_gcd, render_poly,
+    Poly, _check_iterate_degree, iterate, iterates, mult_of_factor, poly_gcd,
+    render_poly,
 )
 
 NO_SOLUTION = "no solution"
@@ -117,6 +122,108 @@ def _grid_pairs(grid_n: int, diagonal_only: bool):
     return [(m, n) for m in range(1, grid_n + 1) for n in range(1, grid_n + 1)]
 
 
+def _gf_iterates(q: list[int], n: int, p: int) -> list[list[int]]:
+    """[q^k mod p for k = 1..n], by the left fold y <- q(y) mod p."""
+    out, y = [], [0, 1]
+    for _ in range(n):
+        acc: list[int] = []
+        for a in reversed(q):
+            acc = gf_add(gf_mul(acc, y, p), [a], p)
+        out.append(acc)
+        y = acc
+    return out
+
+
+def _trivial_cells(a: list[int], q: list[int], q_its: list, c: list[int],
+                   ks, p: int) -> list[int]:
+    """The k in ks with gcd(a, q^k - c) = 1 mod p.
+
+    The iterates of q are reduced modulo a step by step, y <- q(y) mod a,
+    from the last one in q_its of degree below deg a, and the residues of
+    the k in ks multiplied together mod a: when that product is prime to a
+    every cell is settled by one gcd, otherwise each residue meets the gcd
+    of the product (which every cell gcd divides).
+    """
+    wanted = set(ks)
+    residues = {}
+    y = gf_rem([0, 1], a, p)
+    for k in range(1, max(wanted) + 1):
+        small = q_its[k - 1]
+        y = small if len(small) < len(a) else gf_compose_mod(q, y, a, p)
+        if k in wanted:
+            residues[k] = gf_rem(gf_sub(y, c, p), a, p)
+    prod = [1]
+    for r in residues.values():
+        prod = gf_rem(gf_mul(prod, r, p), a, p)
+    common = gf_gcd(a, prod, p)
+    if len(common) == 1:
+        return list(ks)
+    return [k for k in ks if len(gf_gcd(common, residues[k], p)) == 1]
+
+
+def _screen(f: Poly, g: Poly, c: Poly, pairs, seed: int) -> dict:
+    """(m, n) -> millis for each cell whose gcd one prime certifies to be 1.
+
+    The prime p divides no denominator and no leading numerator of f, g
+    and c, so f^m - c keeps its degree mod p unless deg f^m = deg c, and
+    likewise for g.  The image mod p of the primitive gcd over Q then keeps
+    its degree and divides the gcd mod p: a cell whose gcd mod p is 1 has
+    gcd 1.  The iterates of f and g mod p come from one left fold each.
+
+    Row m, reducing g's iterates modulo f^m - c, screens its cells when
+    deg(f^m - c) <= deg(g^n - c) for one of them: each row costs one
+    Euclid, so a row that runs takes its whole line (with deg f = deg g
+    every row runs, and no column is needed).  The cells of the other rows
+    are screened by their column n, with the roles of f and g swapped.  A
+    screened cell's millis is its share of the time of the line that
+    decided it.  Rows and columns whose iterate has the degree of c, the
+    only ones where an iterate can equal c, and constant maps are left to
+    the exact route.
+    """
+    if f.degree < 1 or g.degree < 1:
+        return {}
+    grid_n, dc = max(map(max, pairs)), c.degree
+
+    def degrees(d):
+        return [None if d ** k == dc else max(d ** k, dc)
+                for k in range(1, grid_n + 1)]
+
+    fdeg, gdeg = degrees(f.degree), degrees(g.degree)
+    rows: dict = {}
+    cols: dict = {}
+    live = [(m, n) for m, n in pairs
+            if fdeg[m - 1] is not None and gdeg[n - 1] is not None]
+    row_ms = {m for m, n in live if fdeg[m - 1] <= gdeg[n - 1]}
+    for m, n in live:
+        if m in row_ms:
+            rows.setdefault(m, []).append(n)
+        else:
+            cols.setdefault(n, []).append(m)
+    if not rows and not cols:
+        return {}
+    forms = [q.int_form() for q in (f, g, c)]
+    bad = [b for nums, den in forms for b in (den, *nums[-1:])]
+    p = next(p for p in prime_stream(seed) if all(b % p for b in bad))
+    fp, gp, cp = (gf_scale(nums, pow(den, -1, p), p) for nums, den in forms)
+    f_its, g_its = _gf_iterates(fp, grid_n, p), _gf_iterates(gp, grid_n, p)
+    screened = {}
+    for lines, its, other, other_its, swap in (
+            (rows, f_its, gp, g_its, False), (cols, g_its, fp, f_its, True)):
+        for i, ks in lines.items():
+            t0 = time.perf_counter()
+            trivial = _trivial_cells(gf_sub(its[i - 1], cp, p), other,
+                                     other_its, cp, ks, p)
+            share = (time.perf_counter() - t0) * 1000.0 / max(len(trivial), 1)
+            for k in trivial:
+                screened[(k, i) if swap else (i, k)] = share
+    return screened
+
+
+def _minus_c(q: Poly, n: int, c: Poly) -> list:
+    """[q^k - c for k = 1..n], None where q^k equals c."""
+    return [None if qk == c else qk - c for qk in iterates(q, n)] if n else []
+
+
 def gcd_grid(f: Poly, g: Poly, c: Poly, grid_n: int,
              diagonal_only: bool = False, seed: int = 0) -> GcdGridReport:
     """Factor every admissible grid cell and aggregate the factor universe.
@@ -125,21 +232,33 @@ def gcd_grid(f: Poly, g: Poly, c: Poly, grid_n: int,
     no cell error aborts the rest.  `stabilized` means the outer shell
     (any cell with m or n equal to grid_n) introduced no factor unseen in
     the interior, which is the observable shadow of the finiteness claims.
+
+    A screen modulo one prime (`_screen`) certifies most cells of gcd 1
+    without expanding an iterate over Q; the other cells take the exact
+    route, poly_gcd and factor_irreducible on iterates expanded only as
+    far as those cells reach.
     """
     if grid_n < 1:
         raise DegenerateInputError("grid size must be >= 1")
     pairs = _grid_pairs(grid_n, diagonal_only)
+    _check_iterate_degree(f, grid_n)
+    _check_iterate_degree(g, grid_n)
+    screened = _screen(f, g, c, pairs, seed)
+    exact = [mn for mn in pairs if mn not in screened]
     # one left fold per map; iterate k - c is then formed once per k
-    f_its = iterates(f, grid_n)
-    g_its = iterates(g, grid_n)
-    f_minus_c = [None if q == c else q - c for q in f_its]
-    g_minus_c = [None if q == c else q - c for q in g_its]
+    f_minus_c = _minus_c(f, max((m for m, _ in exact), default=0), c)
+    g_minus_c = _minus_c(g, max((n for _, n in exact), default=0), c)
 
+    one, no_factors = Poly.const(1), FactorList(Fraction(1), ())
     cells: dict = {}
     gcds: dict = {}
     degenerate: dict = {}
     timings: dict = {}
     for m, n in pairs:
+        if (m, n) in screened:
+            gcds[(m, n)], cells[(m, n)] = one, no_factors
+            timings[(m, n)] = screened[(m, n)]
+            continue
         t0 = time.perf_counter()
         fm, gn = f_minus_c[m - 1], g_minus_c[n - 1]
         if fm is None:
@@ -148,7 +267,7 @@ def gcd_grid(f: Poly, g: Poly, c: Poly, grid_n: int,
             degenerate[(m, n)] = "g iterate %d equals c" % n
         else:
             gcds[(m, n)] = gcd_mn = poly_gcd(fm, gn, seed=seed)
-            cells[(m, n)] = (FactorList(Fraction(1), ()) if gcd_mn.degree < 1
+            cells[(m, n)] = (no_factors if gcd_mn.degree < 1
                              else factor_irreducible(gcd_mn, seed=seed))
             timings[(m, n)] = (time.perf_counter() - t0) * 1000.0
     universe: dict = {}

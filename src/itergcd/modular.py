@@ -15,7 +15,6 @@ import sys
 import threading
 from array import array
 from fractions import Fraction
-from functools import reduce
 from itertools import zip_longest
 
 from .errors import LIMITS, ResourceLimitError, VerificationError
@@ -201,7 +200,7 @@ def zx_mul(f: list[int], g: list[int]) -> list[int]:
 
 
 def zx_content(f: list[int]) -> int:
-    return reduce(math.gcd, (abs(c) for c in f if c), 0)
+    return math.gcd(*f)
 
 
 def zx_primitive(f: list[int]) -> tuple[int, list[int]]:

@@ -135,6 +135,9 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
+        # hash(Fraction(n)) == hash(n): the same value without the Fractions
+        if self._d == 1:
+            return hash(("Poly", self._n))
         return hash(("Poly", self.coeffs))
 
     def __bool__(self) -> bool:
@@ -401,16 +404,21 @@ def iterates(f: Poly, n: int) -> list[Poly]:
     """
     if n < 0:
         raise ValueError("compositional power needs n >= 0")
-    d = f.degree
-    if d >= 2:
-        # pre-check the final degree without computing huge powers
-        if n * math.log2(d) > math.log2(LIMITS.max_degree) + 1e-9:
-            check_degree(LIMITS.max_degree + 1)  # raises
-        check_degree(d ** n)
+    _check_iterate_degree(f, n)
     out = [f] if n else []
     while len(out) < n:
         out.append(_compose_checked(f, out[-1]))
     return out
+
+
+def _check_iterate_degree(f: Poly, n: int) -> None:
+    """Raise ResourceLimitError when deg f^n passes LIMITS.max_degree,
+    without computing huge powers."""
+    d = f.degree
+    if d >= 2:
+        if n * math.log2(d) > math.log2(LIMITS.max_degree) + 1e-9:
+            check_degree(LIMITS.max_degree + 1)  # raises
+        check_degree(d ** n)
 
 
 def iterate(f: Poly, n: int) -> Poly:

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,7 @@ from itergcd.dynamics import (
     ramified_cycle_check,
     word_compose,
 )
-from itergcd.errors import DegenerateInputError
+from itergcd.errors import DegenerateInputError, LIMITS, ResourceLimitError
 from itergcd.numfield import NumberField
 from itergcd.polys import Poly, iterate
 
@@ -166,3 +168,43 @@ def test_orbit_record_is_frozen():
     rec = orbit(X ** 2, Q.element(0))
     with pytest.raises(Exception):
         rec.period = 7
+
+
+def reference_probe(f, g, max_len):
+    """independence_probe by evaluating every word with word_compose."""
+    seen = {}
+    for length in range(1, max_len + 1):
+        for letters in itertools.product("FG", repeat=length):
+            w = Word.from_letters("".join(letters))
+            p = word_compose(w, f, g)
+            if p in seen:
+                return ("dependent", (seen[p], w))
+            seen[p] = w
+    return ("no-collision-up-to", max_len)
+
+
+def test_independence_probe_matches_word_compose():
+    rng = random.Random(17)
+    pairs = [(X ** 2, -(X ** 2)), (X ** 2, X ** 2 + 1), (2 * X, X + 1),
+             (X ** 2 - 2, chebyshev(3))]
+    for _ in range(12):
+        f, g = (Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                      for _ in range(rng.randint(1, 2))] + [rng.choice((1, -1, 2))])
+                for _ in range(2))
+        pairs.append((f, g))
+    for f, g in pairs:
+        for max_len in (1, 3, 6):
+            assert independence_probe(f, g, max_len) == \
+                reference_probe(f, g, max_len)
+    verdict, (w1, w2) = independence_probe(X ** 2, -(X ** 2), 6)
+    assert (verdict, w1.letters(), w2.letters()) == ("dependent", "FF", "FG")
+
+
+def test_independence_probe_checks_the_degree_cap(monkeypatch):
+    # FFGG has degree 16; word_compose's last composition is unchecked
+    f, g = X ** 2 + 1, X ** 2 - 1
+    monkeypatch.setattr(LIMITS, "max_degree", 8)
+    assert word_compose(Word.from_letters("FFGG"), f, g).degree == 16
+    assert independence_probe(f, g, 3) == ("no-collision-up-to", 3)
+    with pytest.raises(ResourceLimitError):
+        independence_probe(f, g, 4)

@@ -1,0 +1,237 @@
+"""The modular screen of gcd_grid against the per-cell exact route.
+
+gcd_grid certifies cells of gcd 1 modulo one prime and sends every other
+cell to poly_gcd and factor_irreducible.  The reference here computes every
+cell with gcd_iterates, so both routes must give the same report, apart
+from the millis of each cell.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from itergcd import gcdlab
+from itergcd.errors import DegenerateInputError, LIMITS, ResourceLimitError
+from itergcd.factoring import FactorList, factor_irreducible
+from itergcd.gcdlab import gcd_grid, gcd_iterates
+from itergcd.modular import gf_from_zx, gf_gcd, prime_stream
+from itergcd.parser import parse_poly
+from itergcd.polys import Poly, iterate, iterates, render_poly
+
+X = Poly.x()
+
+
+def reference_json(f, g, c, grid_n, diagonal_only=False):
+    """gcd_grid's json report, every cell by gcd_iterates, millis blank."""
+    pairs = ([(k, k) for k in range(1, grid_n + 1)] if diagonal_only else
+             list(itertools.product(range(1, grid_n + 1), repeat=2)))
+    cells, degenerate, factor_lists = [], [], {}
+    for m, n in pairs:
+        if iterate(f, m) == c:
+            degenerate.append({"m": m, "n": n,
+                               "reason": "f iterate %d equals c" % m})
+            continue
+        if iterate(g, n) == c:
+            degenerate.append({"m": m, "n": n,
+                               "reason": "g iterate %d equals c" % n})
+            continue
+        h = gcd_iterates(f, g, c, m, n)
+        fl = (factor_irreducible(h) if h.degree >= 1
+              else FactorList(Fraction(1), ()))
+        factor_lists[(m, n)] = fl.factors
+        cells.append({"m": m, "n": n, "gcd": render_poly(h),
+                      "degree": h.degree, "millis": None,
+                      "factors": [[render_poly(p), e] for p, e in fl.factors]})
+    universe, shell_new = {}, False
+    for pair in sorted(factor_lists, key=lambda t: (max(t), t)):
+        for p, e in factor_lists[pair]:
+            if p not in universe and max(pair) == grid_n:
+                shell_new = True
+            universe[p] = max(universe.get(p, 0), e)
+    return {"f": render_poly(f), "g": render_poly(g), "c": render_poly(c),
+            "grid_n": grid_n, "diagonal_only": diagonal_only, "cells": cells,
+            "degenerate_cells": degenerate,
+            "factor_universe": [[render_poly(p), e] for p, e in sorted(
+                universe.items(), key=lambda t: (t[0].degree, t[0].coeffs))],
+            "stabilized": not shell_new}
+
+
+def grid_json(*args, **kwargs):
+    d = gcd_grid(*args, **kwargs).to_json_dict()
+    for cell in d["cells"]:
+        assert cell["millis"] >= 0
+        cell["millis"] = None
+    return d
+
+
+def _coeff(rng, rational):
+    a = rng.randint(-5, 5)
+    return Fraction(a, rng.randint(1, 7)) if rational else Fraction(a)
+
+
+def _map(rng, deg, rational):
+    coeffs = [_coeff(rng, rational) for _ in range(deg)]
+    lead = 0
+    while lead == 0:
+        lead = _coeff(rng, rational)
+    return Poly(coeffs + [lead])
+
+
+def random_grid(rng):
+    """(f, g, c, grid_n, diagonal_only) of one seeded case."""
+    d, e = rng.randint(1, 3), rng.randint(1, 3)
+    rational = rng.random() < 0.5
+    f, g = _map(rng, d, rational), _map(rng, e, rational)
+    kind = rng.choice(("zero", "const", "x", "quartic", "f2"))
+    c = {"zero": Poly.zero(),
+         "const": Poly.const(_coeff(rng, rational) or 1),
+         "x": X,
+         "quartic": _map(rng, 4, rational),
+         "f2": iterate(f, 2)}[kind]
+    if rng.random() < 0.4:
+        # shift the constant terms so that r is a root of f - c and g - c:
+        # cell (1, 1) then shares the factor x - r
+        r = Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+        f = f - (f.evaluate(r) - c.evaluate(r))
+        g = g - (g.evaluate(r) - c.evaluate(r))
+    grid_n = rng.randint(1, {1: 5, 2: 4, 3: 3}[max(d, e)])
+    return f, g, c, grid_n, rng.random() < 0.2
+
+
+def test_screen_matches_per_cell_route_on_seeded_grids(acceptance,
+                                                      monkeypatch):
+    screened = _count_calls(monkeypatch, "_screen")
+    rng = random.Random(20261018)
+    n_cases = 320
+    cells = 0
+    for _ in range(n_cases):
+        f, g, c, grid_n, diagonal = random_grid(rng)
+        want = reference_json(f, g, c, grid_n, diagonal)
+        assert grid_json(f, g, c, grid_n, diagonal) == want, \
+            (render_poly(f), render_poly(g), render_poly(c), grid_n, diagonal)
+        cells += len(want["cells"])
+    # both routes carry a good share of the cells
+    n_screened = sum(len(result) for _, result in screened)
+    assert cells // 4 < n_screened < cells - cells // 4
+    acceptance("grid screen matches per-cell gcds, %d grids" % n_cases, True,
+               "%d of %d cells screened" % (n_screened, cells))
+
+
+@pytest.mark.parametrize("f, g, c, grid_n", [
+    ("x^2+x/3-5/7", "x^2-1", "0", 7),
+    ("x^2-1", "x^2+x-1", "x", 5),
+    ("x^3+x^2", "x^3+5*x^2", "0", 3),
+    ("x^2", "x^2+1", "x^4", 3),
+    ("x^2-2", "x^2-1", "0", 5),
+    ("2*x", "3*x+1", "x^2", 5),
+    ("x+1", "2*x", "x", 3),            # every row has the degree of c
+    ("x^3-x", "x^2+1/2", "x^4-x", 3),  # c outgrows the low iterates
+    ("3", "x^2-1", "0", 3),             # a constant map
+    ("x^2", "x^2+x", "x^2", 3),         # f^1 = c: row 1 is degenerate
+])
+def test_screen_matches_per_cell_route_on_named_grids(f, g, c, grid_n):
+    f, g, c = parse_poly(f), parse_poly(g), parse_poly(c)
+    for diagonal in (False, True):
+        assert grid_json(f, g, c, grid_n, diagonal) == \
+            reference_json(f, g, c, grid_n, diagonal)
+
+
+def _image(q, p):
+    nums, den = q.int_form()
+    return gf_from_zx([a * pow(den, -1, p) for a in nums], p)
+
+
+def test_unlucky_and_bad_primes_fall_back_to_the_exact_route(monkeypatch):
+    f, g, c = parse_poly("x^2+x/3-5/7"), parse_poly("x^2-1"), Poly.zero()
+    # 3 and 7 divide a denominator of f; mod 13 these cells have a common
+    # factor although their gcd over Q is 1
+    unlucky = [(1, 1), (1, 3), (2, 2), (3, 1), (3, 3)]
+    for m, n in unlucky:
+        fm, gn = iterate(f, m) - c, iterate(g, n) - c
+        assert gcd_iterates(f, g, c, m, n) == Poly.const(1)
+        assert len(gf_gcd(_image(fm, 13), _image(gn, 13), 13)) > 1
+
+    def stream(seed=0, bits=29):
+        yield from (3, 7, 13)
+        yield from prime_stream(seed, bits)
+
+    want = reference_json(f, g, c, 3)
+    monkeypatch.setattr(gcdlab, "prime_stream", stream)
+    exact = _count_calls(monkeypatch, "poly_gcd")
+    assert grid_json(f, g, c, 3) == want
+    its_f, its_g = iterates(f, 3), iterates(g, 3)
+    assert [args for args, _ in exact] == [
+        (its_f[m - 1] - c, its_g[n - 1] - c) for m, n in unlucky]
+
+
+def _count_calls(monkeypatch, name):
+    """The (arguments, result) of each call of gcdlab's `name`."""
+    calls = []
+    fn = getattr(gcdlab, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, fn(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(gcdlab, name, spy)
+    return calls
+
+
+def test_all_trivial_grid_expands_nothing_over_q(monkeypatch):
+    gcd_calls = _count_calls(monkeypatch, "poly_gcd")
+    iterate_calls = _count_calls(monkeypatch, "iterates")
+    rep = gcd_grid(parse_poly("x^2+x/3-5/7"), parse_poly("x^2-1"),
+                   Poly.zero(), 10)
+    assert len(rep.cells) == 100
+    assert all(h == Poly.const(1) for h in rep.gcds.values())
+    assert gcd_calls == [] and iterate_calls == []
+
+
+def test_only_nontrivial_cells_take_poly_gcd(monkeypatch):
+    gcd_calls = _count_calls(monkeypatch, "poly_gcd")
+    rep = gcd_grid(parse_poly("x^2-2"), parse_poly("x^2-1"), Poly.zero(), 6)
+    nontrivial = [mn for mn, h in rep.gcds.items() if h.degree > 0]
+    assert nontrivial == [(1, 2), (1, 4), (1, 6)]
+    assert len(gcd_calls) == len(nontrivial)
+
+
+def test_exact_iterates_stop_at_the_largest_exact_index(monkeypatch):
+    iterate_calls = _count_calls(monkeypatch, "iterates")
+    gcd_grid(parse_poly("x^2-2"), parse_poly("x^2-1"), Poly.zero(), 6)
+    assert sorted(n for (_, n), _ in iterate_calls) == [1, 6]
+
+
+@pytest.mark.parametrize("f, g", [("x^2", "x^2+1"), ("x+1", "x^2+1"),
+                                  ("x^2+x/3", "x^3")])
+def test_grid_past_the_degree_cap_raises_as_iterates_does(monkeypatch, f, g):
+    monkeypatch.setattr(LIMITS, "max_degree", 64)
+    f, g = parse_poly(f), parse_poly(g)
+    grid_n = 7
+    with pytest.raises(ResourceLimitError) as want:
+        iterates(f, grid_n)
+        iterates(g, grid_n)
+    with pytest.raises(ResourceLimitError) as got:
+        gcd_grid(f, g, Poly.zero(), grid_n)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ResourceLimitError):
+        gcd_grid(f, g, Poly.zero(), grid_n, diagonal_only=True)
+    with pytest.raises(DegenerateInputError):
+        gcd_grid(f, g, Poly.zero(), 0)
+
+
+def test_primes_dividing_a_leading_numerator_are_skipped(monkeypatch):
+    # the cell gcd x - 1/13 has no image mod 13, where f and g drop a degree
+    f, g = parse_poly("13*x^2+25*x-2"), parse_poly("13*x^2+38*x-3")
+    want = reference_json(f, g, Poly.zero(), 2)
+    assert want["cells"][0]["gcd"] == "x-1/13"
+    monkeypatch.setattr(gcdlab, "prime_stream", lambda seed=0, bits=29:
+                        itertools.chain([13], prime_stream(seed, bits)))
+    assert grid_json(f, g, Poly.zero(), 2) == want
+
+
+def test_constant_maps_take_the_exact_route(monkeypatch):
+    gcd_calls = _count_calls(monkeypatch, "poly_gcd")
+    rep = gcd_grid(Poly.const(3), parse_poly("x^2-1"), X, 2)
+    assert len(gcd_calls) == len(rep.cells) == 4

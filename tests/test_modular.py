@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -559,3 +560,16 @@ def test_gf_divmod_unreduced_input_keeps_the_scalar_contract():
               [-c for c in _rand_vec(rng, 90, 0, p - 1)]):
         q, r = gf_divmod(f, g, p)
         assert (q, _trim([c % p for c in r])) == school_gf_divmod(f, g, p)
+
+
+def test_zx_content_matches_the_gcd_fold():
+    rng = random.Random(83)
+    cases = [[], [0], [0, 0, 0], [-7], [0, -12, 18, 0], [5, 0, -10]]
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        bits = rng.choice((3, 30, 200))
+        cases.append([rng.choice((0, rng.randint(-2 ** bits, 2 ** bits)))
+                      for _ in range(n)])
+    for f in cases:
+        want = functools.reduce(math.gcd, (abs(c) for c in f if c), 0)
+        assert modular.zx_content(f) == want

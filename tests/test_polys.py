@@ -434,3 +434,15 @@ def test_evaluate_squares_one_object():
     log.clear()
     assert Poly([4, 5]).evaluate(_Squares(7, log)).v == 39
     assert log == [False, False]
+
+
+def test_hash_is_the_hash_of_the_fraction_coefficients():
+    rng = random.Random(61)
+    polys = [Poly.zero(), Poly.const(3), Poly([Fraction(1, 2)])]
+    for _ in range(100):
+        polys.append(Poly([rng.randint(-2 ** 70, 2 ** 70)
+                           for _ in range(rng.randint(1, 65))]))
+        polys.append(random_poly(rng))
+    for p in polys:
+        assert hash(p) == hash(("Poly", p.coeffs))
+        assert hash(Poly(p.coeffs)) == hash(p)
