@@ -67,21 +67,27 @@ def _field_point(args):
     return NumberField.rationals().element(_fraction_arg(args.x))
 
 
-def _write_out(data: bytes, out_path: str | None) -> None:
+def _write_out(data: bytes, out_path: str | None) -> bool:
+    """Write the report; False, after one line on stderr, if out_path fails."""
     if out_path is None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
-        return
+        return True
     directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".itergcd-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".itergcd-")
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as ex:
+        print("itergcd: cannot write %s: %s" % (out_path, ex.strerror or ex),
+              file=sys.stderr)
+        return False
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +308,7 @@ def main(argv=None) -> int:
     try:
         report, default_fmt, code = args.body(args)
         data = emit(report, args.format or default_fmt)
-        _write_out(data, args.out)
-        return code
+        return code if _write_out(data, args.out) else 2
     except ItergcdError as ex:
         label = "parse error" if isinstance(ex, ParseError) \
             else type(ex).__name__

@@ -11,7 +11,6 @@ a blown step cap is not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DegenerateInputError, LIMITS, VerificationError
 from .polys import Poly, _compose_checked, iterate
@@ -60,6 +59,8 @@ def orbit(q: Poly, x0: NumberFieldElem,
         step_cap = LIMITS.orbit_steps
     if size_cap is None:
         size_cap = LIMITS.orbit_elem_bits
+    if step_cap < 1 or size_cap < 1:
+        raise DegenerateInputError("orbit step and size caps must be >= 1")
     seen = {x0: 0}
     points = [x0]
     cur = x0
@@ -155,10 +156,6 @@ class Word:
                 runs.append((ch, 1))
         return cls(tuple(runs))
 
-    @property
-    def total_exponent(self) -> int:
-        return sum(e for _, e in self.runs)
-
     def letters(self) -> str:
         return "".join(g * e for g, e in self.runs)
 
@@ -200,6 +197,8 @@ def independence_probe(f: Poly, g: Poly, max_len: int):
     """
     if f.degree < 1 or g.degree < 1:
         raise DegenerateInputError("independence probe needs nonconstant maps")
+    if max_len < 1:
+        raise DegenerateInputError("independence probe needs max_len >= 1")
     seen: dict[Poly, tuple] = {}   # polynomial -> (length, mask) of its word
     suffixes = [Poly.x()]
     for length in range(1, max_len + 1):
@@ -235,15 +234,3 @@ def chebyshev(d: int) -> Poly:
     for _ in range(d - 1):
         prev, cur = cur, Poly.x() * cur - prev
     return cur
-
-
-def power_map(d: int, gamma=1) -> Poly:
-    if d < 1:
-        raise DegenerateInputError("power map degree must be >= 1")
-    return Poly.monomial(d, Fraction(gamma))
-
-
-def affine_map(alpha, beta) -> Poly:
-    if Fraction(alpha) == 0:
-        raise DegenerateInputError("affine map needs alpha != 0")
-    return Poly([Fraction(beta), Fraction(alpha)])

@@ -2,8 +2,9 @@
 
 All potentially unbounded computations (iteration, orbits, jets, root-of-unity
 search) consult the module-level LIMITS object and fail loudly with a
-ResourceLimitError instead of thrashing.  The caps are plain attributes so a
-caller (or the CLI) can adjust them.
+ResourceLimitError instead of thrashing.  The caps are plain attributes that
+a library caller can adjust; the CLI runs with the defaults (only its orbit
+command takes per-call step and size caps).
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def check_degree(deg: int) -> None:
             "degree %d exceeds cap %d" % (deg, LIMITS.max_degree))
 
 
-def check_bits(bits: int) -> None:
-    if bits > LIMITS.max_coeff_bits:
+def check_bits(nbits: int) -> None:
+    if nbits > LIMITS.max_coeff_bits:
         raise ResourceLimitError(
-            "coefficient size %d bits exceeds cap %d" % (bits, LIMITS.max_coeff_bits))
+            "coefficient size %d bits exceeds cap %d" % (nbits, LIMITS.max_coeff_bits))

@@ -99,11 +99,11 @@ def squarefree_part(f: Poly) -> Poly:
 # Eisenstein quick test
 # ---------------------------------------------------------------------------
 
-def _small_prime_factors(n: int, limit: int = 10000) -> list[int]:
+def _small_prime_factors(n: int) -> list[int]:
     n = abs(n)
     out = []
     d = 2
-    while d * d <= n and d <= limit:
+    while d * d <= n and d <= 10000:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
@@ -183,8 +183,8 @@ def _gf_edf(w: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]
             return _gf_edf(g, d, p, rng) + _gf_edf(rest, d, p, rng)
 
 
-def _gf_factor_squarefree(g: list[int], p: int, seed: int) -> list[list[int]]:
-    rng = random.Random(0xC0FFEE ^ seed ^ p)
+def _gf_factor_squarefree(g: list[int], p: int) -> list[list[int]]:
+    rng = random.Random(0xC0FFEE ^ p)
     out = []
     for d, w in _gf_ddf(g, p):
         out.extend(_gf_edf(w, d, p, rng))
@@ -249,7 +249,7 @@ def _degree_mask(pattern: list[int]) -> int:
     return mask
 
 
-def _factor_squarefree_z(G: list[int], seed: int) -> list[list[int]]:
+def _factor_squarefree_z(G: list[int]) -> list[list[int]]:
     """Irreducible factors of a primitive squarefree integer polynomial."""
     n = zx_deg(G)
     if n <= 1:
@@ -274,7 +274,7 @@ def _factor_squarefree_z(G: list[int], seed: int) -> list[list[int]]:
             q += 2
         gq = gf_from_zx(Gm, q)
         if zx_deg(gq) == n and zx_deg(gf_gcd(gq, gf_deriv(gq, q), q)) == 0:
-            fac = _gf_factor_squarefree(gf_monic(gq, q), q, seed)
+            fac = _gf_factor_squarefree(gf_monic(gq, q), q)
             cands.append((q, fac))
             mask &= _degree_mask([zx_deg(h) for h in fac])
         q += 2
@@ -343,7 +343,7 @@ def _factor_squarefree_z(G: list[int], seed: int) -> list[list[int]]:
     return out
 
 
-def factor_irreducible(f: Poly, seed: int = 0) -> FactorList:
+def factor_irreducible(f: Poly) -> FactorList:
     """Full irreducible factorization over Q (monic factors + content)."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -365,7 +365,7 @@ def factor_irreducible(f: Poly, seed: int = 0) -> FactorList:
             continue
         # parts are monic, so their monic irreducible factors multiply back
         # exactly; the content is untouched by this loop
-        for h in _factor_squarefree_z(prim, seed):
+        for h in _factor_squarefree_z(prim):
             factors.append((Poly(h).monic(), mult))
     factors.sort(key=lambda pe: _factor_sort_key(pe[0]))
     return FactorList(content, tuple(factors))

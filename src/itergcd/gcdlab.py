@@ -37,13 +37,11 @@ def _iterate_ne_c(q: Poly, k: int, c: Poly) -> Poly:
     return qk
 
 
-def gcd_iterates(f: Poly, g: Poly, c: Poly, m: int, n: int,
-                 seed: int = 0) -> Poly:
+def gcd_iterates(f: Poly, g: Poly, c: Poly, m: int, n: int) -> Poly:
     """Monic gcd(f^(m) - c, g^(n) - c); degenerate when an iterate equals c."""
     if m < 1 or n < 1:
         raise DegenerateInputError("iterate counts must be >= 1")
-    return poly_gcd(_iterate_ne_c(f, m, c) - c, _iterate_ne_c(g, n, c) - c,
-                    seed=seed)
+    return poly_gcd(_iterate_ne_c(f, m, c) - c, _iterate_ne_c(g, n, c) - c)
 
 
 GRID_COLUMNS = ("m", "n", "degree", "gcd", "factors", "millis")
@@ -62,9 +60,6 @@ class GcdGridReport:
     factor_universe: dict  # irreducible monic Poly -> max multiplicity seen
     stabilized: bool
     timings: dict          # (m, n) -> milliseconds
-
-    def cell_gcd(self, m: int, n: int) -> Poly:
-        return self.gcds[(m, n)]
 
     def _cells(self):
         """(m, n, gcd, [[rendered factor, e], ...], millis) per cell."""
@@ -161,7 +156,7 @@ def _trivial_cells(a: list[int], q: list[int], q_its: list, c: list[int],
     return [k for k in ks if len(gf_gcd(common, residues[k], p)) == 1]
 
 
-def _screen(f: Poly, g: Poly, c: Poly, pairs, seed: int) -> dict:
+def _screen(f: Poly, g: Poly, c: Poly, pairs) -> dict:
     """(m, n) -> millis for each cell whose gcd one prime certifies to be 1.
 
     The prime p divides no denominator and no leading numerator of f, g
@@ -203,7 +198,7 @@ def _screen(f: Poly, g: Poly, c: Poly, pairs, seed: int) -> dict:
         return {}
     forms = [q.int_form() for q in (f, g, c)]
     bad = [b for nums, den in forms for b in (den, *nums[-1:])]
-    p = next(p for p in prime_stream(seed) if all(b % p for b in bad))
+    p = next(p for p in prime_stream() if all(b % p for b in bad))
     fp, gp, cp = (gf_scale(nums, pow(den, -1, p), p) for nums, den in forms)
     f_its, g_its = _gf_iterates(fp, grid_n, p), _gf_iterates(gp, grid_n, p)
     screened = {}
@@ -225,7 +220,7 @@ def _minus_c(q: Poly, n: int, c: Poly) -> list:
 
 
 def gcd_grid(f: Poly, g: Poly, c: Poly, grid_n: int,
-             diagonal_only: bool = False, seed: int = 0) -> GcdGridReport:
+             diagonal_only: bool = False) -> GcdGridReport:
     """Factor every admissible grid cell and aggregate the factor universe.
 
     Cells where an iterate equals c are recorded in `degenerate` and skipped;
@@ -243,7 +238,7 @@ def gcd_grid(f: Poly, g: Poly, c: Poly, grid_n: int,
     pairs = _grid_pairs(grid_n, diagonal_only)
     _check_iterate_degree(f, grid_n)
     _check_iterate_degree(g, grid_n)
-    screened = _screen(f, g, c, pairs, seed)
+    screened = _screen(f, g, c, pairs)
     exact = [mn for mn in pairs if mn not in screened]
     # one left fold per map; iterate k - c is then formed once per k
     f_minus_c = _minus_c(f, max((m for m, _ in exact), default=0), c)
@@ -266,9 +261,9 @@ def gcd_grid(f: Poly, g: Poly, c: Poly, grid_n: int,
         elif gn is None:
             degenerate[(m, n)] = "g iterate %d equals c" % n
         else:
-            gcds[(m, n)] = gcd_mn = poly_gcd(fm, gn, seed=seed)
+            gcds[(m, n)] = gcd_mn = poly_gcd(fm, gn)
             cells[(m, n)] = (no_factors if gcd_mn.degree < 1
-                             else factor_irreducible(gcd_mn, seed=seed))
+                             else factor_irreducible(gcd_mn))
             timings[(m, n)] = (time.perf_counter() - t0) * 1000.0
     universe: dict = {}
     shell_new = False

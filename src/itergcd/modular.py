@@ -51,35 +51,27 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# (seed & 0xFFFF, bits) -> the primes of that stream found so far
-_STREAMS: dict[tuple[int, int], list[int]] = {}
-_STREAMS_LOCK = threading.Lock()
+# the primes of the stream found so far
+_PRIMES: list[int] = []
+_PRIMES_LOCK = threading.Lock()
 
 
-def prime_stream(seed: int = 0, bits: int = 29):
-    """Endless descending stream of primes just below 2**bits.
+def prime_stream():
+    """Endless descending stream of the primes below 2**29.
 
-    The seed only shifts the starting point so that independent runs with the
-    same seed pick identical primes (determinism contract).  The sequence is
-    deterministic, so the primes found are kept per stream and a later call
+    The sequence is fixed, so the primes found are kept and a later call
     replays them without testing a candidate twice.
     """
-    found = _STREAMS.setdefault((seed & 0xFFFF, bits), [])
     i = 0
     while True:
-        if i == len(found):
-            with _STREAMS_LOCK:
-                if i == len(found):
-                    if found:
-                        n = found[-1] - 2
-                    else:
-                        n = (1 << bits) - 1 - 2 * (seed & 0xFFFF)
-                        if n % 2 == 0:
-                            n -= 1
+        if i == len(_PRIMES):
+            with _PRIMES_LOCK:
+                if i == len(_PRIMES):
+                    n = _PRIMES[-1] - 2 if _PRIMES else (1 << 29) - 1
                     while not is_prime(n):
                         n -= 2
-                    found.append(n)
-        yield found[i]
+                    _PRIMES.append(n)
+        yield _PRIMES[i]
         i += 1
 
 
@@ -532,7 +524,7 @@ def rational_reconstruct(c: int, m: int):
 # gcd over Z: modular primary route, subresultant PRS fallback
 # ---------------------------------------------------------------------------
 
-def zx_gcd_modular(f: list[int], g: list[int], seed: int = 0) -> list[int]:
+def zx_gcd_modular(f: list[int], g: list[int]) -> list[int]:
     """Primitive gcd over Z of two integer polynomials (positive lc).
 
     Classic small-primes algorithm: monic gcd images modulo word-size primes
@@ -559,7 +551,7 @@ def zx_gcd_modular(f: list[int], g: list[int], seed: int = 0) -> list[int]:
     mod = 1
     stable = 0           # primes in a row that confirmed the candidate
     candidate = None
-    for drawn, p in enumerate(prime_stream(seed), 1):
+    for drawn, p in enumerate(prime_stream(), 1):
         if drawn > LIMITS.gcd_primes:
             raise ResourceLimitError(
                 "modular gcd used %d primes without a certified candidate"
@@ -669,7 +661,7 @@ def gf_resultant(f: list[int], g: list[int], p: int) -> int:
         a, b = b, r
 
 
-def zx_resultant(f: list[int], g: list[int], seed: int = 0) -> int:
+def zx_resultant(f: list[int], g: list[int]) -> int:
     """Res(f, g) over Z by CRT against a Hadamard-style bound."""
     if not f or not g:
         return 0
@@ -682,7 +674,7 @@ def zx_resultant(f: list[int], g: list[int], seed: int = 0) -> int:
     bound = 2 * n2f ** zx_deg(g) * n2g ** zx_deg(f) + 1
     lcs = f[-1] * g[-1]
     res, mod = 0, 1
-    for p in prime_stream(seed):
+    for p in prime_stream():
         if lcs % p == 0:
             continue
         rp = gf_resultant(f, g, p)

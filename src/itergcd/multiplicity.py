@@ -305,7 +305,7 @@ def multiplicity_bound(q: Poly, c: Poly,
             notes=params.notes)
 
     a1 = params.a1
-    s = root_of_unity_order(a1, LIMITS.unity_order)
+    s = root_of_unity_order(a1)
     if s == UNDECIDED:
         raise UndecidedError("root-of-unity order exceeded the search cap")
     if s == NOT_A_ROOT_OF_UNITY:

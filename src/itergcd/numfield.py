@@ -371,17 +371,15 @@ def _euler_phi(n: int) -> int:
     return out
 
 
-def root_of_unity_order(a: NumberFieldElem, cap: int | None = None):
+def root_of_unity_order(a: NumberFieldElem):
     """Smallest s with a^s = 1, or a definite/indefinite negative.
 
     Returns the order as an int, NOT_A_ROOT_OF_UNITY when that can be
-    certified, and UNDECIDED when every order up to the cap was excluded but
-    larger ones cannot be (a root of unity of order s has minimal polynomial
-    of degree phi(s), and phi(s) = d forces s <= 2 d^2, so the answer is
-    definite whenever 2 d^2 <= cap).
+    certified, and UNDECIDED when every order up to LIMITS.unity_order was
+    excluded but larger ones cannot be (a root of unity of order s has
+    minimal polynomial of degree phi(s), and phi(s) = d forces s <= 2 d^2,
+    so the answer is definite whenever 2 d^2 <= LIMITS.unity_order).
     """
-    if cap is None:
-        cap = LIMITS.unity_order
     if a.is_zero():
         raise DegenerateInputError("zero is not a candidate root of unity")
     if a.is_rational():
@@ -400,6 +398,7 @@ def root_of_unity_order(a: NumberFieldElem, cap: int | None = None):
             return NOT_A_ROOT_OF_UNITY
     d = m.degree
     exhaustive = 2 * d * d        # phi(s) >= sqrt(s/2), so s <= 2 phi(s)^2
+    cap = LIMITS.unity_order
     for s in range(1, min(cap, exhaustive) + 1):
         if _euler_phi(s) == d and a ** s == 1:
             return s

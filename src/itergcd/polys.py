@@ -86,10 +86,6 @@ class Poly:
     def x(cls) -> "Poly":
         return cls._make((0, 1), 1)
 
-    @classmethod
-    def monomial(cls, k: int, a: Scalar = 1) -> "Poly":
-        return cls([0] * k + [Fraction(a)])
-
     # -- basics ------------------------------------------------------------
 
     @property
@@ -455,7 +451,7 @@ def _compose_checked(outer: Poly, inner: Poly) -> Poly:
 # gcd and resultant frontends
 # ---------------------------------------------------------------------------
 
-def poly_gcd(f: Poly, g: Poly, seed: int = 0) -> Poly:
+def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd over Q (modular route)."""
     if f.is_zero() and g.is_zero():
         return Poly.zero()
@@ -465,7 +461,7 @@ def poly_gcd(f: Poly, g: Poly, seed: int = 0) -> Poly:
         return f.monic()
     fn, _ = f.int_form()
     gn, _ = g.int_form()
-    h = modular.zx_gcd_modular(fn, gn, seed=seed)
+    h = modular.zx_gcd_modular(fn, gn)
     return _canon(h, 1, 1).monic()
 
 
@@ -483,13 +479,13 @@ def poly_gcd_subresultant(f: Poly, g: Poly) -> Poly:
     return _canon(h, 1, 1).monic()
 
 
-def resultant(f: Poly, g: Poly, seed: int = 0) -> Fraction:
+def resultant(f: Poly, g: Poly) -> Fraction:
     """Res(f, g) over Q, computed modularly on cleared denominators."""
     if f.is_zero() or g.is_zero():
         return Fraction(0)
     fn, fd = f.int_form()
     gn, gd = g.int_form()
-    r = modular.zx_resultant(fn, gn, seed=seed)
+    r = modular.zx_resultant(fn, gn)
     return Fraction(r, fd ** g.degree * gd ** f.degree)
 
 

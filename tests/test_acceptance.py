@@ -99,7 +99,7 @@ def test_diagonal_grid_trivial_gcds(acceptance):
     # the factor universe stabilizes
     t0 = time.perf_counter()
     report = gcd_grid(2 * X, 3 * X + 1, X ** 2, 12, diagonal_only=True)
-    ok = all(report.cell_gcd(n, n) == Poly.const(1) for n in range(2, 13))
+    ok = all(report.gcds[(n, n)] == Poly.const(1) for n in range(2, 13))
     ok = ok and report.stabilized
     dt = time.perf_counter() - t0
     ok = ok and dt < 5.0

@@ -10,12 +10,10 @@ from itergcd.dynamics import (
     NOT_PERIODIC,
     OrbitRecord,
     Word,
-    affine_map,
     chebyshev,
     compositional_power_check,
     independence_probe,
     orbit,
-    power_map,
     ramified_cycle_check,
     word_compose,
 )
@@ -63,6 +61,20 @@ def test_orbit_escape_by_steps():
     assert len(rec.points) == 11
 
 
+@pytest.mark.parametrize("caps", [{"step_cap": 0}, {"step_cap": -3},
+                                  {"size_cap": 0}, {"size_cap": -1}])
+def test_orbit_refuses_a_cap_below_one(caps):
+    # a cap of 0 would report an escape after no step, or the 2-cycle
+    # 0 -> -1 -> 0 of x^2 - 1 as escaped by size
+    with pytest.raises(DegenerateInputError):
+        orbit(X ** 2 - 1, Q.element(0), **caps)
+
+
+def test_orbit_step_cap_one_takes_one_step():
+    rec = orbit(X + 1, Q.element(0), step_cap=1)
+    assert rec.escape_reason == "step cap" and len(rec.points) == 2
+
+
 def test_orbit_in_number_field():
     field = NumberField(X ** 2 - 2)
     rec = orbit(X ** 2 - 1, field.generator())  # sqrt2 -> 1 -> 0 -> -1 -> 0
@@ -98,7 +110,6 @@ def test_compositional_power_check():
 def test_word_canonical_form():
     w = Word.from_letters("FFGFF")
     assert w.runs == (("F", 2), ("G", 1), ("F", 2))
-    assert w.total_exponent == 5
     assert w.letters() == "FFGFF"
     assert w.render() == "F^2GF^2"
     with pytest.raises(DegenerateInputError):
@@ -154,16 +165,6 @@ def test_chebyshev_defining_identity():
         assert lhs == y ** d + 1 / y ** d
 
 
-def test_standard_families():
-    assert power_map(3) == X ** 3
-    assert power_map(2, gamma=Fraction(1, 2)) == Poly.monomial(2, Fraction(1, 2))
-    assert affine_map(2, 3) == Poly([3, 2])
-    with pytest.raises(DegenerateInputError):
-        affine_map(0, 1)
-    with pytest.raises(DegenerateInputError):
-        power_map(0)
-
-
 def test_orbit_record_is_frozen():
     rec = orbit(X ** 2, Q.element(0))
     with pytest.raises(Exception):
@@ -208,3 +209,12 @@ def test_independence_probe_checks_the_degree_cap(monkeypatch):
     assert independence_probe(f, g, 3) == ("no-collision-up-to", 3)
     with pytest.raises(ResourceLimitError):
         independence_probe(f, g, 4)
+
+
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_independence_probe_refuses_an_empty_search(max_len):
+    # no word has length <= 0, so "no collision" would be vacuous
+    with pytest.raises(DegenerateInputError):
+        independence_probe(X ** 2, X ** 2 + 1, max_len)
+    assert independence_probe(X ** 2, X ** 2 + 1, 1) == \
+        ("no-collision-up-to", 1)

@@ -44,8 +44,8 @@ def test_gcd_iterates_rejects_degenerate():
 
 def test_gcd_grid_worked_example():
     report = gcd_grid(2 * X, X + 1, X ** 2, 2)
-    assert report.cell_gcd(1, 2) == X - 2
-    assert report.cell_gcd(1, 1) == Poly.const(1)
+    assert report.gcds[(1, 2)] == X - 2
+    assert report.gcds[(1, 1)] == Poly.const(1)
     assert set(report.factor_universe) == {X - 2}
     assert report.factor_universe[X - 2] == 1
     assert not report.degenerate
@@ -64,9 +64,9 @@ def test_gcd_grid_diagonal_only():
     report = gcd_grid(X ** 3 + X ** 2, X ** 3 + 5 * X ** 2, Poly.zero(), 3,
                       diagonal_only=True)
     assert sorted(report.cells) == [(1, 1), (2, 2), (3, 3)]
-    assert report.cell_gcd(1, 1) == X ** 2
-    assert report.cell_gcd(2, 2) == X ** 4
-    assert report.cell_gcd(3, 3) == X ** 8
+    assert report.gcds[(1, 1)] == X ** 2
+    assert report.gcds[(2, 2)] == X ** 4
+    assert report.gcds[(3, 3)] == X ** 8
     assert report.factor_universe == {X: 8}
     # the factor set is stable from the first cell even though the central
     # multiplicity doubles along the diagonal without bound

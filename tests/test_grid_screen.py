@@ -12,13 +12,15 @@ from fractions import Fraction
 
 import pytest
 
-from itergcd import gcdlab
+from itergcd import gcdlab, modular
 from itergcd.errors import DegenerateInputError, LIMITS, ResourceLimitError
 from itergcd.factoring import FactorList, factor_irreducible
 from itergcd.gcdlab import gcd_grid, gcd_iterates
 from itergcd.modular import gf_from_zx, gf_gcd, prime_stream
 from itergcd.parser import parse_poly
-from itergcd.polys import Poly, iterate, iterates, render_poly
+from itergcd.polys import (
+    Poly, iterate, iterates, poly_gcd, render_poly, resultant,
+)
 
 X = Poly.x()
 
@@ -153,9 +155,9 @@ def test_unlucky_and_bad_primes_fall_back_to_the_exact_route(monkeypatch):
         assert gcd_iterates(f, g, c, m, n) == Poly.const(1)
         assert len(gf_gcd(_image(fm, 13), _image(gn, 13), 13)) > 1
 
-    def stream(seed=0, bits=29):
+    def stream():
         yield from (3, 7, 13)
-        yield from prime_stream(seed, bits)
+        yield from prime_stream()
 
     want = reference_json(f, g, c, 3)
     monkeypatch.setattr(gcdlab, "prime_stream", stream)
@@ -226,8 +228,8 @@ def test_primes_dividing_a_leading_numerator_are_skipped(monkeypatch):
     f, g = parse_poly("13*x^2+25*x-2"), parse_poly("13*x^2+38*x-3")
     want = reference_json(f, g, Poly.zero(), 2)
     assert want["cells"][0]["gcd"] == "x-1/13"
-    monkeypatch.setattr(gcdlab, "prime_stream", lambda seed=0, bits=29:
-                        itertools.chain([13], prime_stream(seed, bits)))
+    monkeypatch.setattr(gcdlab, "prime_stream",
+                        lambda: itertools.chain([13], prime_stream()))
     assert grid_json(f, g, Poly.zero(), 2) == want
 
 
@@ -235,3 +237,40 @@ def test_constant_maps_take_the_exact_route(monkeypatch):
     gcd_calls = _count_calls(monkeypatch, "poly_gcd")
     rep = gcd_grid(Poly.const(3), parse_poly("x^2-1"), X, 2)
     assert len(gcd_calls) == len(rep.cells) == 4
+
+
+# ---------------------------------------------------------------------------
+# the choice of primes cannot be observed
+# ---------------------------------------------------------------------------
+
+def _prime_dependent_results(seed):
+    """Grids, gcds, factorizations and resultants of 50 seeded cases."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(50):
+        f, g, c, grid_n, diagonal = random_grid(rng)
+        h = _map(rng, rng.randint(1, 2), rng.random() < 0.5)
+        out.append((grid_json(f, g, c, grid_n, diagonal),
+                    poly_gcd(f * h, g * h), poly_gcd(iterate(f, 2) - c, g - c),
+                    factor_irreducible(f * g * h),
+                    resultant(f, g), resultant(f * h, g * g + 1)))
+    return out
+
+
+@pytest.mark.parametrize("skip", [1, 3, 7])
+def test_results_do_not_depend_on_the_primes_drawn(monkeypatch, skip):
+    # an exact small-primes algorithm gives the same answer whichever primes
+    # it draws: a stream that starts `skip` primes later must not show
+    want = _prime_dependent_results(2027)
+    drawn = set()
+
+    def later():
+        for p in itertools.islice(prime_stream(), skip, None):
+            drawn.add(p)
+            yield p
+
+    monkeypatch.setattr(modular, "prime_stream", later)
+    monkeypatch.setattr(gcdlab, "prime_stream", later)
+    assert _prime_dependent_results(2027) == want
+    first = list(itertools.islice(prime_stream(), skip + 1))
+    assert first[skip] in drawn and drawn.isdisjoint(first[:skip])

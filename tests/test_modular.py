@@ -44,7 +44,7 @@ def test_is_prime_small_and_carmichael():
 
 def test_prime_stream_distinct_and_prime():
     seen = []
-    stream = prime_stream(seed=3)
+    stream = prime_stream()
     for _ in range(20):
         p = next(stream)
         assert is_prime(p)
@@ -53,15 +53,9 @@ def test_prime_stream_distinct_and_prime():
         seen.append(p)
 
 
-def test_prime_stream_seed_determinism():
-    a = [next(prime_stream(seed=5)) for _ in range(1)]
-    b = [next(prime_stream(seed=5)) for _ in range(1)]
-    assert a == b
-
-
-def _fresh_primes(seed, count, bits=29):
-    """The first primes of a stream, straight from is_prime."""
-    n = (1 << bits) - 1 - 2 * (seed & 0xFFFF)
+def _fresh_primes(count):
+    """The first primes of the stream, straight from is_prime."""
+    n = (1 << 29) - 1
     out = []
     while len(out) < count:
         if is_prime(n):
@@ -70,28 +64,36 @@ def _fresh_primes(seed, count, bits=29):
     return out
 
 
+def test_two_fresh_streams_yield_the_same_primes(monkeypatch):
+    monkeypatch.setattr(modular, "_PRIMES", [])
+    a = list(itertools.islice(prime_stream(), 8))
+    monkeypatch.setattr(modular, "_PRIMES", [])
+    b = list(itertools.islice(prime_stream(), 8))
+    assert a == b == _fresh_primes(8)
+    assert a[0] == (1 << 29) - 3 and a == sorted(a, reverse=True)
+
+
 def test_prime_stream_memo_keeps_order(monkeypatch):
-    monkeypatch.setattr(modular, "_STREAMS", {})
-    a, b = prime_stream(seed=9), prime_stream(seed=9)
+    monkeypatch.setattr(modular, "_PRIMES", [])
+    a, b = prime_stream(), prime_stream()
     first = [next(a) for _ in range(5)]
     # b replays the five, then both extend the one shared list
     got_b = [next(b) for _ in range(12)]
     got_a = first + [next(a) for _ in range(10)]
-    assert got_b == _fresh_primes(9, 12)
-    assert got_a == _fresh_primes(9, 15)
-    assert next(prime_stream(seed=9 + 0x10000)) == first[0]
-    assert next(prime_stream(seed=9, bits=20)) == _fresh_primes(9, 1, 20)[0]
+    assert got_b == _fresh_primes(12)
+    assert got_a == _fresh_primes(15)
+    assert modular._PRIMES == got_a
 
 
 def test_prime_stream_memo_threads(monkeypatch):
-    monkeypatch.setattr(modular, "_STREAMS", {})
-    want = _fresh_primes(77, 400)
+    monkeypatch.setattr(modular, "_PRIMES", [])
+    want = _fresh_primes(400)
     got = {}
 
     start = threading.Barrier(6, timeout=60)
 
     def pull(t):
-        stream = prime_stream(seed=77)
+        stream = prime_stream()
         start.wait()
         got[t] = list(itertools.islice(stream, 400))
 
@@ -107,18 +109,18 @@ def test_prime_stream_memo_threads(monkeypatch):
         sys.setswitchinterval(old)
     assert not any(w.is_alive() for w in workers)
     assert got == {t: want for t in range(6)}
-    assert modular._STREAMS[(77, 29)] == want
+    assert modular._PRIMES == want
 
 
 def test_prime_stream_memo_skips_retests(monkeypatch):
-    monkeypatch.setattr(modular, "_STREAMS", {})
+    monkeypatch.setattr(modular, "_PRIMES", [])
     calls = []
     real = modular.is_prime
     monkeypatch.setattr(modular, "is_prime",
                         lambda n: calls.append(n) or real(n))
-    first = list(itertools.islice(prime_stream(seed=4), 6))
+    first = list(itertools.islice(prime_stream(), 6))
     tested = len(calls)
-    again = list(itertools.islice(prime_stream(seed=4), 6))
+    again = list(itertools.islice(prime_stream(), 6))
     assert again == first and len(calls) == tested
 
 

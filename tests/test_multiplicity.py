@@ -260,8 +260,8 @@ def test_divisor_h_checks_the_grid_gcds_themselves(monkeypatch):
 
     factor = gcdlab.factor_irreducible
 
-    def lossy(f, seed=0):
-        fl = factor(f, seed=seed)
+    def lossy(f):
+        fl = factor(f)
         return FactorList(fl.content, tuple(
             (p, e) for p, e in fl.factors if p != X ** 2 - 2))
 

@@ -168,9 +168,10 @@ def test_root_of_unity_orders():
     assert root_of_unity_order(z) == NOT_A_ROOT_OF_UNITY
 
 
-def test_root_of_unity_cap_undecided():
+def test_root_of_unity_cap_undecided(monkeypatch):
     hexa = NumberField(X ** 2 - X + 1)
-    assert root_of_unity_order(hexa.generator(), cap=3) == UNDECIDED
+    monkeypatch.setattr(LIMITS, "unity_order", 3)
+    assert root_of_unity_order(hexa.generator()) == UNDECIDED
     with pytest.raises(DegenerateInputError):
         root_of_unity_order(GAUSS.zero())
 

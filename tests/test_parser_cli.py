@@ -245,6 +245,19 @@ def test_cli_out_file_atomic(tmp_path, capsys):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("where", ["missing/x.csv", "."])
+def test_cli_out_unwritable_is_a_usage_error(tmp_path, capsys, where):
+    # a missing directory fails in mkstemp, a directory as target in replace
+    target = tmp_path / where
+    code, out, err = run_cli(capsys, "gcd-grid", "--f", "x^2", "--g",
+                             "x^2+1", "--c", "0", "--N", "2",
+                             "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("itergcd: cannot write %s: " % target)
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == []
+
+
 def test_cli_format_override(capsys):
     code, out, _ = run_cli(capsys, "mult-cert", "--q", "x^2-2", "--c", "2",
                            "--lambda-minpoly", "t+2", "--format", "csv")
@@ -312,6 +325,19 @@ def test_cli_indep_witness(capsys):
     d = json.loads(out)
     assert d["status"] == "dependent"
     assert sorted(d["witness"]) == ["FG", "G^2F"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("orbit", "--q", "x^2-1", "--x", "0", "--step-cap", "0"),
+    ("orbit", "--q", "x^2-1", "--x", "0", "--step-cap", "-3"),
+    ("orbit", "--q", "x^2-1", "--x", "0", "--size-cap", "0"),
+    ("indep", "--f", "x^2", "--g", "x^2+1", "--max-len", "0"),
+    ("indep", "--f", "x^2", "--g", "x^2+1", "--max-len", "-1"),
+])
+def test_cli_refuses_a_vacuous_search(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "DegenerateInputError" in err
 
 
 @pytest.mark.parametrize("argv, listed", [
