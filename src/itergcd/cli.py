@@ -44,10 +44,6 @@ from .parser import parse_poly
 from .polys import Poly, render_poly
 
 
-def _poly_arg(text: str) -> Poly:
-    return parse_poly(text)
-
-
 def _fraction_arg(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -95,14 +91,14 @@ def _write_out(data: bytes, out_path: str | None) -> bool:
 # ---------------------------------------------------------------------------
 
 def _cmd_gcd_grid(args):
-    rep = gcd_grid(_poly_arg(args.f), _poly_arg(args.g), _poly_arg(args.c),
+    rep = gcd_grid(parse_poly(args.f), parse_poly(args.g), parse_poly(args.c),
                    args.N, diagonal_only=args.diagonal)
     return rep, "csv", 0
 
 
 def _cmd_divisor(args):
-    h, certs = divisor_h(_poly_arg(args.f), _poly_arg(args.g),
-                         _poly_arg(args.c), args.N)
+    h, certs = divisor_h(parse_poly(args.f), parse_poly(args.g),
+                         parse_poly(args.c), args.N)
     report = {
         "f": args.f, "g": args.g, "c": args.c, "grid_n": args.N,
         "h": render_poly(h), "h_degree": h.degree,
@@ -114,13 +110,13 @@ def _cmd_divisor(args):
 
 def _cmd_mult_cert(args):
     field = NumberField(parse_poly(args.lambda_minpoly))
-    cert = multiplicity_bound(_poly_arg(args.q), _poly_arg(args.c), field)
+    cert = multiplicity_bound(parse_poly(args.q), parse_poly(args.c), field)
     return cert, "json", 0
 
 
 def _cmd_height(args):
     x = _field_point(args)
-    hv = canonical_height(_poly_arg(args.f), x, steps=args.steps)
+    hv = canonical_height(parse_poly(args.f), x, steps=args.steps)
     report = {"f": args.f, "x": args.x or args.lambda_minpoly,
               "steps": args.steps,
               "value": hv.value, "error_bound": hv.error_bound}
@@ -128,13 +124,13 @@ def _cmd_height(args):
 
 
 def _cmd_special_probe(args):
-    rows = special_probe(_poly_arg(args.f), _poly_arg(args.c),
+    rows = special_probe(parse_poly(args.f), parse_poly(args.c),
                          args.n_lo, args.n_hi, steps=args.steps)
     return ProbeReport(args.f, args.c, tuple(rows)), "csv", 0
 
 
 def _cmd_orbit(args):
-    rec = orbit(_poly_arg(args.q), _field_point(args),
+    rec = orbit(parse_poly(args.q), _field_point(args),
                 step_cap=args.step_cap, size_cap=args.size_cap)
     report = {
         "q": args.q,
@@ -146,7 +142,7 @@ def _cmd_orbit(args):
 
 
 def _cmd_ramified(args):
-    verdict = ramified_cycle_check(_poly_arg(args.q), _field_point(args))
+    verdict = ramified_cycle_check(parse_poly(args.q), _field_point(args))
     return {"q": args.q, "point": args.x or args.lambda_minpoly,
             "classification": verdict}, "json", 0
 
@@ -156,7 +152,7 @@ def _cmd_linear(args):
         if not (args.f and args.g):
             raise DegenerateInputError("give both --f and --g, or neither")
         alpha, beta, gamma, shift, swapped = linear_normal_form(
-            _poly_arg(args.f), _poly_arg(args.g))
+            parse_poly(args.f), parse_poly(args.g))
     else:
         if not (args.alpha and args.beta and args.gamma):
             raise DegenerateInputError(
@@ -165,7 +161,7 @@ def _cmd_linear(args):
         beta = _fraction_arg(args.beta)
         gamma = _fraction_arg(args.gamma)
         shift, swapped = Fraction(0), False
-    c = _poly_arg(args.c) if args.c else None
+    c = parse_poly(args.c) if args.c else None
     if c is not None and shift != 0:
         c = c.shift(shift) - Poly.const(shift)
     lam = linear_common_root(alpha, beta, gamma, args.n, c=c)
@@ -179,7 +175,7 @@ def _cmd_linear(args):
 
 
 def _cmd_indep(args):
-    status, detail = independence_probe(_poly_arg(args.f), _poly_arg(args.g),
+    status, detail = independence_probe(parse_poly(args.f), parse_poly(args.g),
                                         args.max_len)
     report = {"f": args.f, "g": args.g, "status": status}
     if status == "dependent":

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateInputError, LIMITS, VerificationError
-from .polys import Poly, _compose_checked, iterate
+from .polys import Poly, _compose_checked, iterate, iterates
 from .numfield import NumberFieldElem, nf_eval
 
 IN_RAMIFIED = "in-ramified-cycle"
@@ -106,11 +106,9 @@ def compositional_power_check(c: Poly, f: Poly):
         return "none"
     if f.degree == 1:
         # degrees carry no information; bounded direct search
-        acc = f
-        for k in range(1, LIMITS.power_search + 1):
-            if acc == c:
+        for k, fk in enumerate(iterates(f, LIMITS.power_search), 1):
+            if fk == c:
                 return k
-            acc = acc.compose(f)
         return "none"
     df, dc = f.degree, c.degree
     k, pw = 0, 1

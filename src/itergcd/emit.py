@@ -16,7 +16,7 @@ import json
 from fractions import Fraction
 
 from .errors import DegenerateInputError
-from .polys import _decimal
+from .polys import _fmt_coeff
 
 FORMATS = ("json", "csv", "md")
 
@@ -27,10 +27,7 @@ def _round_floats(obj):
     if isinstance(obj, float):
         return float("%.12g" % obj)
     if isinstance(obj, Fraction):
-        # _decimal renders integers past the interpreter's int->str limit
-        text = _decimal(abs(obj.numerator))
-        if obj.denominator != 1:
-            text += "/" + _decimal(obj.denominator)
+        text = _fmt_coeff(abs(obj))
         return "-" + text if obj < 0 else text
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .emit import md_table
 from .errors import DegenerateInputError
-from .factoring import FactorList, factor_irreducible
+from .factoring import FactorList, _factor_sort_key, factor_irreducible
 from .modular import (
     gf_add, gf_compose_mod, gf_gcd, gf_mul, gf_rem, gf_scale, gf_sub,
     prime_stream,
@@ -71,7 +71,7 @@ class GcdGridReport:
     def _universe(self):
         return [[render_poly(p), e]
                 for p, e in sorted(self.factor_universe.items(),
-                                   key=lambda t: (t[0].degree, t[0].coeffs))]
+                                   key=lambda t: _factor_sort_key(t[0]))]
 
     def to_json_dict(self) -> dict:
         return {

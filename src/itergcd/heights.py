@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .emit import md_table
 from .errors import DegenerateInputError, LIMITS, ResourceLimitError
-from .factoring import factor_irreducible
+from .factoring import _factor_sort_key, factor_irreducible
 from .numfield import (
     NumberField,
     NumberFieldElem,
@@ -252,7 +252,7 @@ def _pick_factor(factors: list[Poly]) -> Poly:
     """Deterministic factor choice: lowest degree, then smallest coeffs."""
     if not factors:
         raise DegenerateInputError("no irreducible factors to choose a root from")
-    return min(factors, key=lambda q: (q.degree, q.coeffs))
+    return min(factors, key=_factor_sort_key)
 
 
 def _tower(f: Poly, c: Poly, its: list[Poly]):

@@ -37,6 +37,7 @@ from .errors import (
     UndecidedError,
     VerificationError,
 )
+from .factoring import _factor_sort_key
 from .gcdlab import gcd_grid
 from .heights import weil_height_alg
 from .modular import _binary_power
@@ -434,7 +435,7 @@ def divisor_h(f: Poly, g: Poly, c: Poly, grid_n: int):
     certs: dict[Poly, MultiplicityCertificate] = {}
     h = Poly.const(1)
     for p, mult in sorted(grid.factor_universe.items(),
-                          key=lambda t: (t[0].degree, t[0].coeffs)):
+                          key=lambda t: _factor_sort_key(t[0])):
         lam_field = NumberField(p, check=False)
         try:
             cert = multiplicity_bound(primary, c, lam_field)

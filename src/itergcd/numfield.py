@@ -8,8 +8,9 @@ measures; every certificate-grade decision goes through exact zero tests.
 
 Jets are truncated Taylor expansions with coefficients in a number field.
 They exist so that high compositional powers of a polynomial never have to
-be expanded in full: composing two order-K jets costs O(K^2) field
-multiplications regardless of the degree of the underlying maps.
+be expanded in full: composing the order-K jet of a degree-d map with any
+order-K jet costs O(d K^2) field multiplications, however high the iterate
+the inner jet stands for.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     LIMITS,
     ResourceLimitError,
 )
-from .factoring import is_irreducible
+from .factoring import _small_prime_factors, is_irreducible
 from .modular import _binary_power
 from .polys import Poly, render_poly
 
@@ -358,16 +359,8 @@ def embed_elem(a: NumberFieldElem) -> list[complex]:
 
 def _euler_phi(n: int) -> int:
     out = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out -= out // m
+    for p in _small_prime_factors(n):
+        out -= out // p
     return out
 
 
@@ -537,23 +530,13 @@ def jet_compose(outer: Jet, inner: Jet) -> Jet:
             "inner jet value does not match outer jet center")
     if inner.order != outer.order:
         raise DegenerateInputError("jet orders do not match")
-    K = outer.order
-    F = outer.field
-    zero = F.zero()
-    # shifted inner: s(x) = inner(x) - outer.center has zero constant term
-    s = [zero] + list(inner.coeffs[1:])
-    snz = [(j, b) for j, b in enumerate(s) if not b.is_zero()]
-    acc = [zero] * K
-    acc[0] = outer.coeffs[K - 1]
-    for i in range(K - 2, -1, -1):
-        nxt = [zero] * K
-        for u, a in enumerate(acc):
-            if a.is_zero():
-                continue
-            for j, b in snz:
-                if u + j >= K:
-                    break
-                nxt[u + j] = nxt[u + j] + a * b
-        nxt[0] = nxt[0] + outer.coeffs[i]
-        acc = nxt
-    return Jet(inner.center, acc)
+    # Horner in s = inner - outer.center, which has zero constant term,
+    # from outer's last nonzero coefficient
+    cs = outer.coeffs
+    top = max((i for i, a in enumerate(cs) if not a.is_zero()), default=0)
+    s = inner + (-outer.center)
+    zeros = (outer.field.zero(),) * (outer.order - 1)
+    acc = Jet(inner.center, (cs[top],) + zeros)
+    for a in reversed(cs[:top]):
+        acc = acc * s + a
+    return acc

@@ -29,6 +29,7 @@ from itergcd.modular import (
     prime_stream,
     rational_reconstruct,
     zx_gcd_modular,
+    zx_gcd_subresultant,
     zx_mul,
     zx_primitive,
 )
@@ -268,6 +269,25 @@ def test_zx_gcd_modular_bad_images_hit_the_prime_cap(monkeypatch):
     monkeypatch.setattr(LIMITS, "gcd_primes", 20)
     with pytest.raises(ResourceLimitError):
         zx_gcd_modular([-1, 0, 1], [-1, 1])
+
+
+def test_zx_gcd_modular_skips_an_unlucky_prime(monkeypatch):
+    # (x-1)(x-3) and (x-1)(x-5) are both (x+1)^2 mod 2: after a good
+    # prime set the degree to 1, the image of degree 2 must be dropped
+    f = zx_mul([-1, 1], [-3, 1])
+    g = zx_mul([-1, 1], [-5, 1])
+    assert len(gf_gcd(gf_from_zx(f, 2), gf_from_zx(g, 2), 2)) == 3
+    real = modular.prime_stream
+    drawn = []
+
+    def stream():
+        for p in itertools.chain((1000003, 2), real()):
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(modular, "prime_stream", stream)
+    assert zx_gcd_modular(f, g) == zx_gcd_subresultant(f, g) == [-1, 1]
+    assert drawn[:2] == [1000003, 2] and len(drawn) > 2
 
 
 # ---------------------------------------------------------------------------

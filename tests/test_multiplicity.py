@@ -7,10 +7,13 @@ from itergcd.errors import (
     HypothesisViolationError,
     LIMITS,
     ResourceLimitError,
+    UndecidedError,
     VerificationError,
 )
+from itergcd import multiplicity
 from itergcd.multiplicity import (
     MultiplicityCertificate,
+    _exceptional_power_solutions,
     direct_v,
     divisor_h,
     multiplicity_bound,
@@ -268,6 +271,44 @@ def test_divisor_h_checks_the_grid_gcds_themselves(monkeypatch):
     monkeypatch.setattr(gcdlab, "factor_irreducible", lossy)
     with pytest.raises(VerificationError, match="does not divide"):
         divisor_h(X ** 2 - 2, X ** 2 - 1, Poly.zero(), 4)
+
+
+def test_divisor_h_falls_back_to_g_when_f_is_undecided(monkeypatch):
+    # for non-constant c an undecided certificate for f is retried with g
+    f, g, c = X ** 2 - 1, X ** 2 + X - 1, X
+    bound = multiplicity.multiplicity_bound
+    tried = []
+
+    def undecided_for_f(q, c, field):
+        tried.append(q)
+        if q == f:
+            raise UndecidedError("f left undecided")
+        return bound(q, c, field)
+
+    monkeypatch.setattr(multiplicity, "multiplicity_bound", undecided_for_f)
+    h, certs = divisor_h(f, g, c, 4)
+    assert certs and tried.count(f) == tried.count(g) == len(certs)
+    for p, cert in certs.items():
+        assert cert == bound(g, c, NumberField(p, check=False))
+
+
+def test_divisor_h_constant_c_has_no_fallback(monkeypatch):
+    def undecided(q, c, field):
+        raise UndecidedError("undecided")
+
+    monkeypatch.setattr(multiplicity, "multiplicity_bound", undecided)
+    with pytest.raises(UndecidedError, match="undecided"):
+        divisor_h(X ** 2 - 2, X ** 2 - 1, Poly.zero(), 4)
+
+
+def test_exceptional_power_past_the_scan_cap(monkeypatch):
+    # past LIMITS.power_search the height ratio h(w)/h(a1) names the one
+    # candidate exponent, which is then checked exactly
+    monkeypatch.setattr(LIMITS, "power_search", 3)
+    Q = NumberField.rationals()
+    two = Q.element(2)
+    assert _exceptional_power_solutions(two, Q.element(1024)) == [10]
+    assert _exceptional_power_solutions(two, Q.element(3)) == []
 
 
 # ---------------------------------------------------------------------------

@@ -48,3 +48,36 @@ def test_emit_knows_no_report_type():
     assigned = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
     assert not {name for name in assigned if name.endswith("_COLUMNS")}
+
+
+def _unused_imports(tree):
+    """(name, line) of every imported name that the module never reads.
+
+    A name counts as read when it is loaded anywhere (an attribute base
+    included) or listed in ``__all__``."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [((alias.asname or alias.name).split(".")[0],
+                          node.lineno) for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    return [(name, line) for name, line in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused, exempt = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        for name, line in _unused_imports(ast.parse(source, str(path))):
+            noqa = "noqa: F401" in lines[line - 1]
+            (exempt if noqa else unused).append("%s: %s" % (path.name, name))
+    assert unused == []
+    # the one re-export: perfbench/checks.py reads heights.iterate
+    assert exempt == ["heights.py: iterate"]
