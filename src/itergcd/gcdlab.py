@@ -143,7 +143,7 @@ def _trivial_cells(a: list[int], q: list[int], q_its: list, c: list[int],
     residues = {}
     y = gf_rem([0, 1], a, p)
     for k in range(1, max(wanted) + 1):
-        small = q_its[k - 1]
+        small = q_its[k - 1] if k <= len(q_its) else a
         y = small if len(small) < len(a) else gf_compose_mod(q, y, a, p)
         if k in wanted:
             residues[k] = gf_rem(gf_sub(y, c, p), a, p)
@@ -163,54 +163,43 @@ def _screen(f: Poly, g: Poly, c: Poly, pairs) -> dict:
     and c, so f^m - c keeps its degree mod p unless deg f^m = deg c, and
     likewise for g.  The image mod p of the primitive gcd over Q then keeps
     its degree and divides the gcd mod p: a cell whose gcd mod p is 1 has
-    gcd 1.  The iterates of f and g mod p come from one left fold each.
+    gcd 1.
 
-    Row m, reducing g's iterates modulo f^m - c, screens its cells when
-    deg(f^m - c) <= deg(g^n - c) for one of them: each row costs one
-    Euclid, so a row that runs takes its whole line (with deg f = deg g
-    every row runs, and no column is needed).  The cells of the other rows
-    are screened by their column n, with the roles of f and g swapped.  A
-    screened cell's millis is its share of the time of the line that
-    decided it.  Rows and columns whose iterate has the degree of c, the
-    only ones where an iterate can equal c, and constant maps are left to
-    the exact route.
+    The rows are the lines f^m - c of the lower-degree map (f and g swap
+    when deg f > deg g), and one Euclid modulo a row screens all its cells;
+    a screened cell's millis is its share of its row's time.  g's iterates
+    are folded mod p only while shorter than the largest row, and each row
+    reduces the longer ones itself.  Lines whose iterate has the degree of
+    c, the only ones where an iterate can equal c, and constant maps are
+    left to the exact route.
     """
     if f.degree < 1 or g.degree < 1:
         return {}
-    grid_n, dc = max(map(max, pairs)), c.degree
-
-    def degrees(d):
-        return [None if d ** k == dc else max(d ** k, dc)
-                for k in range(1, grid_n + 1)]
-
-    fdeg, gdeg = degrees(f.degree), degrees(g.degree)
+    grid_n, swap = max(map(max, pairs)), f.degree > g.degree
+    if swap:
+        f, g, pairs = g, f, [(n, m) for m, n in pairs]
     rows: dict = {}
-    cols: dict = {}
-    live = [(m, n) for m, n in pairs
-            if fdeg[m - 1] is not None and gdeg[n - 1] is not None]
-    row_ms = {m for m, n in live if fdeg[m - 1] <= gdeg[n - 1]}
-    for m, n in live:
-        if m in row_ms:
+    for m, n in pairs:
+        if c.degree not in (f.degree ** m, g.degree ** n):
             rows.setdefault(m, []).append(n)
-        else:
-            cols.setdefault(n, []).append(m)
-    if not rows and not cols:
+    if not rows:
         return {}
     forms = [q.int_form() for q in (f, g, c)]
     bad = [b for nums, den in forms for b in (den, *nums[-1:])]
     p = next(p for p in prime_stream() if all(b % p for b in bad))
     fp, gp, cp = (gf_scale(nums, pow(den, -1, p), p) for nums, den in forms)
-    f_its, g_its = _gf_iterates(fp, grid_n, p), _gf_iterates(gp, grid_n, p)
+    f_its = _gf_iterates(fp, max(rows), p)
+    top = max(f.degree ** max(rows), c.degree)
+    n_small = sum(g.degree ** n < top for n in range(1, grid_n + 1))
+    g_its = _gf_iterates(gp, n_small, p)
     screened = {}
-    for lines, its, other, other_its, swap in (
-            (rows, f_its, gp, g_its, False), (cols, g_its, fp, f_its, True)):
-        for i, ks in lines.items():
-            t0 = time.perf_counter()
-            trivial = _trivial_cells(gf_sub(its[i - 1], cp, p), other,
-                                     other_its, cp, ks, p)
-            share = (time.perf_counter() - t0) * 1000.0 / max(len(trivial), 1)
-            for k in trivial:
-                screened[(k, i) if swap else (i, k)] = share
+    for m, ns in rows.items():
+        t0 = time.perf_counter()
+        trivial = _trivial_cells(gf_sub(f_its[m - 1], cp, p), gp, g_its, cp,
+                                 ns, p)
+        share = (time.perf_counter() - t0) * 1000.0 / max(len(trivial), 1)
+        for n in trivial:
+            screened[(n, m) if swap else (m, n)] = share
     return screened
 
 

@@ -25,6 +25,7 @@ class _Scanner:
         self.text = text
         self.pos = 0
         self.var: str | None = None
+        self.exponent = False   # the last power parsed has its exponent
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
@@ -77,7 +78,8 @@ def _atom(s: _Scanner) -> Poly:
 
 def _power(s: _Scanner) -> Poly:
     base = _atom(s)
-    if s.peek() == "^":
+    s.exponent = s.peek() == "^"
+    if s.exponent:
         s.take()
         if s.peek() == "-":
             raise ParseError("exponent must be a nonnegative integer",
@@ -132,5 +134,6 @@ def parse_poly(text: str) -> Poly:
     s = _Scanner(text)
     out = _expr(s)
     if s.peek() != "":
-        s.fail(("+", "-", "*", "/", "^", "end of input"))
+        power = () if s.exponent else ("^",)
+        s.fail(("+", "-", "*", "/", *power, "end of input"))
     return out

@@ -451,32 +451,21 @@ def _compose_checked(outer: Poly, inner: Poly) -> Poly:
 # gcd and resultant frontends
 # ---------------------------------------------------------------------------
 
+def _gcd_over_q(f: Poly, g: Poly, zx_gcd) -> Poly:
+    """Monic gcd over Q from a gcd on Z[x] of the cleared numerators."""
+    if f.is_zero() or g.is_zero():
+        return (f + g).monic()
+    return _canon(zx_gcd(f.int_form()[0], g.int_form()[0]), 1, 1).monic()
+
+
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd over Q (modular route)."""
-    if f.is_zero() and g.is_zero():
-        return Poly.zero()
-    if f.is_zero():
-        return g.monic()
-    if g.is_zero():
-        return f.monic()
-    fn, _ = f.int_form()
-    gn, _ = g.int_form()
-    h = modular.zx_gcd_modular(fn, gn)
-    return _canon(h, 1, 1).monic()
+    return _gcd_over_q(f, g, modular.zx_gcd_modular)
 
 
 def poly_gcd_subresultant(f: Poly, g: Poly) -> Poly:
     """Monic gcd over Q via the subresultant PRS (cross-check route)."""
-    if f.is_zero() and g.is_zero():
-        return Poly.zero()
-    if f.is_zero():
-        return g.monic()
-    if g.is_zero():
-        return f.monic()
-    fn, _ = f.int_form()
-    gn, _ = g.int_form()
-    h = modular.zx_gcd_subresultant(fn, gn)
-    return _canon(h, 1, 1).monic()
+    return _gcd_over_q(f, g, modular.zx_gcd_subresultant)
 
 
 def resultant(f: Poly, g: Poly) -> Fraction:

@@ -132,6 +132,8 @@ def test_screen_matches_per_cell_route_on_seeded_grids(acceptance,
     ("x^3-x", "x^2+1/2", "x^4-x", 3),  # c outgrows the low iterates
     ("3", "x^2-1", "0", 3),             # a constant map
     ("x^2", "x^2+x", "x^2", 3),         # f^1 = c: row 1 is degenerate
+    ("x^3+x/2-3/2", "x^2-1", "0", 3),   # higher degree first; x - 1 divides
+                                        # cells (1, 1) and (1, 3)
 ])
 def test_screen_matches_per_cell_route_on_named_grids(f, g, c, grid_n):
     f, g, c = parse_poly(f), parse_poly(g), parse_poly(c)
@@ -143,6 +145,31 @@ def test_screen_matches_per_cell_route_on_named_grids(f, g, c, grid_n):
 def _image(q, p):
     nums, den = q.int_form()
     return gf_from_zx([a * pow(den, -1, p) for a in nums], p)
+
+
+def test_rows_are_the_lower_degree_maps_lines(monkeypatch):
+    lines = _count_calls(monkeypatch, "_trivial_cells")
+    f, g = parse_poly("x^3+x/2-1"), parse_poly("x^2-1/3")
+    reports = []
+    for a, b in ((f, g), (g, f)):
+        lines.clear()
+        reports.append(gcd_grid(a, b, Poly.zero(), 7))
+        assert [len(args[0]) - 1 for args, _ in lines] == \
+            [2 ** m for m in range(1, 8)]
+    assert reports[1].gcds == {(n, m): h
+                               for (m, n), h in reports[0].gcds.items()}
+
+
+def test_the_other_map_is_folded_only_below_the_largest_row(monkeypatch):
+    folds = _count_calls(monkeypatch, "_gf_iterates")
+    f, g = parse_poly("x^4+x/3-1"), parse_poly("x^2-1/5")
+    for a, b in ((f, g), (g, f)):
+        folds.clear()
+        gcd_grid(a, b, Poly.zero(), 8)
+        reached = {len(args[0]) - 1: max((len(y) - 1 for y in its), default=0)
+                   for args, its in folds}
+        # the rows reach degree 2^8; the quartic stops below it
+        assert reached[2] == 256 and reached[4] < 256
 
 
 def test_unlucky_and_bad_primes_fall_back_to_the_exact_route(monkeypatch):

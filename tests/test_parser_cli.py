@@ -77,6 +77,15 @@ def test_parse_error_positions():
         parse_poly("x 2")  # trailing junk
 
 
+@pytest.mark.parametrize("text, caret", [
+    ("2 3", True), ("x)", True), ("x^2^3", False), ("(x+1)^2 x", False)])
+def test_trailing_junk_expects_caret_only_without_an_exponent(text, caret):
+    with pytest.raises(ParseError) as ei:
+        parse_poly(text)
+    assert ei.value.expected == (
+        ("+", "-", "*", "/") + ("^",) * caret + ("end of input",))
+
+
 def test_render_parse_round_trip_random():
     rng = random.Random(31)
     for _ in range(300):

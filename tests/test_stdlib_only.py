@@ -81,3 +81,31 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
     # the one re-export: perfbench/checks.py reads heights.iterate
     assert exempt == ["heights.py: iterate"]
+
+
+def _private_definitions(tree):
+    """Names of the module's private top-level functions and classes, and of
+    the private methods of its classes (dunders are not private)."""
+    out = []
+    for node in tree.body:
+        defs = [node] + (node.body if isinstance(node, ast.ClassDef) else [])
+        out += [d.name for d in defs
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                and d.name.startswith("_") and not d.name.endswith("__")]
+    return out
+
+
+def test_every_private_helper_has_a_caller():
+    defined, used = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        defined += [(path.name, name) for name in _private_definitions(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert len(defined) > 50
+    assert [d for d in defined if d[1] not in used] == []
