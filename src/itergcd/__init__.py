@@ -29,7 +29,6 @@ from .factoring import (
 )
 from .polys import (
     Poly,
-    Rational,
     iterate,
     iterates,
     mult_of_factor,
@@ -98,7 +97,6 @@ __all__ = [
     "OrbitRecord",
     "ParseError",
     "Poly",
-    "Rational",
     "ResourceLimitError",
     "UndecidedError",
     "VerificationError",

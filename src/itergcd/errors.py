@@ -1,10 +1,11 @@
 """Exceptions and resource limits shared by every module.
 
-All potentially unbounded computations (iteration, orbits, jets, root-of-unity
-search) consult the module-level LIMITS object and fail loudly with a
-ResourceLimitError instead of thrashing.  The caps are plain attributes that
-a library caller can adjust; the CLI runs with the defaults (only its orbit
-command takes per-call step and size caps).
+All potentially unbounded computations (iteration, orbits, jets, power
+searches, canonical heights, factor recombination, modular gcds) consult the
+module-level LIMITS object and fail loudly with a ResourceLimitError instead
+of thrashing.  The caps are plain attributes that a library caller can
+adjust; the CLI runs with the defaults (only its orbit command takes per-call
+step and size caps).
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ class Limits:
     orbit_steps: int = 512         # steps before an orbit search gives up
     orbit_elem_bits: int = 1 << 16 # size cap on one exact orbit element
     jet_order: int = 4096          # adaptive jet refinement stops here
-    unity_order: int = 360         # root-of-unity search cap
     power_search: int = 64         # exceptional-exponent search cap
     height_elem_bits: int = 1 << 22  # size cap on canonical-height iterates
     recombination_subsets: int = 1 << 16  # Zassenhaus subsets tried

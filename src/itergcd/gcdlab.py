@@ -20,7 +20,6 @@ from .modular import (
     gf_add, gf_compose_mod, gf_gcd, gf_mul, gf_rem, gf_scale, gf_sub,
     prime_stream,
 )
-from .numfield import NumberFieldElem, nf_eval
 from .polys import (
     Poly, _check_iterate_degree, iterate, iterates, mult_of_factor, poly_gcd,
     render_poly,
@@ -271,14 +270,6 @@ def gcd_grid(f: Poly, g: Poly, c: Poly, grid_n: int,
 # linear maps: closed-form common roots
 # ---------------------------------------------------------------------------
 
-def _is_scalar(v) -> bool:
-    return isinstance(v, (int, Fraction, NumberFieldElem))
-
-
-def _as_scalar(v):
-    return Fraction(v) if isinstance(v, int) else v
-
-
 def linear_common_root(alpha, beta, gamma, n: int, c: Poly | None = None):
     """The unique lambda with alpha^n * lambda = beta^n * lambda + gamma * S_n.
 
@@ -289,10 +280,9 @@ def linear_common_root(alpha, beta, gamma, n: int, c: Poly | None = None):
     c is supplied the common value is also required to equal c(lambda),
     returning NO_SOLUTION otherwise.
     """
-    if not (_is_scalar(alpha) and _is_scalar(beta) and _is_scalar(gamma)):
-        raise DegenerateInputError("linear coefficients must be rational "
-                                   "or number-field elements")
-    alpha, beta, gamma = map(_as_scalar, (alpha, beta, gamma))
+    if not all(isinstance(v, (int, Fraction)) for v in (alpha, beta, gamma)):
+        raise DegenerateInputError("linear coefficients must be rational")
+    alpha, beta, gamma = map(Fraction, (alpha, beta, gamma))
     if n < 1:
         raise DegenerateInputError("need n >= 1")
     if alpha == 0:
@@ -304,12 +294,8 @@ def linear_common_root(alpha, beta, gamma, n: int, c: Poly | None = None):
             "alpha^n equals beta^n; the iterates never separate")
     geo = Fraction(n) if beta == 1 else (bn - 1) / (beta - 1)
     lam = gamma * geo / (an - bn)
-    if c is not None:
-        common = an * lam
-        c_at = (nf_eval(c, lam) if isinstance(lam, NumberFieldElem)
-                else c.evaluate(lam))
-        if common != c_at:
-            return NO_SOLUTION
+    if c is not None and an * lam != c.evaluate(lam):
+        return NO_SOLUTION
     return lam
 
 

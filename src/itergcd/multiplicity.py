@@ -46,7 +46,6 @@ from .numfield import (
     NOT_A_ROOT_OF_UNITY,
     NumberField,
     NumberFieldElem,
-    UNDECIDED,
     identity_jet,
     jet_at,
     jet_compose,
@@ -307,8 +306,6 @@ def multiplicity_bound(q: Poly, c: Poly,
 
     a1 = params.a1
     s = root_of_unity_order(a1)
-    if s == UNDECIDED:
-        raise UndecidedError("root-of-unity order exceeded the search cap")
     if s == NOT_A_ROOT_OF_UNITY:
         b_e = _chain_jet(q, _orbit_points(q, lam, ell), e + 1).coeffs[e]
         c_e = c_jet.coeffs[e] if e <= degc else lam_field.zero()

@@ -2,9 +2,10 @@
 
 A NumberField is the quotient of Q[t] by a monic irreducible modulus; its
 elements are residue-class representatives of degree below deg p.  All
-arithmetic is exact.  Complex embeddings are the only floating-point surface
-and are used solely as pre-filters (root-of-unity screening) and for Mahler
-measures; every certificate-grade decision goes through exact zero tests.
+arithmetic is exact.  Complex roots of a polynomial are the only
+floating-point surface and serve Mahler measures alone; every
+certificate-grade decision, the root-of-unity test included, goes through
+exact zero tests.
 
 Jets are truncated Taylor expansions with coefficients in a number field.
 They exist so that high compositional powers of a polynomial never have to
@@ -29,13 +30,12 @@ from .modular import _binary_power
 from .polys import Poly, render_poly
 
 NOT_A_ROOT_OF_UNITY = "not a root of unity"
-UNDECIDED = "undecided"
 
 
 class NumberField:
     """Q[t]/(p) for monic irreducible p; degree-1 moduli give Q itself."""
 
-    __slots__ = ("modulus", "degree", "_roots")
+    __slots__ = ("modulus", "degree")
 
     def __init__(self, modulus: Poly, *, check: bool = True):
         if modulus.degree < 1:
@@ -46,7 +46,6 @@ class NumberField:
                 "field modulus %s is reducible" % render_poly(modulus, "t"))
         self.modulus = modulus
         self.degree = modulus.degree
-        self._roots: list[complex] | None = None
 
     @classmethod
     def rationals(cls) -> "NumberField":
@@ -268,7 +267,7 @@ def char_poly_resultant(a: NumberFieldElem) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# complex embeddings
+# complex roots
 # ---------------------------------------------------------------------------
 
 def _complex_horner(coeffs: list[complex], z: complex) -> complex:
@@ -337,22 +336,6 @@ def poly_complex_roots(f: Poly) -> list[complex]:
     return roots
 
 
-def embeddings(field: NumberField) -> list[complex]:
-    """Complex roots of the field modulus (cached on the field)."""
-    if field._roots is None:
-        field._roots = poly_complex_roots(field.modulus)
-    return list(field._roots)
-
-
-def embed_elem(a: NumberFieldElem) -> list[complex]:
-    """Images of a under every complex embedding of its field."""
-    try:
-        cs = [float(c) for c in a.rep.coeffs]
-    except OverflowError as exc:
-        raise EmbeddingError("element coefficients exceed float range") from exc
-    return [_complex_horner(cs, z) for z in embeddings(a.field)]
-
-
 # ---------------------------------------------------------------------------
 # roots of unity
 # ---------------------------------------------------------------------------
@@ -365,13 +348,12 @@ def _euler_phi(n: int) -> int:
 
 
 def root_of_unity_order(a: NumberFieldElem):
-    """Smallest s with a^s = 1, or a definite/indefinite negative.
+    """Smallest s with a^s = 1, or NOT_A_ROOT_OF_UNITY; decided exactly.
 
-    Returns the order as an int, NOT_A_ROOT_OF_UNITY when that can be
-    certified, and UNDECIDED when every order up to LIMITS.unity_order was
-    excluded but larger ones cannot be (a root of unity of order s has
-    minimal polynomial of degree phi(s), and phi(s) = d forces s <= 2 d^2,
-    so the answer is definite whenever 2 d^2 <= LIMITS.unity_order).
+    A root of unity of order s has a minimal polynomial of degree phi(s)
+    that is monic and integral with constant term +-1.  Since phi(s) >=
+    sqrt(s/2), an order with phi(s) = d is at most 2 d^2, so the search
+    below is exhaustive.
     """
     if a.is_zero():
         raise DegenerateInputError("zero is not a candidate root of unity")
@@ -386,16 +368,11 @@ def root_of_unity_order(a: NumberFieldElem):
     nums, den = m.int_form()
     if den != 1 or abs(nums[0]) != 1:
         return NOT_A_ROOT_OF_UNITY   # cyclotomics are monic integral, const +-1
-    for z in embed_elem(a):
-        if abs(abs(z) - 1.0) > 1e-9:
-            return NOT_A_ROOT_OF_UNITY
     d = m.degree
-    exhaustive = 2 * d * d        # phi(s) >= sqrt(s/2), so s <= 2 phi(s)^2
-    cap = LIMITS.unity_order
-    for s in range(1, min(cap, exhaustive) + 1):
+    for s in range(1, 2 * d * d + 1):
         if _euler_phi(s) == d and a ** s == 1:
             return s
-    return NOT_A_ROOT_OF_UNITY if exhaustive <= cap else UNDECIDED
+    return NOT_A_ROOT_OF_UNITY
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from typing import Iterable, Union
 from . import modular
 from .errors import DegenerateInputError, LIMITS, check_bits, check_degree
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 

@@ -211,6 +211,15 @@ def test_independence_probe_checks_the_degree_cap(monkeypatch):
         independence_probe(f, g, 4)
 
 
+def test_independence_probe_checks_the_coefficient_cap(monkeypatch):
+    # the word F^6, the sixth iterate of x^2 + x/3 - 5/7, has a 243-bit
+    # coefficient
+    f, g = Poly([Fraction(-5, 7), Fraction(1, 3), 1]), X ** 2 - 1
+    monkeypatch.setattr(LIMITS, "max_coeff_bits", 200)
+    with pytest.raises(ResourceLimitError, match="243 bits exceeds cap 200"):
+        independence_probe(f, g, 6)
+
+
 @pytest.mark.parametrize("max_len", [0, -1])
 def test_independence_probe_refuses_an_empty_search(max_len):
     # no word has length <= 0, so "no collision" would be vacuous

@@ -11,6 +11,7 @@ from itergcd.gcdlab import (
     linear_normal_form,
     reference_suite,
 )
+from itergcd.numfield import NumberField
 from itergcd.polys import Poly, iterate, poly_gcd
 
 X = Poly.x()
@@ -135,6 +136,14 @@ def test_linear_common_root_degenerate():
         linear_common_root(0, 2, 1, 1)
     with pytest.raises(DegenerateInputError):
         linear_common_root(2, 3, 1, 0)
+
+
+@pytest.mark.parametrize("alpha", [2.0, NumberField(X ** 2 - 2).generator()])
+def test_linear_common_root_takes_rationals_only(alpha):
+    with pytest.raises(DegenerateInputError, match="must be rational"):
+        linear_common_root(alpha, 3, 1, 2)
+    with pytest.raises(DegenerateInputError, match="must be rational"):
+        linear_common_root(2, 3, alpha, 2)
 
 
 def test_linear_normal_form_round_trip():

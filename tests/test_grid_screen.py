@@ -250,6 +250,16 @@ def test_grid_past_the_degree_cap_raises_as_iterates_does(monkeypatch, f, g):
         gcd_grid(f, g, Poly.zero(), 0)
 
 
+def test_grid_past_the_coefficient_cap_raises(monkeypatch):
+    # every cell shares x^2, so the screen sends all of them to the exact
+    # route, whose fifth iterate of f has a 290-bit coefficient
+    monkeypatch.setattr(LIMITS, "max_coeff_bits", 200)
+    f, g = parse_poly("x^3+x^2/3"), parse_poly("x^3+5*x^2")
+    assert gcd_grid(f, g, Poly.zero(), 4).cells
+    with pytest.raises(ResourceLimitError, match="290 bits exceeds cap 200"):
+        gcd_grid(f, g, Poly.zero(), 5)
+
+
 def test_primes_dividing_a_leading_numerator_are_skipped(monkeypatch):
     # the cell gcd x - 1/13 has no image mod 13, where f and g drop a degree
     f, g = parse_poly("13*x^2+25*x-2"), parse_poly("13*x^2+38*x-3")

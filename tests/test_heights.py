@@ -276,7 +276,7 @@ def test_escape_tail_stopped_on_a_huge_exact_start(monkeypatch):
         exact_height(nums, Fraction(0), 5)
 
 
-@pytest.mark.xfail(strict=True, reason="open defect, ROADMAP item 4: "
+@pytest.mark.xfail(strict=True, reason="open defect, ROADMAP item 1: "
                    "poly_complex_roots drops non-finite iterates")
 def test_weil_height_alg_refuses_lost_roots():
     # the start radius 1 + max|c| is about 2e8 here, so z^60 overflows and
@@ -286,6 +286,35 @@ def test_weil_height_alg_refuses_lost_roots():
         poly_complex_roots(P)
     with pytest.raises(EmbeddingError):
         weil_height_alg(NumberField(P, check=False).generator())
+
+
+def _green_x2_plus_x(z: float) -> float:
+    """G(z) = lim log|f^n(z)| / 2^n for f = x^2 + x, in floats."""
+    n = 0
+    while abs(z) <= 1e100:
+        z, n = z * z + z, n + 1
+    return math.log(abs(z)) / 2 ** n
+
+
+_LOST_ROOTS = pytest.mark.xfail(
+    strict=True, raises=EmbeddingError,
+    reason="open defect, ROADMAP item 1: poly_complex_roots fails on the "
+           "minimal polynomial of the last iterate")
+
+
+@pytest.mark.parametrize("steps", [3, 4, 5, pytest.param(6, marks=_LOST_ROOTS),
+                                   pytest.param(32, marks=_LOST_ROOTS)])
+def test_canonical_height_of_sqrt2_under_x2_plus_x(monkeypatch, steps):
+    # sqrt 2 is an algebraic integer and f is monic in Z[x], so the Green
+    # function at the two embeddings is the only local term: h-hat = 0.39666.
+    # The smaller size budget binds only at steps 32, stopping it near N = 15
+    # with the same error in 0.02 s instead of near N = 21 in about a minute
+    monkeypatch.setattr(LIMITS, "height_elem_bits", 1 << 16)
+    r = math.sqrt(2)
+    want = (_green_x2_plus_x(r) + _green_x2_plus_x(-r)) / 2
+    got = canonical_height(X ** 2 + X, NumberField(X ** 2 - 2).generator(),
+                           steps)
+    assert abs(got.value - want) <= got.error_bound
 
 
 # ---------------------------------------------------------------------------

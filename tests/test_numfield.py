@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -6,15 +5,14 @@ import numpy
 import pytest
 import sympy
 
+from itergcd import numfield
 from itergcd.errors import DegenerateInputError, LIMITS, ResourceLimitError
 from itergcd.numfield import (
     NOT_A_ROOT_OF_UNITY,
-    UNDECIDED,
     Jet,
     NumberField,
     NumberFieldElem,
     char_poly_resultant,
-    embed_elem,
     identity_jet,
     jet_at,
     jet_compose,
@@ -147,12 +145,6 @@ def test_poly_complex_roots_conjugate_pairing():
         poly_complex_roots(Poly.const(5))
 
 
-def test_embed_elem_sqrt2():
-    vals = sorted(z.real for z in embed_elem(SQRT2.generator()))
-    assert abs(vals[0] + math.sqrt(2)) < 1e-12
-    assert abs(vals[1] - math.sqrt(2)) < 1e-12
-
-
 def test_root_of_unity_orders():
     assert root_of_unity_order(GAUSS.generator()) == 4
     assert root_of_unity_order(GAUSS.element(-1)) == 2
@@ -168,10 +160,32 @@ def test_root_of_unity_orders():
     assert root_of_unity_order(z) == NOT_A_ROOT_OF_UNITY
 
 
-def test_root_of_unity_cap_undecided(monkeypatch):
-    hexa = NumberField(X ** 2 - X + 1)
-    monkeypatch.setattr(LIMITS, "unity_order", 3)
-    assert root_of_unity_order(hexa.generator()) == UNDECIDED
+def test_root_of_unity_order_is_exact(monkeypatch):
+    # the verdict never reads a float: with the root finder gone, every
+    # order and every negative still comes out of the exact search
+    def no_floats(f):
+        raise AssertionError("root_of_unity_order called poly_complex_roots")
+    monkeypatch.setattr(numfield, "poly_complex_roots", no_floats)
+    for modulus in (X ** 2 - X - 1, X ** 14 - X - 1):
+        unit = NumberField(modulus).generator()
+        assert root_of_unity_order(unit) == NOT_A_ROOT_OF_UNITY
+    zeta8 = NumberField(X ** 4 + 1).generator()
+    assert root_of_unity_order(zeta8 ** 2) == 4
+    cyclotomic = {15: X ** 8 - X ** 7 + X ** 5 - X ** 4 + X ** 3 - X + 1,
+                  17: sum((X ** i for i in range(1, 17)), Poly.const(1))}
+    for order, modulus in cyclotomic.items():
+        assert root_of_unity_order(NumberField(modulus).generator()) == order
+
+
+def test_root_of_unity_order_above_360():
+    # 96 = phi(390) is the least degree of a root of unity of order > 360
+    x = sympy.symbols("x")
+    phi390 = sympy.Poly(sympy.cyclotomic_poly(390, x), x).all_coeffs()
+    field = NumberField(Poly([int(c) for c in reversed(phi390)]), check=False)
+    assert root_of_unity_order(field.generator()) == 390
+
+
+def test_root_of_unity_order_refuses_zero():
     with pytest.raises(DegenerateInputError):
         root_of_unity_order(GAUSS.zero())
 

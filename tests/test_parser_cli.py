@@ -12,6 +12,7 @@ import pytest
 from itergcd.cli import main
 from itergcd.emit import emit
 from itergcd.errors import (
+    LIMITS,
     DegenerateInputError,
     ParseError,
     ResourceLimitError,
@@ -238,6 +239,15 @@ def test_cli_resource_limit_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "canonical_height", blow_up)
     code, _, err = run_cli(capsys, "height", "--f", "x^2", "--x", "2")
     assert code == 3
+    assert "ResourceLimitError" in err
+
+
+def test_cli_coefficient_cap_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(LIMITS, "max_coeff_bits", 200)
+    code, out, err = run_cli(capsys, "gcd-grid", "--f", "x^3+x^2/3",
+                             "--g", "x^3+5*x^2", "--c", "0", "--N", "5")
+    assert code == 3
+    assert out == ""
     assert "ResourceLimitError" in err
 
 

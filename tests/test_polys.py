@@ -6,7 +6,7 @@ from functools import reduce
 import pytest
 import sympy
 
-from itergcd.errors import DegenerateInputError, ResourceLimitError
+from itergcd.errors import DegenerateInputError, LIMITS, ResourceLimitError
 from itergcd.numfield import NumberField, identity_jet, jet_at
 from itergcd.polys import (
     Poly,
@@ -108,6 +108,15 @@ def test_iterate_homomorphism_random():
 def test_iterate_degree_cap():
     with pytest.raises(ResourceLimitError):
         iterate(x ** 3, 12)
+
+
+def test_iterates_coefficient_cap(monkeypatch):
+    # the sixth iterate of x^2 + x/3 - 5/7 has a 243-bit coefficient
+    monkeypatch.setattr(LIMITS, "max_coeff_bits", 200)
+    f = Poly([Fraction(-5, 7), Fraction(1, 3), 1])
+    assert iterates(f, 5)[-1].max_coeff_bits() == 116
+    with pytest.raises(ResourceLimitError, match="243 bits exceeds cap 200"):
+        iterates(f, 6)
 
 
 def test_gcd_examples():
