@@ -1,12 +1,13 @@
 """Factorization over Q: squarefree split, then Zassenhaus.
 
-The pipeline is classical: Yun's squarefree decomposition, an Eisenstein
-quick test (with small Taylor shifts) that certifies many naturally occurring
-irreducibles instantly, then finite-field factorization of each squarefree
-part, quadratic Hensel lifting of the modular factors, and subset
-recombination pruned by cross-prime degree analysis.  Intended for the low
-degrees that gcds of iterates actually produce; callers hit the degree cap
-long before recombination can explode.
+The pipeline is classical: the power of x split off once, Yun's squarefree
+decomposition of the rest, an Eisenstein quick test (with small Taylor
+shifts) that certifies many naturally occurring irreducibles instantly,
+then finite-field factorization of each squarefree part, quadratic Hensel
+lifting of the modular factors, and subset recombination pruned by
+cross-prime degree analysis.  Intended for the low degrees that gcds of
+iterates actually produce; callers hit the degree cap long before
+recombination can explode.
 """
 
 from __future__ import annotations
@@ -42,12 +43,6 @@ class FactorList:
         for p, e in self.factors:
             out = out * p ** e
         return out
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __len__(self):
-        return len(self.factors)
 
 
 def _factor_sort_key(p: Poly):
@@ -349,20 +344,16 @@ def factor_irreducible(f: Poly) -> FactorList:
         raise ValueError("cannot factor the zero polynomial")
     if f.degree < 1:
         return FactorList(f.leading(), ())
-    content, parts = squarefree_decomposition(f)
-    factors: list[tuple[Poly, int]] = []
+    # split off x^k before Yun; it is common in gcds of iterates and free
+    # to detect, and what remains may be a constant that needs no gcd
+    nums, den = f.int_form()
+    k = 0
+    while nums[k] == 0:
+        k += 1
+    factors: list[tuple[Poly, int]] = [(Poly.x(), k)] if k else []
+    content, parts = squarefree_decomposition(Poly.from_int_list(nums[k:], den))
     for part, mult in parts:
-        nums, den = part.int_form()
-        _, prim = zx_primitive(nums)
-        # strip powers of x first; they are common and free to detect
-        k = 0
-        while prim[k] == 0:
-            k += 1
-        if k:
-            factors.append((Poly.x(), k * mult))
-            prim = prim[k:]
-        if zx_deg(prim) < 1:
-            continue
+        _, prim = zx_primitive(part.int_form()[0])
         # parts are monic, so their monic irreducible factors multiply back
         # exactly; the content is untouched by this loop
         for h in _factor_squarefree_z(prim):

@@ -250,8 +250,7 @@ def gcd_grid(f: Poly, g: Poly, c: Poly, grid_n: int,
             degenerate[(m, n)] = "g iterate %d equals c" % n
         else:
             gcds[(m, n)] = gcd_mn = poly_gcd(fm, gn)
-            cells[(m, n)] = (no_factors if gcd_mn.degree < 1
-                             else factor_irreducible(gcd_mn))
+            cells[(m, n)] = factor_irreducible(gcd_mn)
             timings[(m, n)] = (time.perf_counter() - t0) * 1000.0
     universe: dict = {}
     shell_new = False

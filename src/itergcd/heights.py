@@ -53,9 +53,6 @@ class HeightValue:
     value: float
     error_bound: float
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def weil_height(x) -> HeightValue:
     """h(a/b) = log max(|a|, b) for a/b in lowest terms."""

@@ -528,11 +528,12 @@ def zx_gcd_modular(f: list[int], g: list[int]) -> list[int]:
     """Primitive gcd over Z of two integer polynomials (positive lc).
 
     Classic small-primes algorithm: monic gcd images modulo word-size primes
-    avoiding the leading coefficients, unlucky primes discarded by degree
-    comparison, CRT-combined images lifted back to Q by rational
-    reconstruction, and the candidate certified by exact trial division.
-    Images that never reconstruct would keep the loop going, so more than
-    LIMITS.gcd_primes primes raise ResourceLimitError.
+    avoiding the leading coefficients, CRT-combined images lifted back to Q
+    by rational reconstruction, and every candidate, the first prime's too,
+    certified by trial division: an image has degree >= deg gcd, so a
+    primitive common divisor of the lowest degree seen is the gcd.  A lower
+    degree restarts the accumulation; a higher one marks an unlucky prime.
+    More than LIMITS.gcd_primes primes raise ResourceLimitError.
     """
     if not f and not g:
         return []
@@ -542,8 +543,6 @@ def zx_gcd_modular(f: list[int], g: list[int]) -> list[int]:
         return zx_primitive(f)[1]
     _, fp = zx_primitive(f)
     _, gp = zx_primitive(g)
-    if zx_deg(fp) < zx_deg(gp):
-        fp, gp = gp, fp
     lcs = fp[-1] * gp[-1]
 
     best_deg = None      # minimal gcd degree seen so far
@@ -563,9 +562,9 @@ def zx_gcd_modular(f: list[int], g: list[int]) -> list[int]:
         if d == 0:
             return [1]
         if best_deg is None or d < best_deg:
-            best_deg, acc, mod, candidate, stable = d, hp, p, None, 0
-            continue
-        if d > best_deg:
+            # restart: zeros mod 1 lift to the image itself
+            best_deg, acc, mod, candidate, stable = d, [0] * (d + 1), 1, None, 0
+        elif d > best_deg:
             continue  # unlucky prime
         acc = [crt_pair(a, mod, b, p) for a, b in zip(acc, hp)]
         mod *= p

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, check_bits, check_degree
 from .polys import Poly
 
 
@@ -84,7 +84,16 @@ def _power(s: _Scanner) -> Poly:
         if s.peek() == "-":
             raise ParseError("exponent must be a nonnegative integer",
                              s.pos, ("integer",))
-        return base ** s.nat()
+        e = s.nat()
+        if base.degree > 0:
+            check_degree(base.degree * e)
+        else:
+            # n^e and d^e have at least e * (bits - 1) + 1 bits each:
+            # refuse before powering only what surely passes the cap
+            check_bits(e * (base.max_coeff_bits() - 2) + 2)
+        power = base ** e
+        check_bits(power.max_coeff_bits())
+        return power
     return base
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from itergcd import factoring
 from itergcd.errors import LIMITS, ResourceLimitError
 from itergcd.factoring import (
     FactorList,
@@ -46,6 +47,17 @@ def test_factor_pure_power_of_x():
     assert fl.factors == ((X, 4),)
 
 
+def test_factor_splits_off_the_power_of_x_before_yun(monkeypatch):
+    # 5x^7 is x^7 times a constant: no squarefree gcd is needed
+    calls = []
+    real = factoring.poly_gcd
+    monkeypatch.setattr(factoring, "poly_gcd",
+                        lambda a, b: calls.append((a, b)) or real(a, b))
+    fl = factor_irreducible(X ** 7 * Poly.const(5))
+    assert fl.content == 5 and fl.factors == ((X, 7),)
+    assert calls == []
+
+
 def test_factor_constant_and_zero():
     fl = factor_irreducible(Poly.const(Fraction(7, 3)))
     assert fl.content == Fraction(7, 3) and fl.factors == ()
@@ -68,7 +80,7 @@ def test_factor_roundtrip_random():
 def test_factor_matches_sympy_random():
     rng = random.Random(12)
     for _ in range(60):
-        f = random_poly(rng, max_deg=6)
+        f = random_poly(rng, max_deg=6) * X ** rng.randrange(4)
         if f.degree < 1:
             continue
         ours = {(tuple(p.coeffs), e) for p, e in factor_irreducible(f).factors}
@@ -147,12 +159,6 @@ def test_factor_swinnerton_dyer_like():
     # reducible modulo every prime; exercises the recombination search
     f = X ** 4 - Poly.const(10) * X ** 2 + Poly.const(1)
     assert is_irreducible(f)
-
-
-def test_factorlist_iter_len():
-    fl = factor_irreducible((X - 1) * (X + 1))
-    assert len(fl) == 2
-    assert [e for _, e in fl] == [1, 1]
 
 
 def test_recombination_subsets_are_capped(monkeypatch):

@@ -139,10 +139,6 @@ def test_special_probe_power_map_exact():
         special_probe(X ** 2, Poly.const(2), 3, 1)
 
 
-def test_height_value_float_protocol():
-    assert float(HeightValue(1.5, 0.1)) == 1.5
-
-
 # ---------------------------------------------------------------------------
 # the escape tail against an exact reference loop
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from itergcd import modular
-from itergcd.errors import LIMITS, ResourceLimitError
+from itergcd.errors import LIMITS, ResourceLimitError, VerificationError
 from itergcd.modular import (
     KRON_NATIVE_LEN,
     KRON_NATIVE_SQR,
@@ -271,23 +271,67 @@ def test_zx_gcd_modular_bad_images_hit_the_prime_cap(monkeypatch):
         zx_gcd_modular([-1, 0, 1], [-1, 1])
 
 
-def test_zx_gcd_modular_skips_an_unlucky_prime(monkeypatch):
-    # (x-1)(x-3) and (x-1)(x-5) are both (x+1)^2 mod 2: after a good
-    # prime set the degree to 1, the image of degree 2 must be dropped
-    f = zx_mul([-1, 1], [-3, 1])
-    g = zx_mul([-1, 1], [-5, 1])
-    assert len(gf_gcd(gf_from_zx(f, 2), gf_from_zx(g, 2), 2)) == 3
+def spy_stream(monkeypatch, head=()):
+    """Replace modular.prime_stream by head + the real stream; return the
+    list that records every prime drawn."""
     real = modular.prime_stream
     drawn = []
 
     def stream():
-        for p in itertools.chain((1000003, 2), real()):
+        for p in itertools.chain(head, real()):
             drawn.append(p)
             yield p
 
     monkeypatch.setattr(modular, "prime_stream", stream)
-    assert zx_gcd_modular(f, g) == zx_gcd_subresultant(f, g) == [-1, 1]
+    return drawn
+
+
+def test_zx_gcd_modular_certifies_the_first_image(monkeypatch):
+    # the gcd x - 1 reconstructs from one prime, and trial division alone
+    # certifies it: no second prime is drawn
+    drawn = spy_stream(monkeypatch)
+    f = zx_mul([-1, 1], [-3, 1])
+    g = zx_mul([-1, 1], [-5, 1])
+    assert zx_gcd_modular(f, g) == [-1, 1]
+    assert len(drawn) == 1
+
+
+def test_zx_gcd_modular_skips_an_unlucky_prime(monkeypatch):
+    # the gcd is x - 10^7.  Modulo 1000003 its image is x + 30, which fails
+    # trial division; (x-10^7)(x-1) and (x-10^7)(x-3) are both x(x+1) mod 2,
+    # so that image of degree 2 must be dropped; the third prime certifies
+    root = 10 ** 7
+    f = zx_mul([-root, 1], [-1, 1])
+    g = zx_mul([-root, 1], [-3, 1])
+    assert gf_gcd(gf_from_zx(f, 1000003), gf_from_zx(g, 1000003), 1000003) == [30, 1]
+    assert len(gf_gcd(gf_from_zx(f, 2), gf_from_zx(g, 2), 2)) == 3
+    drawn = spy_stream(monkeypatch, (1000003, 2))
+    assert zx_gcd_modular(f, g) == zx_gcd_subresultant(f, g) == [-root, 1]
     assert drawn[:2] == [1000003, 2] and len(drawn) > 2
+
+
+def test_zx_gcd_modular_skips_a_prime_dividing_the_leading_coefficients(monkeypatch):
+    # lc f * lc g = 9: the prime 3 is drawn but no image is taken mod 3
+    drawn = spy_stream(monkeypatch, (3,))
+    real_gcd, image_primes = modular.gf_gcd, []
+
+    def gf_gcd_spy(a, b, p):
+        image_primes.append(p)
+        return real_gcd(a, b, p)
+
+    monkeypatch.setattr(modular, "gf_gcd", gf_gcd_spy)
+    f = zx_mul([-1, 3], [-2, 1])
+    g = zx_mul([-1, 3], [4, 1])
+    assert zx_gcd_modular(f, g) == [-1, 3]
+    assert drawn[0] == 3 and 3 not in image_primes
+
+
+def test_zx_gcd_modular_unverified_candidate_fails_to_stabilize(monkeypatch):
+    # a candidate that every prime confirms but trial division never
+    # accepts is a verification failure, well before the prime cap
+    monkeypatch.setattr(modular, "zx_divides", lambda f, g: None)
+    with pytest.raises(VerificationError, match="failed to stabilize"):
+        zx_gcd_modular(zx_mul([-1, 1], [-3, 1]), zx_mul([-1, 1], [-5, 1]))
 
 
 # ---------------------------------------------------------------------------

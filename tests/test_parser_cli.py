@@ -53,6 +53,26 @@ def test_parse_negative_exponent_offset():
     assert "nonnegative" in str(ei.value)
 
 
+def test_parse_power_respects_the_caps():
+    with pytest.raises(ResourceLimitError):
+        parse_poly("x^70000")
+    with pytest.raises(ResourceLimitError):
+        parse_poly("2^5000000")
+
+
+def test_parse_power_refuses_exactly_past_the_bit_cap(monkeypatch):
+    # 2^198 has 199 numerator bits plus 1 denominator bit; 3^150 passes the
+    # bound taken before powering and is refused once measured, as is the
+    # 301-bit constant term of (x+2^100)^3
+    monkeypatch.setattr(LIMITS, "max_coeff_bits", 200)
+    assert parse_poly("2^198") == Poly.const(2 ** 198)
+    assert parse_poly("1^100000") == Poly.const(1)
+    assert parse_poly("(x+1)^3") == (X + 1) ** 3
+    for text in ("2^199", "3^150", "(1/2)^199", "(x+2^100)^3"):
+        with pytest.raises(ResourceLimitError):
+            parse_poly(text)
+
+
 def test_parse_two_variables_rejected():
     with pytest.raises(ParseError) as ei:
         parse_poly("x + y")
