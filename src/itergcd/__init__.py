@@ -23,9 +23,7 @@ from .factoring import (
     FactorList,
     factor_irreducible,
     is_irreducible,
-    rational_roots,
     squarefree_decomposition,
-    squarefree_part,
 )
 from .polys import (
     Poly,
@@ -126,14 +124,12 @@ __all__ = [
     "poly_gcd",
     "poly_gcd_subresultant",
     "ramified_cycle_check",
-    "rational_roots",
     "reference_suite",
     "render_poly",
     "resultant",
     "root_of_unity_order",
     "special_probe",
     "squarefree_decomposition",
-    "squarefree_part",
     "weil_height",
     "weil_height_alg",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateInputError, LIMITS, VerificationError
-from .polys import Poly, _compose_checked, iterate, iterates
+from .polys import Poly, _compose_checked, iterate
 from .numfield import NumberFieldElem, nf_eval
 
 IN_RAMIFIED = "in-ramified-cycle"
@@ -99,16 +99,13 @@ def ramified_cycle_check(q: Poly, c: NumberFieldElem) -> str:
 
 
 def compositional_power_check(c: Poly, f: Poly):
-    """The k >= 1 with c = f composed with itself k times, or "none"."""
-    if f.degree < 1:
-        raise DegenerateInputError("base map must be nonconstant")
+    """The k >= 1 with c = f composed with itself k times, or "none".
+
+    Needs deg f >= 2, where deg c = (deg f)^k names the only candidate k.
+    """
+    if f.degree < 2:
+        raise DegenerateInputError("base map needs degree >= 2")
     if c.degree < 1:
-        return "none"
-    if f.degree == 1:
-        # degrees carry no information; bounded direct search
-        for k, fk in enumerate(iterates(f, LIMITS.power_search), 1):
-            if fk == c:
-                return k
         return "none"
     df, dc = f.degree, c.degree
     k, pw = 0, 1

@@ -81,15 +81,6 @@ def squarefree_decomposition(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]
     return lc, out
 
 
-def squarefree_part(f: Poly) -> Poly:
-    """Product of the distinct monic irreducible factors of f."""
-    _, parts = squarefree_decomposition(f)
-    out = Poly.const(1)
-    for a, _ in parts:
-        out = out * a
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Eisenstein quick test
 # ---------------------------------------------------------------------------
@@ -360,15 +351,6 @@ def factor_irreducible(f: Poly) -> FactorList:
             factors.append((Poly(h).monic(), mult))
     factors.sort(key=lambda pe: _factor_sort_key(pe[0]))
     return FactorList(content, tuple(factors))
-
-
-def rational_roots(f: Poly) -> dict[Fraction, int]:
-    """All rational roots with multiplicities (from the linear factors)."""
-    out: dict[Fraction, int] = {}
-    for p, e in factor_irreducible(f).factors:
-        if p.degree == 1:
-            out[-p[0]] = e
-    return out
 
 
 def is_irreducible(f: Poly) -> bool:

@@ -74,14 +74,6 @@ def _self_compose(j: Jet, k: int) -> Jet:
     return _binary_power(j, k, identity_jet(j.center, j.order), jet_compose)
 
 
-def _orbit_points(q: Poly, x0: NumberFieldElem, count: int) -> list:
-    """[x0, q(x0), ..., q^(count-1)(x0)] by plain iteration."""
-    pts = [x0]
-    for _ in range(count - 1):
-        pts.append(nf_eval(q, pts[-1]))
-    return pts
-
-
 def _least_index(probe, order: int = 8) -> int:
     """First non-None probe(order) as the order doubles up to LIMITS.jet_order."""
     while True:
@@ -107,7 +99,9 @@ def direct_v(q: Poly, c: Poly, lam_field: NumberField, n: int) -> int:
     if q.degree ** n == max(c.degree, 0) and iterate(q, n) == c:
         raise DegenerateInputError("q^(%d) equals c; order undefined" % n)
     lam = lam_field.generator()
-    pts = _orbit_points(q, lam, n)
+    pts = [lam]
+    for _ in range(n - 1):
+        pts.append(nf_eval(q, pts[-1]))
     if nf_eval(q, pts[-1]) != nf_eval(c, lam):
         return 0
     return _least_index(lambda order: (
@@ -130,6 +124,8 @@ class ApproachParams:
     e: int | None             # order of q^(ell) - c0 at lambda
     u: int | None             # first nonvanishing jet index of q^(r) at c0
     a1: NumberFieldElem | None  # linear coefficient of q^(r) at c0
+    prefix: tuple = ()        # lambda, q(lambda), ..., q^(ell-1)(lambda)
+    cycle: tuple = ()         # c0, q(c0), ..., q^(r-1)(c0)
     notes: tuple = ()
 
 
@@ -204,12 +200,12 @@ def local_approach_params(q: Poly, c: Poly, lam_field: NumberField) -> ApproachP
             notes.append("no-hit conclusion relies on the orbit size cap "
                          "(escape after %d steps)" % (len(lam_rec.points) - 1))
         return ApproachParams(c0, False, None, False, None, None, None, None,
-                           tuple(notes))
+                           notes=tuple(notes))
     c0_rec = _resolved_orbit(q, c0)
     if not c0_rec.is_periodic or c0_rec.preperiod != 0:
         # a second hit would force c0 to be periodic, so ell is the only one
         return ApproachParams(c0, True, ell, False, None, None, None, None,
-                           tuple(notes))
+                           notes=tuple(notes))
     r = c0_rec.period
     lam_pts = lam_rec.points[:ell]
     cyc_pts = c0_rec.points[:r]
@@ -217,7 +213,7 @@ def local_approach_params(q: Poly, c: Poly, lam_field: NumberField) -> ApproachP
     u = _least_index(lambda order: _chain_jet(q, cyc_pts, order).first_nonzero(1))
     a_jet = _chain_jet(q, cyc_pts, max(2, u + 1))
     return ApproachParams(c0, True, ell, True, r, e, u, a_jet.coeffs[1],
-                       tuple(notes))
+                       lam_pts, cyc_pts, tuple(notes))
 
 
 def _exceptional_power_solutions(a1: NumberFieldElem, w: NumberFieldElem) -> list[int]:
@@ -277,6 +273,7 @@ def multiplicity_bound(q: Poly, c: Poly,
             notes=params.notes)
 
     ell, r, e, u = params.ell, params.r, params.e, params.u
+    prefix, cycle = params.prefix, params.cycle
     congruence = "%d mod %d" % (ell, r)
     if c.is_constant():
         if params.a1.is_zero():
@@ -295,7 +292,7 @@ def multiplicity_bound(q: Poly, c: Poly,
         k = 0
         while e * u ** k <= degc:
             n_k = ell + r * k
-            v_k = direct_v(q, c, lam_field, n_k)
+            v_k = _v_on_cycle(q, c, lam, prefix, cycle, k)
             exceptional.append((n_k, v_k))
             big = max(big, v_k)
             k += 1
@@ -307,7 +304,7 @@ def multiplicity_bound(q: Poly, c: Poly,
     a1 = params.a1
     s = root_of_unity_order(a1)
     if s == NOT_A_ROOT_OF_UNITY:
-        b_e = _chain_jet(q, _orbit_points(q, lam, ell), e + 1).coeffs[e]
+        b_e = _chain_jet(q, prefix, e + 1).coeffs[e]
         c_e = c_jet.coeffs[e] if e <= degc else lam_field.zero()
         t_c = c_jet.first_nonzero(1)
         exceptional = []
@@ -315,7 +312,7 @@ def multiplicity_bound(q: Poly, c: Poly,
         if t_c == e and not c_e.is_zero():
             for k in _exceptional_power_solutions(a1, c_e / b_e):
                 n_k = ell + r * k
-                v_k = direct_v(q, c, lam_field, n_k)
+                v_k = _v_on_cycle(q, c, lam, prefix, cycle, k)
                 exceptional.append((n_k, v_k))
                 big = max(big, v_k)
         return MultiplicityCertificate(
@@ -325,8 +322,7 @@ def multiplicity_bound(q: Poly, c: Poly,
 
     # a1 is torsion of exact order s: the rs-return map is tangent to the
     # identity and the decisive data is its first nonlinear coefficient
-    cyc = _orbit_points(q, c0, r)
-    rs_pts = [cyc[i % r] for i in range(r * s)]
+    rs_pts = cycle * s
 
     def nonlinear_index(order):
         rs_jet = _chain_jet(q, rs_pts, order)
@@ -338,7 +334,7 @@ def multiplicity_bound(q: Poly, c: Poly,
     d = _least_index(nonlinear_index)
     exceptional = []
     big = 0
-    lam_pts = _orbit_points(q, lam, ell + (s - 1) * r)
+    lam_pts = prefix + rs_pts[:(s - 1) * r]
     for idx in range(s):
         y = ell + idx * r
         g_pts = lam_pts[:y]
@@ -367,10 +363,12 @@ def multiplicity_bound(q: Poly, c: Poly,
 
 
 def _v_on_cycle(q: Poly, c: Poly, lam: NumberFieldElem, g_pts, rs_pts,
-                k: int, order: int) -> int:
+                k: int, order: int = 8) -> int:
     """v at n = y + rsk computed as (rs-return)^k composed with the q^(y)-jet.
 
-    Binary self-composition keeps the cost logarithmic in k, so exceptional
+    g_pts is the lambda orbit up to step y and rs_pts the rs-cycle it then
+    enters (s = 1 for the orders on the progression ell + rk).  Binary
+    self-composition keeps the cost logarithmic in k, so exceptional
     n found far out on the arithmetic progression stay reachable.
     """
     def order_at(order):

@@ -278,13 +278,13 @@ def _complex_horner(coeffs: list[complex], z: complex) -> complex:
 
 
 def poly_complex_roots(f: Poly) -> list[complex]:
-    """All complex roots of f to high relative accuracy, conjugates adjacent.
+    """The deg f complex roots of f to high relative accuracy, in no order.
 
-    Durand-Kerner iteration from the standard deterministic start; verified
-    by a relative residual bound, so a non-converging (ill-conditioned)
-    polynomial raises instead of returning junk.  Coefficients are rescaled
-    exactly before the float conversion, so huge rational coefficients are
-    fine as long as their ratios fit in doubles.
+    Durand-Kerner iteration from the standard deterministic start; each
+    root is verified by a relative residual bound, so a non-converging
+    (ill-conditioned) polynomial raises instead of returning junk.
+    Coefficients are rescaled exactly before the float conversion, so huge
+    rational coefficients are fine as long as their ratios fit in doubles.
     """
     n = f.degree
     if n < 1:
@@ -322,18 +322,7 @@ def poly_complex_roots(f: Poly) -> list[complex]:
     for z in zs:
         if abs(_complex_horner(cs, z)) > 1e-12 * (1.0 + abs(z)) ** n:
             raise EmbeddingError("root refinement did not reach residual bound")
-    # snap near-real roots, then average conjugate pairs so they match exactly
-    tol = 1e-10 * (1.0 + radius)
-    reals = [complex(z.real, 0.0) for z in zs if abs(z.imag) <= tol]
-    upper = sorted((z for z in zs if z.imag > tol), key=lambda z: (z.real, z.imag))
-    lower = sorted((z for z in zs if z.imag < -tol), key=lambda z: (z.real, -z.imag))
-    if len(upper) != len(lower):
-        raise EmbeddingError("conjugate pairing failed")
-    roots = sorted(reals, key=lambda z: z.real)
-    for zu, zl in zip(upper, lower):
-        w = (zu + zl.conjugate()) / 2
-        roots.extend([w, w.conjugate()])
-    return roots
+    return zs
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError, check_bits, check_degree
+from .errors import LIMITS, ParseError, check_bits, check_degree
 from .polys import Poly
 
 
@@ -85,12 +85,18 @@ def _power(s: _Scanner) -> Poly:
             raise ParseError("exponent must be a nonnegative integer",
                              s.pos, ("integer",))
         e = s.nat()
-        if base.degree > 0:
-            check_degree(base.degree * e)
-        else:
-            # n^e and d^e have at least e * (bits - 1) + 1 bits each:
-            # refuse before powering only what surely passes the cap
-            check_bits(e * (base.max_coeff_bits() - 2) + 2)
+        check_degree(max(base.degree, 0) * e)
+        # the lowest and the leading nonzero coefficient of base^e are those
+        # of base to the e, with n^e and d^e of e * (bits - 1) + 1 bits or
+        # more: refuse before powering only what surely passes the cap.  The
+        # integer form bounds those bits; reduce the ends only past the cap
+        nums, den = base.int_form()
+        bits = max(map(int.bit_length, nums), default=0) + den.bit_length()
+        if e * (bits - 2) + 2 > LIMITS.max_coeff_bits:
+            ends = (next(a for a in base.coeffs if a), base.leading())
+            bits = max(a.numerator.bit_length() + a.denominator.bit_length()
+                       for a in ends)
+            check_bits(e * (bits - 2) + 2)
         power = base ** e
         check_bits(power.max_coeff_bits())
         return power

@@ -10,9 +10,7 @@ from itergcd.factoring import (
     FactorList,
     factor_irreducible,
     is_irreducible,
-    rational_roots,
     squarefree_decomposition,
-    squarefree_part,
 )
 from itergcd.polys import Poly
 
@@ -98,7 +96,6 @@ def test_squarefree_decomposition_structure():
     content, parts = squarefree_decomposition(f)
     assert content == 4
     assert parts == [(X + 3, 1), (X - 1, 2)]
-    assert squarefree_part(f) == (X - 1) * (X + 3)
 
 
 def test_squarefree_random_reconstruction():
@@ -119,28 +116,6 @@ def test_squarefree_random_reconstruction():
 def poly_is_squarefree(f: Poly) -> bool:
     from itergcd.polys import poly_gcd
     return poly_gcd(f, f.derivative()).degree == 0
-
-
-def test_rational_roots_examples():
-    # 2x - x^2 has roots 0 and 2
-    assert rational_roots(Poly([0, 2, -1])) == {0: 1, 2: 1}
-    f = (X * 2 - 1) ** 2 * (X ** 2 + 1)
-    assert rational_roots(f) == {Fraction(1, 2): 2}
-
-
-def test_rational_roots_against_sympy_random():
-    rng = random.Random(14)
-    for _ in range(60):
-        f = random_poly(rng, max_deg=5)
-        if f.degree < 1:
-            continue
-        ours = rational_roots(f)
-        x = sympy.Symbol("x")
-        theirs = {}
-        for r, m in sympy.roots(to_sympy(f).as_expr(), x).items():
-            if r.is_rational:
-                theirs[Fraction(int(r.p), int(r.q))] = m
-        assert ours == theirs
 
 
 def test_is_irreducible_cases():

@@ -193,6 +193,34 @@ def test_case_u1_torsion_order_two():
     assert got == [2, 1, 2, 1, 2, 1]
 
 
+def test_periodic_certificates_leave_direct_v_as_the_cross_check(monkeypatch):
+    # the exceptional orders come from the cycle jets of the approach data;
+    # direct_v, the n-fold chain, only checks them afterwards
+    cases = [
+        (X ** 2, X ** 3, field_at(0)),
+        (X ** 2 - 2, Poly.const(-16) * X - Poly.const(30), field_at(-2)),
+        (X ** 2 + Poly.const(Fraction(1, 4)), X, field_at(Fraction(1, 2))),
+        (X ** 2 - Poly.const(Fraction(3, 4)), X - 1, field_at(Fraction(1, 2))),
+        (X * (X - 1) ** 8, X - 1, field_at(1)),
+    ]
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return direct_v(*args)
+
+    monkeypatch.setattr(multiplicity, "direct_v", spy)
+    certs = [multiplicity_bound(q, c, field) for q, c, field in cases]
+    assert calls == []
+    assert [cert.case_tag for cert in certs] == [
+        "superattracting", "u1-nontorsion", "u1-torsion", "u1-torsion",
+        "u1-torsion"]
+    assert sum(len(cert.exceptional_ns) for cert in certs) == 4
+    for (q, c, field), cert in zip(cases, certs):
+        for n, v in cert.exceptional_ns:
+            assert v == direct_v(q, c, field, n)
+
+
 def test_hypothesis_violation_compositional_power():
     q = X ** 2 - 2
     with pytest.raises(HypothesisViolationError):

@@ -129,18 +129,22 @@ def test_poly_complex_roots_vs_numpy_random():
         if len(coeffs) < 2:
             continue
         f = Poly(coeffs)
-        ours = sorted(poly_complex_roots(f), key=lambda z: (z.real, z.imag))
-        theirs = sorted(numpy.roots(list(reversed(coeffs))),
-                        key=lambda z: (z.real, z.imag))
-        assert len(ours) == len(theirs)
-        for z, w in zip(ours, theirs):
+        ours = poly_complex_roots(f)
+        assert len(ours) == f.degree
+        # each of our roots matches its own numpy root
+        theirs = list(numpy.roots(list(reversed(coeffs))))
+        for z in ours:
+            w = min(theirs, key=lambda w: abs(z - w))
             assert abs(z - w) < 1e-7 * (1 + abs(w))
+            theirs.remove(w)
 
 
-def test_poly_complex_roots_conjugate_pairing():
-    roots = poly_complex_roots((X - 1) * (X ** 2 + 1))
-    assert roots[0] == 1.0
-    assert roots[1].conjugate() == roots[2]
+def test_poly_complex_roots_of_a_cubic():
+    roots = sorted(poly_complex_roots((X - 1) * (X ** 2 + 1)),
+                   key=lambda z: z.imag)
+    assert len(roots) == 3
+    for z, want in zip(roots, (-1j, 1, 1j)):
+        assert abs(z - want) < 1e-12
     with pytest.raises(DegenerateInputError):
         poly_complex_roots(Poly.const(5))
 

@@ -61,16 +61,42 @@ def test_parse_power_respects_the_caps():
 
 
 def test_parse_power_refuses_exactly_past_the_bit_cap(monkeypatch):
-    # 2^198 has 199 numerator bits plus 1 denominator bit; 3^150 passes the
-    # bound taken before powering and is refused once measured, as is the
-    # 301-bit constant term of (x+2^100)^3
+    # 2^198 has 199 numerator bits plus 1 denominator bit, at either end of
+    # a nonconstant base too; 3^150 passes the bound taken before powering
+    # and is refused once measured, as is the middle of (x+1)^210, whose
+    # ends are 1
     monkeypatch.setattr(LIMITS, "max_coeff_bits", 200)
     assert parse_poly("2^198") == Poly.const(2 ** 198)
     assert parse_poly("1^100000") == Poly.const(1)
     assert parse_poly("(x+1)^3") == (X + 1) ** 3
-    for text in ("2^199", "3^150", "(1/2)^199", "(x+2^100)^3"):
+    assert parse_poly("(x+2^66)^3") == (X + 2 ** 66) ** 3
+    assert parse_poly("(x/2^99+1)^2") == \
+        (X * Poly.const(Fraction(1, 2 ** 99)) + 1) ** 2
+    assert parse_poly("(x+1)^200") == (X + 1) ** 200
+    for text in ("2^199", "3^150", "(1/2)^199", "(x+2^67)^3",
+                 "(x/2^100+1)^2", "(x+3)^126", "(x+1)^210"):
         with pytest.raises(ResourceLimitError):
             parse_poly(text)
+
+
+def test_parse_power_refuses_a_wide_end_before_powering(monkeypatch):
+    # the constant term 2^300 of (x+2^100)^3 and the leading coefficient
+    # 1/2^300 of (x/2^150+1)^2 pass the cap; only 2^k itself is built
+    monkeypatch.setattr(LIMITS, "max_coeff_bits", 200)
+    powered = []
+    power = Poly.__pow__
+
+    def spy(base, e):
+        powered.append((base, e))
+        return power(base, e)
+
+    monkeypatch.setattr(Poly, "__pow__", spy)
+    for text, k in (("(x+2^100)^3", 100), ("(x/2^150+1)^2", 150)):
+        powered.clear()
+        with pytest.raises(ResourceLimitError,
+                           match="coefficient size 302 bits exceeds cap 200"):
+            parse_poly(text)
+        assert powered == [(Poly.const(2), k)]
 
 
 def test_parse_two_variables_rejected():
