@@ -12,7 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateInputError, LIMITS, VerificationError
+from .errors import (
+    DegenerateInputError,
+    LIMITS,
+    ResourceLimitError,
+    VerificationError,
+)
 from .polys import Poly, _compose_checked, iterate
 from .numfield import NumberFieldElem, nf_eval
 
@@ -187,8 +192,10 @@ def independence_probe(f: Poly, g: Poly, max_len: int):
     Each word of length L is its first letter composed with the word of its
     last L - 1 letters, which the previous length already holds: one
     composition per word, the small map outside, as in ``iterates``.  Words
-    past the degree or coefficient caps raise ResourceLimitError.  The two
-    colliding words are evaluated again by ``word_compose``.
+    past the degree or coefficient caps raise ResourceLimitError, and so
+    does a length whose words would take the number kept past
+    ``LIMITS.indep_words``, before any of them is built.  The two colliding
+    words are evaluated again by ``word_compose``.
     """
     if f.degree < 1 or g.degree < 1:
         raise DegenerateInputError("independence probe needs nonconstant maps")
@@ -197,6 +204,11 @@ def independence_probe(f: Poly, g: Poly, max_len: int):
     seen: dict[Poly, tuple] = {}   # polynomial -> (length, mask) of its word
     suffixes = [Poly.x()]
     for length in range(1, max_len + 1):
+        kept = len(seen) + (1 << length)
+        if kept > LIMITS.indep_words:
+            raise ResourceLimitError(
+                "words of length %d would keep %d words, past the cap %d"
+                % (length, kept, LIMITS.indep_words))
         top = 1 << (length - 1)
         words = []
         for mask in range(1 << length):

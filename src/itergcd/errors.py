@@ -1,11 +1,11 @@
 """Exceptions and resource limits shared by every module.
 
 All potentially unbounded computations (iteration, orbits, jets, power
-searches, canonical heights, factor recombination, modular gcds) consult the
-module-level LIMITS object and fail loudly with a ResourceLimitError instead
-of thrashing.  The caps are plain attributes that a library caller can
-adjust; the CLI runs with the defaults (only its orbit command takes per-call
-step and size caps).
+searches, canonical heights, factor recombination, modular gcds, word
+searches) consult the module-level LIMITS object and fail loudly with a
+ResourceLimitError instead of thrashing.  The caps are plain attributes
+that a library caller can adjust; the CLI runs with the defaults (only its
+orbit command takes per-call step and size caps).
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ class Limits:
     height_elem_bits: int = 1 << 22  # size cap on canonical-height iterates
     recombination_subsets: int = 1 << 16  # Zassenhaus subsets tried
     gcd_primes: int = 4096         # primes drawn by one modular gcd
+    indep_words: int = 1 << 16     # words kept by one independence probe
 
 
 LIMITS = Limits()

@@ -48,7 +48,12 @@ from .polys import Poly, iterate, iterates  # noqa: F401
 
 @dataclass(frozen=True)
 class HeightValue:
-    """A nonnegative real in log scale with a rigorous-in-spirit error bar."""
+    """A nonnegative real in log scale with an error bar.
+
+    Only the escape tail's value is derived, by outward rounding and Ziv's
+    test.  The root-finding error _ROOT_ERR is asserted, not derived, and
+    the comparison constant and the final divisions are plain floats.
+    """
 
     value: float
     error_bound: float
@@ -67,18 +72,18 @@ _ROOT_ERR = 1e-10
 def weil_height_alg(a: NumberFieldElem) -> HeightValue:
     """Absolute Weil height via the Mahler measure of the minimal polynomial.
 
-    With P the primitive integer form of min_poly(a), degree D and leading
-    coefficient a0:  h(a) = (log|a0| + sum_i log max(1, |root_i|)) / D.
+    With P the primitive integer minimal polynomial of a, degree D and
+    leading coefficient a0:  h(a) = (log a0 + sum_i log max(1, |root_i|)) / D.
+    min_poly's integer form is P over a0.
     """
     if a.is_rational():
         return weil_height(a.as_fraction())
     m = min_poly(a)
-    _, prim = m.primitive()
-    d = prim.degree
-    total = math.log(int(abs(prim.leading())))
-    for z in poly_complex_roots(prim):
+    _, a0 = m.int_form()
+    total = math.log(a0)
+    for z in poly_complex_roots(m):
         total += math.log(max(1.0, abs(z)))
-    return HeightValue(total / d, _ROOT_ERR)
+    return HeightValue(total / m.degree, _ROOT_ERR)
 
 
 def _comparison_constant(f: Poly) -> float:

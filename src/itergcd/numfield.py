@@ -2,7 +2,10 @@
 
 A NumberField is the quotient of Q[t] by a monic irreducible modulus; its
 elements are residue-class representatives of degree below deg p.  All
-arithmetic is exact.  Complex roots of a polynomial are the only
+arithmetic is exact.  Minimal polynomials come from Krylov elimination over
+Z: each power of the element is cleared of its common denominator once, and
+Bareiss's fraction-free rule keeps every row in integers, so no row
+operation runs a gcd.  Complex roots of a polynomial are the only
 floating-point surface and serve Mahler measures alone; every
 certificate-grade decision, the root-of-unity test included, goes through
 exact zero tests.
@@ -211,34 +214,59 @@ def nf_eval(f: Poly, a: NumberFieldElem) -> NumberFieldElem:
 # ---------------------------------------------------------------------------
 
 def min_poly(a: NumberFieldElem) -> Poly:
-    """Monic minimal polynomial of a over Q.
+    """Monic minimal polynomial of a over Q (irreducible, being minimal for
+    a field element).
 
-    Krylov-style: reduce the powers 1, a, a^2, ... against a growing echelon
-    basis of Q^n; the first linear dependency read off the tracked
-    combinations is the minimal polynomial (automatically irreducible, being
-    minimal for a field element).  char_poly_resultant below is the
-    independent slow route.
+    Krylov over Z.  Row k holds the integer coordinates d_k a^k of the k-th
+    power (d_k its common denominator), followed by the unit vector e_k
+    that tracks which combination of powers the row is.  It is reduced
+    against the echelon rows R_1, R_2, ... by Bareiss's one-step rule
+    row <- (P_i row - row[c_i] R_i) / P_(i-1), with c_i the pivot column of
+    R_i, P_i = R_i[c_i] and P_0 = 1; every entry stays a minor of the
+    matrix, so the division is exact (Bareiss, Math. Comp. 1968).  A step
+    with row[c_i] = 0 would only scale the row by P_i / P_(i-1), and these
+    factors telescope: the row skips such steps, and the next nonzero step
+    divides by the pivot of the last step taken instead.  An unreduced
+    power of a sparse element then costs a scan, not a rescaling.  The
+    entry a step zeroes is not computed: R_i is stored with 0 at c_i.  The
+    first row that reduces to zero gives sum_j combo_j d_j a^j = 0, the
+    first linear dependency among the powers.
+
+    That relation divided by its content is the primitive integer minimal
+    polynomial P with lc(P) > 0, and P / lc(P) is already in Poly's
+    canonical form, so ``min_poly(a).int_form()`` returns (P, lc(P)) with
+    no gcd.  char_poly_resultant below is the independent route.
     """
     n = a.field.degree
-    rows: list[tuple[int, list[Fraction], list[Fraction]]] = []
+    rows: list[tuple[int, int, list[int]]] = []   # (c_i, P_i, R_i)
+    dens: list[int] = []
     power = a.field.one()
     for k in range(n + 1):
-        vec = [power.rep[i] for i in range(n)]
-        combo = [Fraction(0)] * k + [Fraction(1)]
-        for pivot, rvec, rcombo in rows:
-            c = vec[pivot]
-            if c:
-                for i in range(n):
-                    vec[i] -= c * rvec[i]
-                for i, rc in enumerate(rcombo):
-                    combo[i] -= c * rc
-        pivot = next((i for i, v in enumerate(vec) if v), None)
+        nums, den = power.rep.int_form()
+        dens.append(den)
+        row = nums + [0] * (2 * n + 1 - len(nums))
+        row[n + k] = 1
+        last = 1            # P of the last step taken
+        for c, p, r in rows:
+            x = row[c]
+            if x:
+                row[c] = 0
+                row = [(p * u - x * v) // last for u, v in zip(row, r)]
+                last = p
+        pivot = next((i for i in range(n) if row[i]), None)
         if pivot is None:
-            return Poly(combo)      # monic: combo[k] was never touched
-        inv = 1 / vec[pivot]
-        vec = [v * inv for v in vec]
-        combo = [c * inv for c in combo]
-        rows.append((pivot, vec, combo))
+            m = [row[n + j] * dens[j] for j in range(k + 1)]
+            # the content divides the leading coefficient: start the gcd
+            # there, where a coefficient that it divides costs one division
+            g = math.gcd(*reversed(m))
+            if m[-1] < 0:
+                g = -g
+            return Poly._make(tuple(c // g for c in m), m[-1] // g)
+        top = rows[-1][1] if rows else 1
+        if last != top:     # the skipped steps' factor P_r / P_last
+            row = [u * top // last for u in row]
+        rows.append((pivot, row[pivot], row))
+        row[pivot] = 0
         power = power * a
     raise AssertionError("no dependency among n+1 vectors in dimension n")
 
@@ -277,6 +305,16 @@ def _complex_horner(coeffs: list[complex], z: complex) -> complex:
     return acc
 
 
+def _scaled(f: Poly) -> list[float]:
+    """Each coefficient of f over the largest in absolute value, correctly
+    rounded.  The ratios share f's denominator, so each is one integer true
+    division of numerators, which rounds the exact ratio as float() of the
+    Fraction quotient would, without its gcd."""
+    nums, _ = f.int_form()
+    big = max(map(abs, nums))
+    return [c / big for c in nums]
+
+
 def poly_complex_roots(f: Poly) -> list[complex]:
     """The deg f complex roots of f to high relative accuracy, in no order.
 
@@ -289,8 +327,7 @@ def poly_complex_roots(f: Poly) -> list[complex]:
     n = f.degree
     if n < 1:
         raise DegenerateInputError("root finding needs a nonconstant polynomial")
-    big = max(abs(c) for c in f.coeffs)
-    cs = [float(c / big) for c in f.coeffs]
+    cs = _scaled(f)
     if cs[-1] == 0.0:
         raise EmbeddingError("leading coefficient underflows after rescaling")
     if n == 1:

@@ -218,6 +218,20 @@ def test_independence_probe_checks_the_coefficient_cap(monkeypatch):
         independence_probe(f, g, 6)
 
 
+def test_independence_probe_checks_the_word_cap(monkeypatch):
+    # lengths 1..4 keep 2 + 4 + 8 + 16 = 30 words
+    f, g = Poly([0, 2]), Poly([1, 3])
+    monkeypatch.setattr(LIMITS, "indep_words", 30)
+    assert independence_probe(f, g, 4) == ("no-collision-up-to", 4)
+    with pytest.raises(ResourceLimitError, match="length 5 would keep 62"):
+        independence_probe(f, g, 5)
+    # a collision within the cap is still found: 2x o (x + 1) is
+    # (x + 1) o (x + 1) o 2x, a word of length 3
+    monkeypatch.setattr(LIMITS, "indep_words", 14)
+    verdict, _ = independence_probe(Poly([0, 2]), X + 1, 40)
+    assert verdict == "dependent"
+
+
 @pytest.mark.parametrize("max_len", [0, -1])
 def test_independence_probe_refuses_an_empty_search(max_len):
     # no word has length <= 0, so "no collision" would be vacuous

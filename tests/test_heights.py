@@ -2,7 +2,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy
 import pytest
+import sympy
 
 from itergcd import heights
 from itergcd.errors import (
@@ -75,6 +77,33 @@ def test_weil_height_alg_rational_element_delegates():
 def test_weil_height_alg_roots_of_unity_zero():
     i = NumberField(X ** 2 + 1).generator()
     assert weil_height_alg(i).value <= 1e-12
+
+
+def test_weil_height_alg_in_a_non_integral_field():
+    # Q[t]/(t^3 - t/2 - 1/3): the leading coefficient of the primitive
+    # minimal polynomial comes from a sympy resultant, the conjugates from
+    # numpy's roots of the modulus, and h(a) is their Mahler-measure mean
+    modulus = Poly([Fraction(-1, 3), Fraction(-1, 2), 0, 1])
+    field = NumberField(modulus)
+    thetas = numpy.roots([1, 0, -0.5, -1 / 3])
+    t, x = sympy.symbols("t x")
+    p = t ** 3 - t / 2 - sympy.Rational(1, 3)
+    rng = random.Random(2619)
+    for _ in range(20):
+        cs = [Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+              for _ in range(3)]
+        if not cs[1] and not cs[2]:
+            continue
+        r = sum(sympy.Rational(c.numerator, c.denominator) * t ** i
+                for i, c in enumerate(cs))
+        chi = sympy.Poly(sympy.resultant(p, x - r, t), x)
+        lc = abs(chi.clear_denoms()[1].primitive()[1].LC())
+        conj = [sum(float(c) * th ** i for i, c in enumerate(cs))
+                for th in thetas]
+        want = (math.log(lc)
+                + sum(math.log(max(1.0, abs(z))) for z in conj)) / 3
+        h = weil_height_alg(field.element(Poly(cs)))
+        assert abs(h.value - want) <= 1e-8 * (1 + want)
 
 
 def test_canonical_height_squaring_map():

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import numpy
@@ -12,6 +14,7 @@ from itergcd.numfield import (
     Jet,
     NumberField,
     NumberFieldElem,
+    _scaled,
     char_poly_resultant,
     identity_jet,
     jet_at,
@@ -120,6 +123,125 @@ def test_min_poly_vs_sympy():
         assert ours == Poly(cs)
 
 
+def krylov_over_q(a):
+    """The monic minimal polynomial by Krylov elimination in Fraction
+    arithmetic: the route that min_poly ran before it moved to Z, kept as
+    its oracle."""
+    n = a.field.degree
+    rows = []
+    power = a.field.one()
+    for k in range(n + 1):
+        vec = [power.rep[i] for i in range(n)]
+        combo = [Fraction(0)] * k + [Fraction(1)]
+        for pivot, rvec, rcombo in rows:
+            c = vec[pivot]
+            if c:
+                for i in range(n):
+                    vec[i] -= c * rvec[i]
+                for i, rc in enumerate(rcombo):
+                    combo[i] -= c * rc
+        pivot = next((i for i, v in enumerate(vec) if v), None)
+        if pivot is None:
+            return Poly(combo)
+        inv = 1 / vec[pivot]
+        rows.append((pivot, [v * inv for v in vec], [c * inv for c in combo]))
+        power = power * a
+    raise AssertionError("no dependency among n+1 vectors in dimension n")
+
+
+def subfield_elem(field, rng, step):
+    """A random element that is a polynomial in t^step."""
+    cs = [0] * field.degree
+    for i in range(0, field.degree, step):
+        cs[i] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    return field.element(Poly(cs))
+
+
+# Moduli for the minimal-polynomial property suite: integral and not
+# (t^3 - t/2 - 1/3, and 2 t^2 - 3 given non-monic), with proper subfields
+# (t^4 + 1 holds Q(i) and Q(sqrt 2), t^6 - 3 holds Q(cbrt 3) and Q(sqrt 3)),
+# and a degree-1 modulus, where the field is Q.
+MINPOLY_MODULI = (
+    X - Poly.const(Fraction(3, 2)),
+    X ** 2 - 2,
+    Poly([-3, 0, 2]),
+    Poly([Fraction(-1, 3), Fraction(-1, 2), 0, 1]),
+    X ** 4 + 1,
+    X ** 4 - X - 1,
+    X ** 6 - 3,
+)
+
+
+def test_min_poly_against_fraction_krylov_and_resultant():
+    rng = random.Random(2617)
+    cases = 0
+    for modulus in MINPOLY_MODULI:
+        field = NumberField(modulus)
+        n = field.degree
+        elems = [field.zero(), field.one(), field.element(Fraction(-7, 4)),
+                 field.generator()]
+        elems += [random_elem(field, rng, span=rng.choice((3, 40, 10 ** 6)))
+                  for _ in range(12)]
+        elems += [subfield_elem(field, rng, step)
+                  for step in range(2, n) if n % step == 0 for _ in range(4)]
+        for a in elems:
+            m = min_poly(a)
+            assert m == krylov_over_q(a)
+            # the integer form is the primitive integer polynomial over its
+            # positive leading coefficient
+            nums, den = m.int_form()
+            assert den == nums[-1] > 0 and math.gcd(*nums) == 1
+            assert Poly.from_int_list(nums, den) == m
+            assert n % m.degree == 0
+            assert char_poly_resultant(a) == m ** (n // m.degree)
+            cases += 1
+    assert cases >= 120
+
+
+def test_min_poly_of_rationals_and_zero():
+    assert min_poly(GAUSS.zero()) == X
+    assert min_poly(NumberField.rationals().element(0)) == X
+    m = min_poly(SQRT2.element(Fraction(-5, 3)))
+    assert m.int_form() == ([5, 3], 3)
+
+
+def test_min_poly_sparse_generator_of_degree_256():
+    # every power of the generator is a unit vector until t^256 = 2, so
+    # no step of the elimination rescales a row
+    field = NumberField(X ** 256 - 2, check=False)
+    start = time.perf_counter()
+    m = min_poly(field.generator())
+    elapsed = time.perf_counter() - start
+    assert m == X ** 256 - 2
+    assert elapsed <= 0.33
+
+
+def test_scaled_matches_the_fraction_route_bit_for_bit():
+    # ratios of numerators against float() of the Fraction quotient, with
+    # coefficients of up to 10^5 bits and ratios below the subnormal range
+    rng = random.Random(2618)
+    huge = underflows = 0
+    for _ in range(60):
+        bits = rng.choice((8, 60, 1100, 3000, 10 ** 5))
+        den = rng.choice((1, 3, 2 ** 70 + 1, rng.getrandbits(200) | 1))
+        cs = []
+        for _ in range(rng.randint(2, 6)):
+            size = max(1, rng.choice((1, bits // 3, bits, bits - 1100)))
+            sign = rng.choice((-1, 1))
+            cs.append(Fraction(sign * rng.getrandbits(size), den))
+        cs[-1] = cs[-1] or Fraction(1, den)
+        f = Poly(cs)
+        big = max(abs(c) for c in f.coeffs)
+        want = [float(c / big) for c in f.coeffs]
+        assert [c.hex() for c in _scaled(f)] == [c.hex() for c in want]
+        huge += big.numerator.bit_length() > 90000
+        underflows += any(c and not w for c, w in zip(f.coeffs, want))
+    assert huge and underflows
+    tiny = _scaled(Poly([-1, 0, 2 ** 1200]))
+    assert tiny[0] == 0.0 and math.copysign(1.0, tiny[0]) == -1.0
+    assert tiny[2] == 1.0
+
+
 def test_poly_complex_roots_vs_numpy_random():
     rng = random.Random(24)
     for _ in range(60):
@@ -179,6 +301,32 @@ def test_root_of_unity_order_is_exact(monkeypatch):
                   17: sum((X ** i for i in range(1, 17)), Poly.const(1))}
     for order, modulus in cyclotomic.items():
         assert root_of_unity_order(NumberField(modulus).generator()) == order
+
+
+def cyclotomic(n):
+    """Phi_n by dividing x^n - 1 by Phi_d for the proper divisors d of n."""
+    out = X ** n - 1
+    for d in range(1, n):
+        if n % d == 0:
+            out = out // cyclotomic(d)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_root_of_unity_order_on_powers_of_zeta(n):
+    field = NumberField(cyclotomic(n), check=False)
+    zeta = field.generator()
+    power = field.one()
+    for k in range(1, n + 1):
+        power = power * zeta
+        assert root_of_unity_order(power) == n // math.gcd(n, k)
+    assert root_of_unity_order(2 * zeta) == NOT_A_ROOT_OF_UNITY
+    if n == 2:
+        return      # 1 + zeta = 0
+    # |1 + e^(2 pi i / n)| = 2 |cos(pi / n)| is 1 only for n = 3, where
+    # 1 + zeta = -zeta^2 has order 6
+    want = 6 if n == 3 else NOT_A_ROOT_OF_UNITY
+    assert root_of_unity_order(1 + zeta) == want
 
 
 def test_root_of_unity_order_above_360():

@@ -297,6 +297,15 @@ def test_cli_coefficient_cap_exit_3(capsys, monkeypatch):
     assert "ResourceLimitError" in err
 
 
+def test_cli_word_cap_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(LIMITS, "indep_words", 100)
+    code, out, err = run_cli(capsys, "indep", "--f", "2*x", "--g", "3*x+1",
+                             "--max-len", "30")
+    assert code == 3
+    assert out == ""
+    assert "ResourceLimitError" in err and "past the cap 100" in err
+
+
 def test_cli_out_file_atomic(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "mult-cert", "--q", "x^2-2", "--c", "2",
