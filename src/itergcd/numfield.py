@@ -218,8 +218,8 @@ def min_poly(a: NumberFieldElem) -> Poly:
     a field element).
 
     Krylov over Z.  Row k holds the integer coordinates d_k a^k of the k-th
-    power (d_k its common denominator), followed by the unit vector e_k
-    that tracks which combination of powers the row is.  It is reduced
+    power (d_k its common denominator), followed by d_k e_k, which tracks
+    the row as a combination of the powers.  It is reduced
     against the echelon rows R_1, R_2, ... by Bareiss's one-step rule
     row <- (P_i row - row[c_i] R_i) / P_(i-1), with c_i the pivot column of
     R_i, P_i = R_i[c_i] and P_0 = 1; every entry stays a minor of the
@@ -229,8 +229,8 @@ def min_poly(a: NumberFieldElem) -> Poly:
     divides by the pivot of the last step taken instead.  An unreduced
     power of a sparse element then costs a scan, not a rescaling.  The
     entry a step zeroes is not computed: R_i is stored with 0 at c_i.  The
-    first row that reduces to zero gives sum_j combo_j d_j a^j = 0, the
-    first linear dependency among the powers.
+    first row that reduces to zero ends in the coefficients of the first
+    linear dependency among the powers.
 
     That relation divided by its content is the primitive integer minimal
     polynomial P with lc(P) > 0, and P / lc(P) is already in Poly's
@@ -239,13 +239,11 @@ def min_poly(a: NumberFieldElem) -> Poly:
     """
     n = a.field.degree
     rows: list[tuple[int, int, list[int]]] = []   # (c_i, P_i, R_i)
-    dens: list[int] = []
     power = a.field.one()
     for k in range(n + 1):
         nums, den = power.rep.int_form()
-        dens.append(den)
         row = nums + [0] * (2 * n + 1 - len(nums))
-        row[n + k] = 1
+        row[n + k] = den
         last = 1            # P of the last step taken
         for c, p, r in rows:
             x = row[c]
@@ -255,7 +253,7 @@ def min_poly(a: NumberFieldElem) -> Poly:
                 last = p
         pivot = next((i for i in range(n) if row[i]), None)
         if pivot is None:
-            m = [row[n + j] * dens[j] for j in range(k + 1)]
+            m = row[n:n + k + 1]
             # the content divides the leading coefficient: start the gcd
             # there, where a coefficient that it divides costs one division
             g = math.gcd(*reversed(m))
