@@ -110,8 +110,6 @@ def compositional_power_check(c: Poly, f: Poly):
     """
     if f.degree < 2:
         raise DegenerateInputError("base map needs degree >= 2")
-    if c.degree < 1:
-        return "none"
     df, dc = f.degree, c.degree
     k, pw = 0, 1
     while pw < dc:

@@ -333,8 +333,6 @@ def factor_irreducible(f: Poly) -> FactorList:
     """Full irreducible factorization over Q (monic factors + content)."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    if f.degree < 1:
-        return FactorList(f.leading(), ())
     # split off x^k before Yun; it is common in gcds of iterates and free
     # to detect, and what remains may be a constant that needs no gcd
     nums, den = f.int_form()

@@ -14,7 +14,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
 
 from .emit import md_table
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, check_bits
 from .factoring import FactorList, _factor_sort_key, factor_irreducible
 from .modular import (
     gf_add, gf_compose_mod, gf_gcd, gf_mul, gf_rem, gf_scale, gf_sub,
@@ -277,7 +277,8 @@ def linear_common_root(alpha, beta, gamma, n: int, c: Poly | None = None):
     beta^(n-1).  When alpha^n = beta^n the two iterates are parallel and
     there is no (or no unique) solution; that is a degenerate input.  When
     c is supplied the common value is also required to equal c(lambda),
-    returning NO_SOLUTION otherwise.
+    returning NO_SOLUTION otherwise.  An alpha^n or beta^n that surely has
+    more than LIMITS.max_coeff_bits raises ResourceLimitError unbuilt.
     """
     if not all(isinstance(v, (int, Fraction)) for v in (alpha, beta, gamma)):
         raise DegenerateInputError("linear coefficients must be rational")
@@ -286,6 +287,11 @@ def linear_common_root(alpha, beta, gamma, n: int, c: Poly | None = None):
         raise DegenerateInputError("need n >= 1")
     if alpha == 0:
         raise DegenerateInputError("alpha must be nonzero")
+    # the n-th power of an integer of b >= 1 bits has n (b - 1) + 1 bits or
+    # more; count numerator plus denominator bits, as parser._power does
+    for q in (alpha, beta):
+        check_bits(n * (q.numerator.bit_length()
+                        + q.denominator.bit_length() - 2) + 2)
     an = alpha ** n
     bn = beta ** n
     if an == bn:

@@ -664,10 +664,6 @@ def zx_resultant(f: list[int], g: list[int]) -> int:
     """Res(f, g) over Z by CRT against a Hadamard-style bound."""
     if not f or not g:
         return 0
-    if zx_deg(f) == 0:
-        return f[0] ** zx_deg(g)
-    if zx_deg(g) == 0:
-        return g[0] ** zx_deg(f)
     n2f = math.isqrt(sum(c * c for c in f)) + 1
     n2g = math.isqrt(sum(c * c for c in g)) + 1
     bound = 2 * n2f ** zx_deg(g) * n2g ** zx_deg(f) + 1

@@ -328,8 +328,6 @@ def poly_complex_roots(f: Poly) -> list[complex]:
     cs = _scaled(f)
     if cs[-1] == 0.0:
         raise EmbeddingError("leading coefficient underflows after rescaling")
-    if n == 1:
-        return [complex(-cs[0] / cs[1], 0.0)]
     # the Weierstrass correction below assumes a monic polynomial
     lead = cs[-1]
     cs = [c / lead for c in cs]
@@ -381,13 +379,6 @@ def root_of_unity_order(a: NumberFieldElem):
     """
     if a.is_zero():
         raise DegenerateInputError("zero is not a candidate root of unity")
-    if a.is_rational():
-        q = a.as_fraction()
-        if q == 1:
-            return 1
-        if q == -1:
-            return 2
-        return NOT_A_ROOT_OF_UNITY
     m = min_poly(a)
     nums, den = m.int_form()
     if den != 1 or abs(nums[0]) != 1:

@@ -199,8 +199,6 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         d = other.degree
-        if self.degree < d:
-            return Poly.zero(), self
         rem = list(self._n)
         b = other._n
         lb = b[-1]
@@ -244,13 +242,6 @@ class Poly:
     @classmethod
     def from_int_list(cls, coeffs: list[int], den: int = 1) -> "Poly":
         return _from_ints(list(coeffs), den)
-
-    def primitive(self) -> tuple[Fraction, "Poly"]:
-        """f = content * prim with prim integer-primitive, lc(prim) > 0."""
-        if self.is_zero():
-            return Fraction(0), Poly.zero()
-        cont, prim = modular.zx_primitive(list(self._n))
-        return _fraction(cont, self._d), Poly._make(tuple(prim), 1)
 
     def monic(self) -> "Poly":
         n = self._n
@@ -421,13 +412,11 @@ def iterate(f: Poly, n: int) -> Poly:
 
     For deg f >= 2 this is the last step of the left fold in ``iterates``.
     Maps of degree at most 1 keep square-and-compose, so that very large n
-    stay cheap for them.
+    stay cheap for them; with n = 0 it returns x at once.
     """
     if n < 0:
         raise ValueError("compositional power needs n >= 0")
-    if n == 0:
-        return Poly.x()
-    if f.degree >= 2:
+    if n and f.degree >= 2:
         return iterates(f, n)[-1]
     return modular._binary_power(f, n, Poly.x(), _compose_checked)
 
@@ -452,8 +441,6 @@ def _compose_checked(outer: Poly, inner: Poly) -> Poly:
 
 def _gcd_over_q(f: Poly, g: Poly, zx_gcd) -> Poly:
     """Monic gcd over Q from a gcd on Z[x] of the cleared numerators."""
-    if f.is_zero() or g.is_zero():
-        return (f + g).monic()
     return _canon(zx_gcd(f.int_form()[0], g.int_form()[0]), 1, 1).monic()
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from itergcd.errors import DegenerateInputError
+from itergcd.errors import DegenerateInputError, LIMITS, ResourceLimitError
 from itergcd.gcdlab import (
     NO_SOLUTION,
     gcd_grid,
@@ -136,6 +136,23 @@ def test_linear_common_root_degenerate():
         linear_common_root(0, 2, 1, 1)
     with pytest.raises(DegenerateInputError):
         linear_common_root(2, 3, 1, 0)
+
+
+@pytest.mark.parametrize("alpha, beta", [(2, 1), (1, -2), (Fraction(1, 2), 1),
+                                         (1, Fraction(-1, 3))])
+def test_linear_common_root_bit_cap(monkeypatch, alpha, beta):
+    # 2^n and 2^-n have n + 2 bits; (1/3)^n has more than its lower bound
+    # n + 2, but only a power that surely passes the cap is refused
+    monkeypatch.setattr(LIMITS, "max_coeff_bits", 200)
+    assert linear_common_root(alpha, beta, 1, 198) != 0
+    with pytest.raises(ResourceLimitError, match="201 bits exceeds cap 200"):
+        linear_common_root(alpha, beta, 1, 199)
+
+
+def test_linear_common_root_refuses_before_powering():
+    # building 3^5000000 and the root would take minutes
+    with pytest.raises(ResourceLimitError):
+        linear_common_root(2, 3, 1, 5_000_000)
 
 
 @pytest.mark.parametrize("alpha", [2.0, NumberField(X ** 2 - 2).generator()])

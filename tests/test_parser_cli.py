@@ -392,6 +392,15 @@ def test_cli_linear_root_past_int_str_limit(capsys):
         assert code == 0 and text in out
 
 
+def test_cli_linear_power_cap_exit_3(capsys):
+    # 2^5000000 has more than the default 2^22 coefficient bits
+    code, out, err = run_cli(capsys, "linear", "--alpha", "2", "--beta", "3",
+                             "--gamma", "1", "--n", "5000000")
+    assert code == 3
+    assert out == ""
+    assert "ResourceLimitError" in err
+
+
 def test_cli_indep_witness(capsys):
     code, out, _ = run_cli(capsys, "indep", "--f", "2*x", "--g", "x+1",
                            "--max-len", "4")
