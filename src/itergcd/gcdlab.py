@@ -15,14 +15,15 @@ from fractions import Fraction
 
 from .emit import md_table
 from .errors import DegenerateInputError, check_bits
-from .factoring import FactorList, _factor_sort_key, factor_irreducible
+from .factoring import _factor_sort_key, factor_irreducible
 from .modular import (
     gf_add, gf_compose_mod, gf_gcd, gf_mul, gf_rem, gf_scale, gf_sub,
-    prime_stream,
+    prime_stream, rational_reconstruct,
 )
+from .numfield import NumberField, NumberFieldElem, nf_eval
 from .polys import (
-    Poly, _check_iterate_degree, iterate, iterates, mult_of_factor, poly_gcd,
-    render_poly,
+    Poly, _check_iterate_degree, _check_coeff_bits, iterate, iterates,
+    mult_of_factor, poly_gcd, render_poly,
 )
 
 NO_SOLUTION = "no solution"
@@ -128,15 +129,15 @@ def _gf_iterates(q: list[int], n: int, p: int) -> list[list[int]]:
     return out
 
 
-def _trivial_cells(a: list[int], q: list[int], q_its: list, c: list[int],
-                   ks, p: int) -> list[int]:
-    """The k in ks with gcd(a, q^k - c) = 1 mod p.
+def _cell_images(a: list[int], q: list[int], q_its: list, c: list[int],
+                 ks, p: int) -> dict:
+    """{k: gcd(a, q^k - c) mod p, monic} for the k in ks.
 
     The iterates of q are reduced modulo a step by step, y <- q(y) mod a,
     from the last one in q_its of degree below deg a, and the residues of
-    the k in ks multiplied together mod a: when that product is prime to a
-    every cell is settled by one gcd, otherwise each residue meets the gcd
-    of the product (which every cell gcd divides).
+    the k in ks multiplied together mod a.  Every gcd(a, r_k) divides
+    gcd(a, product): when that is 1 every image is 1, and otherwise
+    gcd(a, r_k) = gcd(common, r_k), a gcd of lower degree.
     """
     wanted = set(ks)
     residues = {}
@@ -151,29 +152,29 @@ def _trivial_cells(a: list[int], q: list[int], q_its: list, c: list[int],
         prod = gf_rem(gf_mul(prod, r, p), a, p)
     common = gf_gcd(a, prod, p)
     if len(common) == 1:
-        return list(ks)
-    return [k for k in ks if len(gf_gcd(common, residues[k], p)) == 1]
+        return dict.fromkeys(ks, common)
+    return {k: gf_gcd(common, residues[k], p) for k in ks}
 
 
-def _screen(f: Poly, g: Poly, c: Poly, pairs) -> dict:
-    """(m, n) -> millis for each cell whose gcd one prime certifies to be 1.
+def _screen(f: Poly, g: Poly, c: Poly, pairs):
+    """(p, {(m, n): (monic cell gcd mod p, millis)}) for the cells screened.
 
     The prime p divides no denominator and no leading numerator of f, g
     and c, so f^m - c keeps its degree mod p unless deg f^m = deg c, and
     likewise for g.  The image mod p of the primitive gcd over Q then keeps
-    its degree and divides the gcd mod p: a cell whose gcd mod p is 1 has
-    gcd 1.
+    its degree and divides the cell's gcd mod p: a cell whose gcd mod p is
+    1 has gcd 1, and any other has a gcd of at most that degree.
 
     The rows are the lines f^m - c of the lower-degree map (f and g swap
     when deg f > deg g), and one Euclid modulo a row screens all its cells;
-    a screened cell's millis is its share of its row's time.  g's iterates
-    are folded mod p only while shorter than the largest row, and each row
+    a cell's millis is its share of its row's time.  g's iterates are
+    folded mod p only while shorter than the largest row, and each row
     reduces the longer ones itself.  Lines whose iterate has the degree of
     c, the only ones where an iterate can equal c, and constant maps are
-    left to the exact route.
+    left to the exact route (p is None when no cell is screened).
     """
     if f.degree < 1 or g.degree < 1:
-        return {}
+        return None, {}
     grid_n, swap = max(map(max, pairs)), f.degree > g.degree
     if swap:
         f, g, pairs = g, f, [(n, m) for m, n in pairs]
@@ -182,7 +183,7 @@ def _screen(f: Poly, g: Poly, c: Poly, pairs) -> dict:
         if c.degree not in (f.degree ** m, g.degree ** n):
             rows.setdefault(m, []).append(n)
     if not rows:
-        return {}
+        return None, {}
     forms = [q.int_form() for q in (f, g, c)]
     bad = [b for nums, den in forms for b in (den, *nums[-1:])]
     p = next(p for p in prime_stream() if all(b % p for b in bad))
@@ -194,12 +195,59 @@ def _screen(f: Poly, g: Poly, c: Poly, pairs) -> dict:
     screened = {}
     for m, ns in rows.items():
         t0 = time.perf_counter()
-        trivial = _trivial_cells(gf_sub(f_its[m - 1], cp, p), gp, g_its, cp,
-                                 ns, p)
-        share = (time.perf_counter() - t0) * 1000.0 / max(len(trivial), 1)
-        for n in trivial:
-            screened[(n, m) if swap else (m, n)] = share
-    return screened
+        images = _cell_images(gf_sub(f_its[m - 1], cp, p), gp, g_its, cp,
+                              ns, p)
+        share = (time.perf_counter() - t0) * 1000.0 / len(ns)
+        for n, h in images.items():
+            screened[(n, m) if swap else (m, n)] = h, share
+    return p, screened
+
+
+def _orbit(q: Poly, t: NumberFieldElem, n: int) -> list:
+    """[q^k(t) for k = 1..n], each element through check_bits as each
+    iterate over Q is."""
+    out, y = [], t
+    for _ in range(n):
+        y = nf_eval(q, y)
+        _check_coeff_bits(y.rep)
+        out.append(y)
+    return out
+
+
+def _lift(f: Poly, g: Poly, c: Poly, p, images: dict) -> dict:
+    """(m, n) -> (gcd, factors, millis) for each cell its image settles.
+
+    An image 1 is the cell's gcd.  Any other image is lifted to the monic
+    H over Q whose coefficients reconstruct it mod p, and H is kept for the
+    cells whose iterates it divides: H | f^m - c when f^m(t) = c(t) in
+    Q[t]/(H), one orbit of t per map and H.  The screen's prime keeps the
+    degree of the primitive gcd G, so G mod p divides the image; H | G
+    and deg H = deg image >= deg G then give H = G, multiplicities
+    included.  A cell whose image fails to lift or to verify is left out.
+    """
+    groups: dict = {}
+    for mn, (h, _) in images.items():
+        groups.setdefault(tuple(h), []).append(mn)
+    settled = {}
+    for image, cells in groups.items():
+        t0 = time.perf_counter()
+        coeffs = [rational_reconstruct(a, p) for a in image]
+        if None in coeffs:
+            continue
+        h = Poly(coeffs)
+        if h.degree:
+            t = NumberField(h, check=False).generator()
+            f_its = _orbit(f, t, max(m for m, _ in cells))
+            g_its = _orbit(g, t, max(n for _, n in cells))
+            c_t = nf_eval(c, t)
+            cells = [(m, n) for m, n in cells
+                     if f_its[m - 1] == c_t == g_its[n - 1]]
+        if cells:
+            factors = factor_irreducible(h)
+            share = (time.perf_counter() - t0) * 1000.0 / len(cells)
+            for mn in cells:
+                settled[mn] = h, factors, images[mn][1] + share
+    return settled
 
 
 def _minus_c(q: Poly, n: int, c: Poly) -> list:
@@ -216,31 +264,31 @@ def gcd_grid(f: Poly, g: Poly, c: Poly, grid_n: int,
     (any cell with m or n equal to grid_n) introduced no factor unseen in
     the interior, which is the observable shadow of the finiteness claims.
 
-    A screen modulo one prime (`_screen`) certifies most cells of gcd 1
-    without expanding an iterate over Q; the other cells take the exact
-    route, poly_gcd and factor_irreducible on iterates expanded only as
-    far as those cells reach.
+    A screen modulo one prime (`_screen`) takes each cell's gcd mod p
+    without expanding an iterate over Q, and `_lift` turns the images into
+    verified gcds.  The other cells (constant maps, lines whose iterate has
+    the degree of c, images that fail to lift or verify) take the exact
+    route, poly_gcd and factor_irreducible on iterates expanded only as far
+    as those cells reach.
     """
     if grid_n < 1:
         raise DegenerateInputError("grid size must be >= 1")
     pairs = _grid_pairs(grid_n, diagonal_only)
     _check_iterate_degree(f, grid_n)
     _check_iterate_degree(g, grid_n)
-    screened = _screen(f, g, c, pairs)
-    exact = [mn for mn in pairs if mn not in screened]
+    settled = _lift(f, g, c, *_screen(f, g, c, pairs))
+    exact = [mn for mn in pairs if mn not in settled]
     # one left fold per map; iterate k - c is then formed once per k
     f_minus_c = _minus_c(f, max((m for m, _ in exact), default=0), c)
     g_minus_c = _minus_c(g, max((n for _, n in exact), default=0), c)
 
-    one, no_factors = Poly.const(1), FactorList(Fraction(1), ())
     cells: dict = {}
     gcds: dict = {}
     degenerate: dict = {}
     timings: dict = {}
     for m, n in pairs:
-        if (m, n) in screened:
-            gcds[(m, n)], cells[(m, n)] = one, no_factors
-            timings[(m, n)] = screened[(m, n)]
+        if (m, n) in settled:
+            gcds[(m, n)], cells[(m, n)], timings[(m, n)] = settled[(m, n)]
             continue
         t0 = time.perf_counter()
         fm, gn = f_minus_c[m - 1], g_minus_c[n - 1]
@@ -277,8 +325,9 @@ def linear_common_root(alpha, beta, gamma, n: int, c: Poly | None = None):
     beta^(n-1).  When alpha^n = beta^n the two iterates are parallel and
     there is no (or no unique) solution; that is a degenerate input.  When
     c is supplied the common value is also required to equal c(lambda),
-    returning NO_SOLUTION otherwise.  An alpha^n or beta^n that surely has
-    more than LIMITS.max_coeff_bits raises ResourceLimitError unbuilt.
+    returning NO_SOLUTION otherwise.  An alpha^n or beta^n of more than
+    LIMITS.max_coeff_bits raises ResourceLimitError, unbuilt when a lower
+    bound on its bits already passes the cap.
     """
     if not all(isinstance(v, (int, Fraction)) for v in (alpha, beta, gamma)):
         raise DegenerateInputError("linear coefficients must be rational")
@@ -294,6 +343,8 @@ def linear_common_root(alpha, beta, gamma, n: int, c: Poly | None = None):
                         + q.denominator.bit_length() - 2) + 2)
     an = alpha ** n
     bn = beta ** n
+    for q in (an, bn):
+        check_bits(q.numerator.bit_length() + q.denominator.bit_length())
     if an == bn:
         raise DegenerateInputError(
             "alpha^n equals beta^n; the iterates never separate")

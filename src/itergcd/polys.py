@@ -426,13 +426,17 @@ def _compose_checked(outer: Poly, inner: Poly) -> Poly:
     if do >= 1 and di >= 1:
         check_degree(do * di)
     r = outer.compose(inner)
-    # numerator plus denominator bits bound every reduced coefficient, so
-    # the exact widths are needed only near the cap
-    nums, den = r._n, r._d
-    if (max((a.bit_length() for a in nums), default=0) + den.bit_length()
+    _check_coeff_bits(r)
+    return r
+
+
+def _check_coeff_bits(r: Poly) -> None:
+    """check_bits on the largest coefficient of r, numerator plus
+    denominator bits.  Those of the integer form bound every reduced
+    coefficient, so the exact widths are needed only near the cap."""
+    if (max((a.bit_length() for a in r._n), default=0) + r._d.bit_length()
             > LIMITS.max_coeff_bits):
         check_bits(r.max_coeff_bits())
-    return r
 
 
 # ---------------------------------------------------------------------------

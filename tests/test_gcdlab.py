@@ -141,12 +141,14 @@ def test_linear_common_root_degenerate():
 @pytest.mark.parametrize("alpha, beta", [(2, 1), (1, -2), (Fraction(1, 2), 1),
                                          (1, Fraction(-1, 3))])
 def test_linear_common_root_bit_cap(monkeypatch, alpha, beta):
-    # 2^n and 2^-n have n + 2 bits; (1/3)^n has more than its lower bound
-    # n + 2, but only a power that surely passes the cap is refused
+    # 2^n and 2^-n have n + 2 bits, refused unbuilt past the cap by the
+    # lower bound n (bits - 2) + 2; (1/3)^n has 2n + 2 by that bound but
+    # ceil(n log2 3) + 1 once built, and is refused as built
     monkeypatch.setattr(LIMITS, "max_coeff_bits", 200)
-    assert linear_common_root(alpha, beta, 1, 198) != 0
+    n = 125 if beta == Fraction(-1, 3) else 198
+    assert linear_common_root(alpha, beta, 1, n) != 0
     with pytest.raises(ResourceLimitError, match="201 bits exceeds cap 200"):
-        linear_common_root(alpha, beta, 1, 199)
+        linear_common_root(alpha, beta, 1, n + 1)
 
 
 def test_linear_common_root_refuses_before_powering():

@@ -1,9 +1,10 @@
-"""The modular screen of gcd_grid against the per-cell exact route.
+"""The modular screen and lift of gcd_grid against the per-cell exact route.
 
-gcd_grid certifies cells of gcd 1 modulo one prime and sends every other
-cell to poly_gcd and factor_irreducible.  The reference here computes every
-cell with gcd_iterates, so both routes must give the same report, apart
-from the millis of each cell.
+gcd_grid takes every cell's gcd modulo one prime, settles the cells of gcd
+1 there, lifts the other images to Q and verifies them on orbits, and sends
+what is left to poly_gcd and factor_irreducible.  The reference here
+computes every cell by poly_gcd on the iterates expanded over Q, so all
+routes must give the same report, apart from the millis of each cell.
 """
 
 import itertools
@@ -26,20 +27,21 @@ X = Poly.x()
 
 
 def reference_json(f, g, c, grid_n, diagonal_only=False):
-    """gcd_grid's json report, every cell by gcd_iterates, millis blank."""
+    """gcd_grid's json report, every cell by poly_gcd over Q, millis blank."""
     pairs = ([(k, k) for k in range(1, grid_n + 1)] if diagonal_only else
              list(itertools.product(range(1, grid_n + 1), repeat=2)))
+    its_f, its_g = iterates(f, grid_n), iterates(g, grid_n)
     cells, degenerate, factor_lists = [], [], {}
     for m, n in pairs:
-        if iterate(f, m) == c:
+        if its_f[m - 1] == c:
             degenerate.append({"m": m, "n": n,
                                "reason": "f iterate %d equals c" % m})
             continue
-        if iterate(g, n) == c:
+        if its_g[n - 1] == c:
             degenerate.append({"m": m, "n": n,
                                "reason": "g iterate %d equals c" % n})
             continue
-        h = gcd_iterates(f, g, c, m, n)
+        h = poly_gcd(its_f[m - 1] - c, its_g[n - 1] - c)
         fl = (factor_irreducible(h) if h.degree >= 1
               else FactorList(Fraction(1), ()))
         factor_lists[(m, n)] = fl.factors
@@ -102,9 +104,25 @@ def random_grid(rng):
     return f, g, c, grid_n, rng.random() < 0.2
 
 
+def _routes(screened, lifted, exact):
+    """(screened, lifted, fallback, exact) cell counts from the spies.
+
+    Screened cells have image 1, lifted ones a verified gcd of degree 1 or
+    more; fallback cells had an image that failed to lift or verify, and
+    exact cells are all the cells poly_gcd computed, fallback included.
+    """
+    images = [h for _, (_, cells) in screened for h, _ in cells.values()]
+    settled = [h for _, cells in lifted for h, _, _ in cells.values()]
+    n_screened = sum(len(h) == 1 for h in images)
+    n_lifted = sum(h.degree > 0 for h in settled)
+    return n_screened, n_lifted, len(images) - len(settled), len(exact)
+
+
 def test_screen_matches_per_cell_route_on_seeded_grids(acceptance,
                                                       monkeypatch):
     screened = _count_calls(monkeypatch, "_screen")
+    lifted = _count_calls(monkeypatch, "_lift")
+    exact = _count_calls(monkeypatch, "poly_gcd")
     rng = random.Random(20261018)
     n_cases = 320
     cells = 0
@@ -114,11 +132,16 @@ def test_screen_matches_per_cell_route_on_seeded_grids(acceptance,
         assert grid_json(f, g, c, grid_n, diagonal) == want, \
             (render_poly(f), render_poly(g), render_poly(c), grid_n, diagonal)
         cells += len(want["cells"])
-    # both routes carry a good share of the cells
-    n_screened = sum(len(result) for _, result in screened)
+    n_screened, n_lifted, n_fallback, n_exact = _routes(screened, lifted,
+                                                        exact)
+    # every cell takes one route, each route carries cells, and every
+    # image the screen took lifts: the seeded roots are small
+    assert n_screened + n_lifted + n_exact == cells
     assert cells // 4 < n_screened < cells - cells // 4
+    assert n_lifted > 50 and n_exact > 50 and n_fallback == 0
     acceptance("grid screen matches per-cell gcds, %d grids" % n_cases, True,
-               "%d of %d cells screened" % (n_screened, cells))
+               "%d of %d cells screened, %d lifted, %d exact (%d fallback)"
+               % (n_screened, cells, n_lifted, n_exact, n_fallback))
 
 
 @pytest.mark.parametrize("f, g, c, grid_n", [
@@ -148,7 +171,7 @@ def _image(q, p):
 
 
 def test_rows_are_the_lower_degree_maps_lines(monkeypatch):
-    lines = _count_calls(monkeypatch, "_trivial_cells")
+    lines = _count_calls(monkeypatch, "_cell_images")
     f, g = parse_poly("x^3+x/2-1"), parse_poly("x^2-1/3")
     reports = []
     for a, b in ((f, g), (g, f)):
@@ -219,17 +242,96 @@ def test_all_trivial_grid_expands_nothing_over_q(monkeypatch):
 
 
 def test_only_nontrivial_cells_take_poly_gcd(monkeypatch):
+    # the nontrivial cells are lifted from their images: none takes poly_gcd
     gcd_calls = _count_calls(monkeypatch, "poly_gcd")
     rep = gcd_grid(parse_poly("x^2-2"), parse_poly("x^2-1"), Poly.zero(), 6)
     nontrivial = [mn for mn, h in rep.gcds.items() if h.degree > 0]
     assert nontrivial == [(1, 2), (1, 4), (1, 6)]
-    assert len(gcd_calls) == len(nontrivial)
+    assert gcd_calls == []
+
+
+def _shared_root_pair(r):
+    """(x - r)(x + 1) and (x - r)(x - 2): cell (1, 1) of c = 0 is x - r."""
+    return (X - r) * (X + 1), (X - r) * (X - 2)
 
 
 def test_exact_iterates_stop_at_the_largest_exact_index(monkeypatch):
     iterate_calls = _count_calls(monkeypatch, "iterates")
     gcd_grid(parse_poly("x^2-2"), parse_poly("x^2-1"), Poly.zero(), 6)
-    assert sorted(n for (_, n), _ in iterate_calls) == [1, 6]
+    assert iterate_calls == []
+    # x - 40001/3 does not lift mod p: cell (1, 1) alone takes the exact
+    # route, which expands the first iterates and no more
+    f, g = _shared_root_pair(Fraction(40001, 3))
+    gcd_grid(f, g, Poly.zero(), 3)
+    assert sorted(n for (_, n), _ in iterate_calls) == [1, 1]
+
+
+def test_powers_above_1_are_lifted(monkeypatch):
+    f, g = parse_poly("x^3+x^2"), parse_poly("x^3+5*x^2")
+    exact = _count_calls(monkeypatch, "poly_gcd")
+    rep = gcd_grid(f, g, Poly.zero(), 4)
+    assert rep.gcds[(3, 4)] == X ** 8 and rep.factor_universe == {X: 16}
+    for diagonal in (False, True):
+        assert grid_json(f, g, Poly.zero(), 4, diagonal) == \
+            reference_json(f, g, Poly.zero(), 4, diagonal)
+    assert exact == []
+
+
+def test_a_factor_first_seen_on_the_outer_shell_is_lifted(monkeypatch):
+    f, g = parse_poly("x^2-2"), parse_poly("x^2-1")
+    want = reference_json(f, g, Poly.zero(), 2)
+    exact = _count_calls(monkeypatch, "poly_gcd")
+    assert grid_json(f, g, Poly.zero(), 2) == want
+    assert want["factor_universe"] == [["x^2-2", 1]]
+    assert want["stabilized"] is False and exact == []
+
+
+def test_an_image_that_does_not_lift_falls_back(monkeypatch):
+    # 40001 is above sqrt(p/2) for every prime of the stream, so no
+    # reconstruction gives x - 40001/3
+    r = Fraction(40001, 3)
+    assert r.numerator ** 2 > (1 << 29) // 2
+    f, g = _shared_root_pair(r)
+    want = reference_json(f, g, Poly.zero(), 3)
+    lifted = _count_calls(monkeypatch, "_lift")
+    exact = _count_calls(monkeypatch, "poly_gcd")
+    assert grid_json(f, g, Poly.zero(), 3) == want
+    assert want["cells"][0]["gcd"] == "x-40001/3"
+    assert (1, 1) not in lifted[0][1]
+    assert [args for args, _ in exact] == [(f, g)]
+
+
+def test_a_corrupted_image_fails_verification(monkeypatch):
+    # row 1 of this grid has the gcd x^2 - 2 at even n and 1 at odd n.  In
+    # place of x^2 - 2, x^2 - 3 lifts but divides neither iterate; in place
+    # of 1, x^2 - 2 divides f - 0 but not g^n - 0
+    f, g = parse_poly("x^2-2"), parse_poly("x^2-1")
+    want = reference_json(f, g, Poly.zero(), 6)
+    screen = gcdlab._screen
+
+    def corrupted(*args):
+        p, images = screen(*args)
+        for n in range(1, 7):
+            h, millis = images[(1, n)]
+            images[(1, n)] = [p - (3 if len(h) > 1 else 2), 0, 1], millis
+        return p, images
+
+    monkeypatch.setattr(gcdlab, "_screen", corrupted)
+    exact = _count_calls(monkeypatch, "poly_gcd")
+    assert grid_json(f, g, Poly.zero(), 6) == want
+    its_f, its_g = iterates(f, 1), iterates(g, 6)
+    assert [args for args, _ in exact] == [
+        (its_f[0], its_g[n - 1]) for n in range(1, 7)]
+
+
+def test_shared_factor_grid_expands_nothing_over_q(monkeypatch):
+    f, g = parse_poly("x^2+x/5"), parse_poly("x^2-4*x/3+1/3")
+    want = reference_json(f, g, Poly.zero(), 10)
+    gcd_calls = _count_calls(monkeypatch, "poly_gcd")
+    iterate_calls = _count_calls(monkeypatch, "iterates")
+    assert grid_json(f, g, Poly.zero(), 10) == want
+    assert gcd_calls == [] and iterate_calls == []
+    assert {cell["gcd"] for cell in want["cells"]} == {"1", "x"}
 
 
 @pytest.mark.parametrize("f, g", [("x^2", "x^2+1"), ("x+1", "x^2+1"),
@@ -251,13 +353,27 @@ def test_grid_past_the_degree_cap_raises_as_iterates_does(monkeypatch, f, g):
 
 
 def test_grid_past_the_coefficient_cap_raises(monkeypatch):
-    # every cell shares x^2, so the screen sends all of them to the exact
-    # route, whose fifth iterate of f has a 290-bit coefficient
+    # every cell shares a power of x and is lifted: the fifth iterate of
+    # x^3 + x^2/3 has a 290-bit coefficient, but its orbit mod x^32 stays
+    # below 200 bits; that of x^3 + x^2/7 mod x^64 passes them
+    g = parse_poly("x^3+5*x^2")
+    f, f7 = parse_poly("x^3+x^2/3"), parse_poly("x^3+x^2/7")
+    want = reference_json(f, g, Poly.zero(), 5)
     monkeypatch.setattr(LIMITS, "max_coeff_bits", 200)
-    f, g = parse_poly("x^3+x^2/3"), parse_poly("x^3+5*x^2")
-    assert gcd_grid(f, g, Poly.zero(), 4).cells
-    with pytest.raises(ResourceLimitError, match="290 bits exceeds cap 200"):
-        gcd_grid(f, g, Poly.zero(), 5)
+    assert grid_json(f, g, Poly.zero(), 5) == want
+    refused, orbit = [], gcdlab._orbit
+
+    def spy(q, *args):
+        try:
+            return orbit(q, *args)
+        except ResourceLimitError:
+            refused.append(q)
+            raise
+
+    monkeypatch.setattr(gcdlab, "_orbit", spy)
+    with pytest.raises(ResourceLimitError, match="bits exceeds cap 200"):
+        gcd_grid(f7, g, Poly.zero(), 6)
+    assert refused == [f7]
 
 
 def test_primes_dividing_a_leading_numerator_are_skipped(monkeypatch):

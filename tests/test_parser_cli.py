@@ -289,9 +289,23 @@ def test_cli_resource_limit_exit_3(capsys, monkeypatch):
 
 
 def test_cli_coefficient_cap_exit_3(capsys, monkeypatch):
+    # under a 200-bit cap x^3 + x^2/3 answers as with none (its orbits stay
+    # below the cap); the orbits of x^3 + x^2/7 at N = 6 pass it
+    def grid(f, n):
+        code, out, err = run_cli(capsys, "gcd-grid", "--f", f, "--g",
+                                 "x^3+5*x^2", "--c", "0", "--N", n,
+                                 "--format", "json")
+        if code == 0:
+            out = json.loads(out)
+            for cell in out["cells"]:
+                cell.pop("millis")
+        return code, out, err
+
+    uncapped = grid("x^3+x^2/3", "5")
     monkeypatch.setattr(LIMITS, "max_coeff_bits", 200)
-    code, out, err = run_cli(capsys, "gcd-grid", "--f", "x^3+x^2/3",
-                             "--g", "x^3+5*x^2", "--c", "0", "--N", "5")
+    assert grid("x^3+x^2/3", "5") == uncapped
+    assert uncapped[0] == 0 and uncapped[1]["cells"]
+    code, out, err = grid("x^3+x^2/7", "6")
     assert code == 3
     assert out == ""
     assert "ResourceLimitError" in err
@@ -399,6 +413,16 @@ def test_cli_linear_power_cap_exit_3(capsys):
     assert code == 3
     assert out == ""
     assert "ResourceLimitError" in err
+
+
+def test_cli_linear_built_power_cap_exit_3(capsys):
+    # 3^3000000 passes the default cap, though the bound checked before
+    # powering, 3000002 bits, does not
+    code, out, err = run_cli(capsys, "linear", "--alpha", "2", "--beta", "3",
+                             "--gamma", "1", "--n", "3000000")
+    assert code == 3
+    assert out == ""
+    assert "ResourceLimitError" in err and "4754889 bits" in err
 
 
 def test_cli_indep_witness(capsys):
