@@ -146,7 +146,11 @@ def _gf_ddf(g: list[int], p: int) -> list[tuple[int, list[int]]]:
         i += 1
         if zx_deg(v) < 2 * i:
             break
-        h = gf_compose_mod(h, xp, v, p)
+        # h(x^p) = h^p mod v: Horner takes deg h products, the binary
+        # power bitlen(p) + popcount(p) - 2; take the fewer
+        h = (gf_powmod(h, p, v, p)
+             if zx_deg(h) > p.bit_length() + bin(p).count("1") - 2
+             else gf_compose_mod(h, xp, v, p))
     if zx_deg(v) > 0:
         out.append((zx_deg(v), v))
     return out

@@ -129,31 +129,31 @@ def _gf_iterates(q: list[int], n: int, p: int) -> list[list[int]]:
     return out
 
 
-def _cell_images(a: list[int], q: list[int], q_its: list, c: list[int],
-                 ks, p: int) -> dict:
+def _cell_images(a: list[int], q: list[int], q_its: list, shared: list[int],
+                 c: list[int], ks, p: int) -> dict:
     """{k: gcd(a, q^k - c) mod p, monic} for the k in ks.
 
-    The iterates of q are reduced modulo a step by step, y <- q(y) mod a,
-    from the last one in q_its of degree below deg a, and the residues of
-    the k in ks multiplied together mod a.  Every gcd(a, r_k) divides
-    gcd(a, product): when that is 1 every image is 1, and otherwise
-    gcd(a, r_k) = gcd(common, r_k), a gcd of lower degree.
+    shared is the product of the lines q^k - c mod p, unreduced, of the k
+    in ks that have an iterate in q_its.  The iterates past q_its are
+    reduced modulo a step by step, y <- q(y) mod a, and their residues
+    multiplied into shared mod a.  Every gcd(a, r_k) divides gcd(a,
+    product): when that is 1 every image is 1, and otherwise gcd(a, r_k) =
+    gcd(common, r_k), a gcd of lower degree, since common divides a.
     """
-    wanted = set(ks)
-    residues = {}
-    y = gf_rem([0, 1], a, p)
-    for k in range(1, max(wanted) + 1):
-        small = q_its[k - 1] if k <= len(q_its) else a
-        y = small if len(small) < len(a) else gf_compose_mod(q, y, a, p)
-        if k in wanted:
-            residues[k] = gf_rem(gf_sub(y, c, p), a, p)
-    prod = [1]
-    for r in residues.values():
-        prod = gf_rem(gf_mul(prod, r, p), a, p)
+    residues, prod = {}, shared
+    if max(ks) > len(q_its):
+        prod = gf_rem(shared, a, p)
+        y = gf_rem(q_its[-1] if q_its else [0, 1], a, p)
+        for k in range(len(q_its) + 1, max(ks) + 1):
+            y = gf_compose_mod(q, y, a, p)
+            if k in ks:
+                residues[k] = r = gf_rem(gf_sub(y, c, p), a, p)
+                prod = gf_rem(gf_mul(prod, r, p), a, p)
     common = gf_gcd(a, prod, p)
     if len(common) == 1:
         return dict.fromkeys(ks, common)
-    return {k: gf_gcd(common, residues[k], p) for k in ks}
+    return {k: gf_gcd(common, residues[k] if k in residues
+                      else gf_sub(q_its[k - 1], c, p), p) for k in ks}
 
 
 def _screen(f: Poly, g: Poly, c: Poly, pairs):
@@ -168,10 +168,14 @@ def _screen(f: Poly, g: Poly, c: Poly, pairs):
     The rows are the lines f^m - c of the lower-degree map (f and g swap
     when deg f > deg g), and one Euclid modulo a row screens all its cells;
     a cell's millis is its share of its row's time.  g's iterates are
-    folded mod p only while shorter than the largest row, and each row
-    reduces the longer ones itself.  Lines whose iterate has the degree of
-    c, the only ones where an iterate can equal c, and constant maps are
-    left to the exact route (p is None when no cell is screened).
+    folded mod p up to the degree of the largest row, and the prefix
+    products of their lines formed once per set of columns (charged to the
+    row that forms them).  A row's Euclid takes, unreduced, the product up
+    to the first line past the row, and the iterates beyond are composed:
+    a step costs deg g products modulo the row, reducing a line t steps
+    past it (deg g)^t - 1.  Lines whose iterate has the degree of c, the
+    only ones where an iterate can equal c, and constant maps are left to
+    the exact route (p is None when no cell is screened).
     """
     if f.degree < 1 or g.degree < 1:
         return None, {}
@@ -190,12 +194,19 @@ def _screen(f: Poly, g: Poly, c: Poly, pairs):
     fp, gp, cp = (gf_scale(nums, pow(den, -1, p), p) for nums, den in forms)
     f_its = _gf_iterates(fp, max(rows), p)
     top = max(f.degree ** max(rows), c.degree)
-    n_small = sum(g.degree ** n < top for n in range(1, grid_n + 1))
-    g_its = _gf_iterates(gp, n_small, p)
-    screened = {}
+    n_fit = sum(g.degree ** n <= top for n in range(1, grid_n + 1))
+    g_its = _gf_iterates(gp, n_fit, p)
+    prefixes, screened = {}, {}
     for m, ns in rows.items():
         t0 = time.perf_counter()
-        images = _cell_images(gf_sub(f_its[m - 1], cp, p), gp, g_its, cp,
+        if tuple(ns) not in prefixes:
+            prefix = prefixes[tuple(ns)] = [[1]]
+            for n in range(1, n_fit + 1):
+                prefix.append(gf_mul(prefix[-1], gf_sub(g_its[n - 1], cp, p),
+                                     p) if n in ns else prefix[-1])
+        a = gf_sub(f_its[m - 1], cp, p)
+        j = sum(g.degree ** (n - 1) < len(a) for n in range(1, n_fit + 1))
+        images = _cell_images(a, gp, g_its[:j], prefixes[tuple(ns)][j], cp,
                               ns, p)
         share = (time.perf_counter() - t0) * 1000.0 / len(ns)
         for n, h in images.items():

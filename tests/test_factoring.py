@@ -12,6 +12,10 @@ from itergcd.factoring import (
     is_irreducible,
     squarefree_decomposition,
 )
+from itergcd.modular import (
+    gf_compose_mod, gf_deriv, gf_divmod, gf_gcd, gf_monic, gf_powmod, gf_sub,
+    zx_deg,
+)
 from itergcd.polys import Poly
 
 
@@ -146,3 +150,42 @@ def test_recombination_subsets_are_capped(monkeypatch):
     monkeypatch.setattr(LIMITS, "recombination_subsets", 3)
     assert {g.coeffs for g, _ in factor_irreducible(f).factors} == \
         {(X ** 4 + 1).coeffs, (X ** 4 + 2).coeffs}
+
+
+def _ddf_by_horner(g, p):
+    """The distinct-degree split of a monic squarefree g mod p, stepping
+    h <- h(x^p) mod v by Horner at every degree."""
+    out, v, x = [], gf_monic(list(g), p), [0, 1]
+    xp = gf_powmod(x, p, v, p)
+    h, i = list(xp), 1
+    while zx_deg(v) >= 2 * i:
+        w = gf_gcd(gf_sub(h, x, p), v, p)
+        if zx_deg(w) > 0:
+            out.append((i, w))
+            v = gf_divmod(v, w, p)[0]
+            h, xp = gf_divmod(h, v, p)[1], gf_divmod(xp, v, p)[1]
+        i += 1
+        if zx_deg(v) < 2 * i:
+            break
+        h = gf_compose_mod(h, xp, v, p)
+    return out + [(zx_deg(v), v)] if zx_deg(v) > 0 else out
+
+
+def test_ddf_matches_the_horner_stepped_split(monkeypatch):
+    # the Frobenius step takes the binary power above bitlen(p) +
+    # popcount(p) - 2 and Horner at or below it: both occur here
+    steps = []
+    for name in ("gf_powmod", "gf_compose_mod"):
+        real = getattr(factoring, name)
+        monkeypatch.setattr(factoring, name, lambda f, *a, _r=real, _n=name:
+                            steps.append((_n, zx_deg(f))) or _r(f, *a))
+    rng = random.Random(20261019)
+    for deg in 2 * (2, 3, 4, 6, 8, 10, 12, 16, 24, 32, 48, 64):
+        p = rng.choice((3, 5, 7, 101, 257))
+        while True:
+            g = [rng.randrange(p) for _ in range(deg)] + [1]
+            if zx_deg(gf_gcd(g, gf_deriv(g, p), p)) == 0:
+                break
+        assert factoring._gf_ddf(g, p) == _ddf_by_horner(g, p), (g, p)
+    assert {name for name, deg in steps if deg > 1} == \
+        {"gf_powmod", "gf_compose_mod"}

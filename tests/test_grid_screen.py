@@ -17,7 +17,7 @@ from itergcd import gcdlab, modular
 from itergcd.errors import DegenerateInputError, LIMITS, ResourceLimitError
 from itergcd.factoring import FactorList, factor_irreducible
 from itergcd.gcdlab import gcd_grid, gcd_iterates
-from itergcd.modular import gf_from_zx, gf_gcd, prime_stream
+from itergcd.modular import gf_from_zx, gf_gcd, gf_mul, gf_sub, prime_stream
 from itergcd.parser import parse_poly
 from itergcd.polys import (
     Poly, iterate, iterates, poly_gcd, render_poly, resultant,
@@ -157,6 +157,8 @@ def test_screen_matches_per_cell_route_on_seeded_grids(acceptance,
     ("x^2", "x^2+x", "x^2", 3),         # f^1 = c: row 1 is degenerate
     ("x^3+x/2-3/2", "x^2-1", "0", 3),   # higher degree first; x - 1 divides
                                         # cells (1, 1) and (1, 3)
+    ("x^2", "x^3", "x", 4),             # g^3, g^4 pass the largest row and
+                                        # are composed modulo each row
 ])
 def test_screen_matches_per_cell_route_on_named_grids(f, g, c, grid_n):
     f, g, c = parse_poly(f), parse_poly(g), parse_poly(c)
@@ -183,7 +185,7 @@ def test_rows_are_the_lower_degree_maps_lines(monkeypatch):
                                for (m, n), h in reports[0].gcds.items()}
 
 
-def test_the_other_map_is_folded_only_below_the_largest_row(monkeypatch):
+def test_the_other_map_is_folded_up_to_the_largest_row(monkeypatch):
     folds = _count_calls(monkeypatch, "_gf_iterates")
     f, g = parse_poly("x^4+x/3-1"), parse_poly("x^2-1/5")
     for a, b in ((f, g), (g, f)):
@@ -191,8 +193,30 @@ def test_the_other_map_is_folded_only_below_the_largest_row(monkeypatch):
         gcd_grid(a, b, Poly.zero(), 8)
         reached = {len(args[0]) - 1: max((len(y) - 1 for y in its), default=0)
                    for args, its in folds}
-        # the rows reach degree 2^8; the quartic stops below it
-        assert reached[2] == 256 and reached[4] < 256
+        # the rows reach degree 2^8, and the quartic up to it: 4^4 = 2^8
+        assert reached == {2: 256, 4: 256}
+
+
+def test_rows_take_their_products_from_one_chain_per_column_set(
+        monkeypatch):
+    # row m takes g's lines up to the first one past its degree unreduced,
+    # as a prefix product formed once for its set of columns; rows 5 and 6
+    # both take all six lines
+    lines = _count_calls(monkeypatch, "_cell_images")
+    f, g = parse_poly("x^2-2"), parse_poly("x^2-1")
+    for diagonal in (False, True):
+        lines.clear()
+        gcd_grid(f, g, Poly.zero(), 6, diagonal)
+        for m, ((a, _, q_its, shared, c, ks, p), _) in enumerate(lines, 1):
+            assert len(a) == 2 ** m + 1 and len(q_its) == min(m + 1, 6)
+            want = [1]
+            for k in ks:
+                if k <= len(q_its):
+                    want = gf_mul(want, gf_sub(q_its[k - 1], c, p), p)
+            assert shared == want
+        products = [args[3] for args, _ in lines]
+        assert len({id(s) for s in products}) == (6 if diagonal else 5)
+        assert (products[4] is products[5]) is not diagonal
 
 
 def test_unlucky_and_bad_primes_fall_back_to_the_exact_route(monkeypatch):
