@@ -11,6 +11,7 @@ a blown step cap is not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     DegenerateInputError,
@@ -118,6 +119,31 @@ def compositional_power_check(c: Poly, f: Poly):
     if pw != dc or k == 0:
         return "none"
     return k if iterate(f, k) == c else "none"
+
+
+def p_valuation(a: Fraction, p: int) -> int:
+    """v_p of a nonzero rational a, for a prime p."""
+    return _valuation(a.numerator, p) - _valuation(a.denominator, p)
+
+
+def _valuation(n: int, b: int) -> int:
+    """The largest k with b^k | n, for n != 0 and b >= 2: twice that of
+    b^2, plus one if b divides what is left; about log2 k divisions."""
+    if n % b:
+        return 0
+    w = _valuation(n, b * b)
+    return 2 * w + (n // (b * b) ** w % b == 0)
+
+
+def log_escape_radius(q: Poly, p: int) -> Fraction:
+    """log_p of the p-adic escape radius of q = sum a_i x^i, deg q >= 2:
+    the max of v(a_d)/(d - 1) and (v(a_d) - v(a_i))/(d - i) over a_i != 0.
+    Past it |q(z)|_p = |a_d|_p |z|_p^d > |z|_p, so an orbit grows at every
+    step (Silverman, The Arithmetic of Dynamical Systems, ch. 5)."""
+    d, vd = q.degree, p_valuation(q.leading(), p)
+    return max([Fraction(vd, d - 1)] + [
+        Fraction(vd - p_valuation(a, p), d - i)
+        for i, a in enumerate(q.coeffs[:-1]) if a])
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,13 @@ import time
 from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
 
+from .dynamics import log_escape_radius, p_valuation
 from .emit import md_table
 from .errors import DegenerateInputError, check_bits
 from .factoring import _factor_sort_key, factor_irreducible
 from .modular import (
     gf_add, gf_compose_mod, gf_gcd, gf_mul, gf_rem, gf_scale, gf_sub,
-    prime_stream, rational_reconstruct,
+    is_prime, prime_stream, rational_reconstruct,
 )
 from .numfield import NumberField, NumberFieldElem, nf_eval
 from .polys import (
@@ -214,6 +215,42 @@ def _screen(f: Poly, g: Poly, c: Poly, pairs):
     return p, screened
 
 
+def _prime_factors(n: int) -> list:
+    """The primes below 2^10 dividing n >= 1, and the cofactor left over
+    when is_prime decides it exactly (below 2^64); others are not tried."""
+    out = [d for d in range(2, min(n + 1, 1024)) if n % d == 0 and is_prime(d)]
+    for d in out:
+        n //= d ** p_valuation(Fraction(n), d)
+    return out + [n] if 1 < n < 1 << 64 and is_prime(n) else out
+
+
+def _proof_prime(f: Poly, g: Poly, c: Poly):
+    """A prime p at which no cell (m, n) has a common root, or None.
+
+    For c constant, deg f, deg g >= 2 and f = sum a_i x^i: every root of
+    g^n - c lies in |z|_p <= r = max(R_g, |c|_p), R the escape radius.  If
+    |a_0|_p > |a_i|_p r^i for i >= 1, |f(z)|_p = |a_0|_p there, and if also
+    |a_0|_p > max(R_f, |c|_p), f's orbit of the disk never comes back to c.
+    Exact logarithms to base p, f and g in both orders; only a prime of
+    f's denominator can pass, since v_p(a_0) or v_p(a_d) must be < 0.
+    Valuations cost long divisions, quadratic in a coefficient's size, so
+    maps or targets with a coefficient past 2^12 bits are not tried."""
+    forms = [q.int_form() for q in (f, g, c)]
+    if (c.degree > 0 or f.degree < 2 or g.degree < 2
+            or max(abs(a).bit_length() for nums, den in forms
+                   for a in (den, *nums)) > 1 << 12):
+        return None
+    for q, h in ((f, g), (g, f)):
+        for p in _prime_factors(q.int_form()[1]) if q[0] else ():
+            vc = [-p_valuation(c[0], p)] if c else []
+            lr, a0 = max([log_escape_radius(h, p), *vc]), -p_valuation(q[0], p)
+            if all(a0 > b for b in (log_escape_radius(q, p), *vc, *(
+                    i * lr - p_valuation(a, p)
+                    for i, a in enumerate(q.coeffs) if i and a))):
+                return p
+    return None
+
+
 def _orbit(q: Poly, t: NumberFieldElem, n: int) -> list:
     """[q^k(t) for k = 1..n], each element through check_bits as each
     iterate over Q is."""
@@ -280,14 +317,21 @@ def gcd_grid(f: Poly, g: Poly, c: Poly, grid_n: int,
     verified gcds.  The other cells (constant maps, lines whose iterate has
     the degree of c, images that fail to lift or verify) take the exact
     route, poly_gcd and factor_irreducible on iterates expanded only as far
-    as those cells reach.
+    as those cells reach.  A grid that `_proof_prime` proves trivial at one
+    prime takes none of these routes: every cell has gcd 1.
     """
     if grid_n < 1:
         raise DegenerateInputError("grid size must be >= 1")
     pairs = _grid_pairs(grid_n, diagonal_only)
     _check_iterate_degree(f, grid_n)
     _check_iterate_degree(g, grid_n)
-    settled = _lift(f, g, c, *_screen(f, g, c, pairs))
+    t0 = time.perf_counter()
+    if _proof_prime(f, g, c):
+        trivial = Poly.const(1), factor_irreducible(Poly.const(1))
+        share = (time.perf_counter() - t0) * 1000.0 / len(pairs)
+        settled = dict.fromkeys(pairs, (*trivial, share))
+    else:
+        settled = _lift(f, g, c, *_screen(f, g, c, pairs))
     exact = [mn for mn in pairs if mn not in settled]
     # one left fold per map; iterate k - c is then formed once per k
     f_minus_c = _minus_c(f, max((m for m, _ in exact), default=0), c)

@@ -13,7 +13,9 @@ from itergcd.dynamics import (
     chebyshev,
     compositional_power_check,
     independence_probe,
+    log_escape_radius,
     orbit,
+    p_valuation,
     ramified_cycle_check,
     word_compose,
 )
@@ -23,6 +25,45 @@ from itergcd.polys import Poly, iterate
 
 X = Poly.x()
 Q = NumberField.rationals()
+
+
+def test_p_valuation():
+    assert p_valuation(Fraction(-48, 49), 7) == -2
+    assert p_valuation(Fraction(40, 3), 2) == 3
+    assert p_valuation(Fraction(40, 3), 5) == 1
+    assert p_valuation(Fraction(40, 3), 7) == 0
+    # whole powers p^(2^k) are divided out: each exponent below is exact
+    for e in (1, 2, 3, 7, 8, 1000, 1023, 1024, 4097):
+        assert p_valuation(Fraction(5 * 3 ** e, 2), 3) == e
+        assert p_valuation(Fraction(-4, 7 ** e * 11), 7) == -e
+
+
+@pytest.mark.parametrize("q, p, want", [
+    (X ** 2 + Fraction(1, 3), 3, Fraction(1, 2)),  # R_3 = 3^(1/2)
+    (X ** 2 + Fraction(1, 3), 2, 0),               # good reduction
+    (X ** 2 + Fraction(1, 3) * X - Fraction(5, 7), 7, Fraction(1, 2)),
+    (Fraction(1, 4) * X ** 3 + X, 2, -1),  # 4|z|^3 > |z| past |z|_2 = 1/2
+    (49 * X ** 2 + 1, 7, 2),               # |a_d|_7^(-1/(d-1)) = 49
+    (X ** 3 - Fraction(1, 8) * X, 2, Fraction(3, 2)),
+    (X ** 2, 3, 0),                        # a monomial: only a_d counts
+    (Fraction(1, 9) * X ** 3, 3, -1),
+])
+def test_log_escape_radius(q, p, want):
+    assert log_escape_radius(q, p) == want
+
+
+def test_orbits_past_the_escape_radius_grow():
+    # |z|_p > R_p: |q(z)|_p = |a_d|_p |z|_p^d > |z|_p, at every step
+    for q, p in ((X ** 2 + Fraction(1, 3), 3),
+                 (Fraction(1, 4) * X ** 3 + X, 2),
+                 (X ** 3 - Fraction(1, 8) * X, 2)):
+        log_r = log_escape_radius(q, p)
+        for z in (Fraction(1, p ** 2), Fraction(5, p ** 3)):
+            assert -p_valuation(z, p) > log_r
+            for _ in range(3):
+                y = q.evaluate(z)
+                assert -p_valuation(y, p) > -p_valuation(z, p)
+                z = y
 
 
 def test_orbit_fixed_point():

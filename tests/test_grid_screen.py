@@ -1,10 +1,12 @@
 """The modular screen and lift of gcd_grid against the per-cell exact route.
 
-gcd_grid takes every cell's gcd modulo one prime, settles the cells of gcd
-1 there, lifts the other images to Q and verifies them on orbits, and sends
-what is left to poly_gcd and factor_irreducible.  The reference here
-computes every cell by poly_gcd on the iterates expanded over Q, so all
-routes must give the same report, apart from the millis of each cell.
+gcd_grid settles a grid that valuations at one prime prove trivial
+without any gcd.  Otherwise it takes every cell's gcd modulo one prime,
+settles the cells of gcd 1 there, lifts the other images to Q and verifies
+them on orbits, and sends what is left to poly_gcd and factor_irreducible.
+The reference here computes every cell by poly_gcd on the iterates
+expanded over Q, so all routes must give the same report, apart from the
+millis of each cell.
 """
 
 import itertools
@@ -13,7 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from itergcd import gcdlab, modular
+from itergcd import factoring, gcdlab, modular
+from itergcd.cli import main
 from itergcd.errors import DegenerateInputError, LIMITS, ResourceLimitError
 from itergcd.factoring import FactorList, factor_irreducible
 from itergcd.gcdlab import gcd_grid, gcd_iterates
@@ -120,28 +123,33 @@ def _routes(screened, lifted, exact):
 
 def test_screen_matches_per_cell_route_on_seeded_grids(acceptance,
                                                       monkeypatch):
+    proofs = _count_calls(monkeypatch, "_proof_prime")
     screened = _count_calls(monkeypatch, "_screen")
     lifted = _count_calls(monkeypatch, "_lift")
     exact = _count_calls(monkeypatch, "poly_gcd")
     rng = random.Random(20261018)
     n_cases = 320
-    cells = 0
+    cells = n_proven = 0
     for _ in range(n_cases):
         f, g, c, grid_n, diagonal = random_grid(rng)
         want = reference_json(f, g, c, grid_n, diagonal)
         assert grid_json(f, g, c, grid_n, diagonal) == want, \
             (render_poly(f), render_poly(g), render_poly(c), grid_n, diagonal)
         cells += len(want["cells"])
+        if proofs[-1][1]:
+            n_proven += len(want["cells"])
     n_screened, n_lifted, n_fallback, n_exact = _routes(screened, lifted,
                                                         exact)
     # every cell takes one route, each route carries cells, and every
     # image the screen took lifts: the seeded roots are small
-    assert n_screened + n_lifted + n_exact == cells
+    assert n_screened + n_lifted + n_exact + n_proven == cells
     assert cells // 4 < n_screened < cells - cells // 4
     assert n_lifted > 50 and n_exact > 50 and n_fallback == 0
+    assert n_proven > 0
     acceptance("grid screen matches per-cell gcds, %d grids" % n_cases, True,
-               "%d of %d cells screened, %d lifted, %d exact (%d fallback)"
-               % (n_screened, cells, n_lifted, n_exact, n_fallback))
+               "%d of %d cells proven, %d screened, %d lifted, %d exact "
+               "(%d fallback)" % (n_proven, cells, n_screened, n_lifted,
+                                  n_exact, n_fallback))
 
 
 @pytest.mark.parametrize("f, g, c, grid_n", [
@@ -172,7 +180,13 @@ def _image(q, p):
     return gf_from_zx([a * pow(den, -1, p) for a in nums], p)
 
 
+def _no_proof(monkeypatch):
+    """Send every grid to the screen, proven at a finite place or not."""
+    monkeypatch.setattr(gcdlab, "_proof_prime", lambda f, g, c: None)
+
+
 def test_rows_are_the_lower_degree_maps_lines(monkeypatch):
+    _no_proof(monkeypatch)  # x^2 - 1/3 is proven at p = 3
     lines = _count_calls(monkeypatch, "_cell_images")
     f, g = parse_poly("x^3+x/2-1"), parse_poly("x^2-1/3")
     reports = []
@@ -186,6 +200,7 @@ def test_rows_are_the_lower_degree_maps_lines(monkeypatch):
 
 
 def test_the_other_map_is_folded_up_to_the_largest_row(monkeypatch):
+    _no_proof(monkeypatch)  # x^2 - 1/5 is proven at p = 5
     folds = _count_calls(monkeypatch, "_gf_iterates")
     f, g = parse_poly("x^4+x/3-1"), parse_poly("x^2-1/5")
     for a, b in ((f, g), (g, f)):
@@ -234,6 +249,7 @@ def test_unlucky_and_bad_primes_fall_back_to_the_exact_route(monkeypatch):
         yield from prime_stream()
 
     want = reference_json(f, g, c, 3)
+    _no_proof(monkeypatch)  # the pair is proven at p = 7
     monkeypatch.setattr(gcdlab, "prime_stream", stream)
     exact = _count_calls(monkeypatch, "poly_gcd")
     assert grid_json(f, g, c, 3) == want
@@ -414,6 +430,106 @@ def test_constant_maps_take_the_exact_route(monkeypatch):
     gcd_calls = _count_calls(monkeypatch, "poly_gcd")
     rep = gcd_grid(Poly.const(3), parse_poly("x^2-1"), X, 2)
     assert len(gcd_calls) == len(rep.cells) == 4
+
+
+# ---------------------------------------------------------------------------
+# grids proven trivial at one finite place
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("f, g, p", [
+    # |f(z)|_7 = 7 on the unit disk, and R_f = 7^(1/2)
+    ("x^2+x/3-5/7", "x^2-1", 7),
+    ("x^2+1/4", "x^2-1", 2),
+    ("x^2+1/3", "x^2", 3),  # the orbit of 0 under f never returns to 0
+])
+def test_pairs_proven_at_one_prime(monkeypatch, f, g, p):
+    f, g = parse_poly(f), parse_poly(g)
+    screened = _count_calls(monkeypatch, "_screen")
+    exact = _count_calls(monkeypatch, "poly_gcd")
+    for a, b in ((f, g), (g, f)):
+        assert gcdlab._proof_prime(a, b, Poly.zero()) == p
+        for diagonal in (False, True):
+            assert grid_json(a, b, Poly.zero(), 5, diagonal) == \
+                reference_json(a, b, Poly.zero(), 5, diagonal)
+    assert screened == [] and exact == []
+
+
+@pytest.mark.parametrize("f, g, c", [
+    # good reduction everywhere: no prime can prove these
+    ("x^2-2", "x^2-1", "0"),   # the filled Julia sets meet at 0
+    ("x^2+1", "x^2-1", "0"),
+    ("x^3+x^2", "x^3+5*x^2", "0"),
+    # a moving target and linear maps are out of scope
+    ("x^2+x/3-5/7", "x^2-1", "x"),
+    ("x/3-5/7", "x^2-1", "0"),
+    ("x/3-5/7", "x/7+1/2", "0"),
+    # |c|_7 = |a_0|_7: the roots of g^n - c reach f's disk of escape
+    ("x^2+x/3-5/7", "x^2-1", "1/7"),
+    # x - 1/7 divides cell (1, 1): |c|_7 = 49 widens g's disk to radius
+    # 49, where the term 344x/49 outgrows a_0 = 1/343
+    ("x^2-344*x/49+1/343", "x^2-1", "-48/49"),
+    # x^2 - 1/7 divides cell (1, 1): a_0 dominates a_2 x^2 only on the
+    # disk |z|_7 < 7^(1/2), and R_g = 7^(1/2)
+    ("x^2-1/7", "x^4+6*x^2/7-1/7", "0"),
+])
+def test_nothing_is_proven_without_a_finite_place(f, g, c):
+    f, g, c = parse_poly(f), parse_poly(g), parse_poly(c)
+    for a, b in ((f, g), (g, f)):
+        assert gcdlab._proof_prime(a, b, c) is None
+        assert grid_json(a, b, c, 3) == reference_json(a, b, c, 3)
+
+
+def test_a_small_constant_keeps_the_proof():
+    f, g = parse_poly("x^2+x/3-5/7"), parse_poly("x^2-1")
+    # |c|_7 <= 1 keeps the proof; |c|_7 >= |a_0|_7 = 7 blocks it
+    for c in ("7", "-1", "5/3", "49/2"):
+        assert gcdlab._proof_prime(f, g, parse_poly(c)) == 7
+    for c in ("1/7", "6/7", "6/49"):
+        assert gcdlab._proof_prime(f, g, parse_poly(c)) is None
+
+
+def test_coefficients_past_the_bit_cap_are_not_tried():
+    # the proof would hold at p = 2, but valuations past 2^12 bits cost long
+    # divisions quadratic in the size: the screen takes such a grid
+    g = parse_poly("x^2-1")
+    assert gcdlab._proof_prime(parse_poly("x^2+1/2^4000"), g, Poly.zero()) \
+        == 2
+    f = parse_poly("x^2+1/2^5000")
+    assert gcdlab._proof_prime(f, g, Poly.zero()) is None
+    assert grid_json(f, g, Poly.zero(), 2) == \
+        reference_json(f, g, Poly.zero(), 2)
+
+
+def test_primes_of_a_denominator_are_tried():
+    assert gcdlab._prime_factors(1) == []
+    assert gcdlab._prime_factors(12 * 1031) == [2, 3, 1031]
+    assert gcdlab._prime_factors(2 ** 70) == [2]
+    assert gcdlab._prime_factors((1 << 61) - 1) == [(1 << 61) - 1]
+    # two primes past 2^10: the cofactor is not factored, so not tried
+    assert gcdlab._prime_factors(1031 * 1033) == []
+    g = parse_poly("x^2-1")
+    assert gcdlab._proof_prime(parse_poly("x^2+1/1031"), g, Poly.zero()) \
+        == 1031
+    assert gcdlab._proof_prime(parse_poly("x^2+5/(8*1031)"), g,
+                               Poly.zero()) == 2
+
+
+def test_shared_roots_are_found_where_the_proof_stops():
+    f, g = parse_poly("x^2-344*x/49+1/343"), parse_poly("x^2-1")
+    assert gcd_iterates(f, g, parse_poly("-48/49"), 1, 1) == X - Fraction(1, 7)
+    f, g = parse_poly("x^2-1/7"), parse_poly("x^4+6*x^2/7-1/7")
+    assert gcd_iterates(f, g, Poly.zero(), 1, 1) == f
+
+
+def test_divisor_on_a_proven_pair_runs_no_gcd(monkeypatch, capsys):
+    screened = _count_calls(monkeypatch, "_screen")
+    gcds = _count_calls(monkeypatch, "poly_gcd")
+    # factoring's own poly_gcd goes through the same spy
+    monkeypatch.setattr(factoring, "poly_gcd", gcdlab.poly_gcd)
+    assert main(["divisor", "--f", "x^2+x/3-5/7", "--g", "x^2-1",
+                 "--c", "0", "--N", "12"]) == 0
+    assert '"h": "1"' in capsys.readouterr().out
+    assert screened == [] and gcds == []
 
 
 # ---------------------------------------------------------------------------
