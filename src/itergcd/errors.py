@@ -73,7 +73,7 @@ class Limits:
     power_search: int = 64         # exceptional-exponent search cap
     height_elem_bits: int = 1 << 22  # size cap on canonical-height iterates
     recombination_subsets: int = 1 << 16  # Zassenhaus subsets tried
-    gcd_primes: int = 4096         # primes drawn by one modular gcd
+    gcd_primes: int = 4096         # primes drawn by one modular gcd or grid
     indep_words: int = 1 << 16     # words kept by one independence probe
 
 
@@ -84,6 +84,12 @@ def check_degree(deg: int) -> None:
     if deg > LIMITS.max_degree:
         raise ResourceLimitError(
             "degree %d exceeds cap %d" % (deg, LIMITS.max_degree))
+
+
+def check_primes(drawn: int) -> None:
+    if drawn > LIMITS.gcd_primes:
+        raise ResourceLimitError(
+            "%d primes drawn exceed cap %d" % (drawn, LIMITS.gcd_primes))
 
 
 def check_bits(nbits: int) -> None:

@@ -15,11 +15,11 @@ from fractions import Fraction
 
 from .dynamics import log_escape_radius, p_valuation
 from .emit import md_table
-from .errors import DegenerateInputError, check_bits
+from .errors import DegenerateInputError, check_bits, check_primes
 from .factoring import _factor_sort_key, factor_irreducible
 from .modular import (
-    gf_add, gf_compose_mod, gf_gcd, gf_mul, gf_rem, gf_scale, gf_sub,
-    is_prime, prime_stream, rational_reconstruct,
+    crt_image, gf_add, gf_compose_mod, gf_gcd, gf_mul, gf_rem, gf_scale,
+    gf_sub, is_prime, prime_stream, rational_reconstruct,
 )
 from .numfield import NumberField, NumberFieldElem, nf_eval
 from .polys import (
@@ -30,19 +30,17 @@ from .polys import (
 NO_SOLUTION = "no solution"
 
 
-def _iterate_ne_c(q: Poly, k: int, c: Poly) -> Poly:
-    qk = iterate(q, k)
-    if qk == c:
-        raise DegenerateInputError(
-            "iterate number %d equals the target polynomial" % k)
-    return qk
-
-
 def gcd_iterates(f: Poly, g: Poly, c: Poly, m: int, n: int) -> Poly:
     """Monic gcd(f^(m) - c, g^(n) - c); degenerate when an iterate equals c."""
     if m < 1 or n < 1:
         raise DegenerateInputError("iterate counts must be >= 1")
-    return poly_gcd(_iterate_ne_c(f, m, c) - c, _iterate_ne_c(g, n, c) - c)
+    lines = []
+    for q, k in ((f, m), (g, n)):
+        lines.append(iterate(q, k) - c)
+        if not lines[-1]:
+            raise DegenerateInputError(
+                "iterate number %d equals the target polynomial" % k)
+    return poly_gcd(*lines)
 
 
 GRID_COLUMNS = ("m", "n", "degree", "gcd", "factors", "millis")
@@ -157,14 +155,8 @@ def _cell_images(a: list[int], q: list[int], q_its: list, shared: list[int],
                       else gf_sub(q_its[k - 1], c, p), p) for k in ks}
 
 
-def _screen(f: Poly, g: Poly, c: Poly, pairs):
-    """(p, {(m, n): (monic cell gcd mod p, millis)}) for the cells screened.
-
-    The prime p divides no denominator and no leading numerator of f, g
-    and c, so f^m - c keeps its degree mod p unless deg f^m = deg c, and
-    likewise for g.  The image mod p of the primitive gcd over Q then keeps
-    its degree and divides the cell's gcd mod p: a cell whose gcd mod p is
-    1 has gcd 1, and any other has a gcd of at most that degree.
+def _screen(f: Poly, g: Poly, c: Poly, p: int, pairs) -> dict:
+    """{(m, n): (monic cell gcd mod p, millis)} for the cells in pairs.
 
     The rows are the lines f^m - c of the lower-degree map (f and g swap
     when deg f > deg g), and one Euclid modulo a row screens all its cells;
@@ -174,25 +166,16 @@ def _screen(f: Poly, g: Poly, c: Poly, pairs):
     row that forms them).  A row's Euclid takes, unreduced, the product up
     to the first line past the row, and the iterates beyond are composed:
     a step costs deg g products modulo the row, reducing a line t steps
-    past it (deg g)^t - 1.  Lines whose iterate has the degree of c, the
-    only ones where an iterate can equal c, and constant maps are left to
-    the exact route (p is None when no cell is screened).
+    past it (deg g)^t - 1.
     """
-    if f.degree < 1 or g.degree < 1:
-        return None, {}
     grid_n, swap = max(map(max, pairs)), f.degree > g.degree
     if swap:
         f, g, pairs = g, f, [(n, m) for m, n in pairs]
     rows: dict = {}
     for m, n in pairs:
-        if c.degree not in (f.degree ** m, g.degree ** n):
-            rows.setdefault(m, []).append(n)
-    if not rows:
-        return None, {}
-    forms = [q.int_form() for q in (f, g, c)]
-    bad = [b for nums, den in forms for b in (den, *nums[-1:])]
-    p = next(p for p in prime_stream() if all(b % p for b in bad))
-    fp, gp, cp = (gf_scale(nums, pow(den, -1, p), p) for nums, den in forms)
+        rows.setdefault(m, []).append(n)
+    fp, gp, cp = (gf_scale(nums, pow(den, -1, p), p)
+                  for nums, den in (q.int_form() for q in (f, g, c)))
     f_its = _gf_iterates(fp, max(rows), p)
     top = max(f.degree ** max(rows), c.degree)
     n_fit = sum(g.degree ** n <= top for n in range(1, grid_n + 1))
@@ -212,7 +195,7 @@ def _screen(f: Poly, g: Poly, c: Poly, pairs):
         share = (time.perf_counter() - t0) * 1000.0 / len(ns)
         for n, h in images.items():
             screened[(n, m) if swap else (m, n)] = h, share
-    return p, screened
+    return screened
 
 
 def _prime_factors(n: int) -> list:
@@ -262,24 +245,45 @@ def _orbit(q: Poly, t: NumberFieldElem, n: int) -> list:
     return out
 
 
-def _lift(f: Poly, g: Poly, c: Poly, p, images: dict) -> dict:
+def _lines(f: Poly, g: Poly, c: Poly, grid_n: int):
+    """([the k with f^k = c, the k with g^k = c], bad), bad the numbers a
+    prime must not divide to keep the degree of every line q^k - c.
+
+    Only lines of a constant map or of an iterate of the degree of c can
+    vanish or lose their leading term, so only these are formed over Q, of
+    degree at most deg c; the others lead with q^k's or c's term."""
+    bad = [b for q in (f, g, c) for nums, den in [q.int_form()]
+           for b in (den, *nums[-1:])]
+    zero = []
+    for q in (f, g):
+        ks = [k for k in range(1, grid_n + 1)
+              if q.degree < 1 or q.degree ** k == c.degree]
+        its = iterates(q, max(ks)) if ks else []
+        lines = {k: its[k - 1] - c for k in ks}
+        zero.append({k for k, line in lines.items() if not line})
+        bad += [line.int_form()[0][-1] for line in lines.values() if line]
+    return zero, bad
+
+
+def _lift(f: Poly, g: Poly, c: Poly, images: dict) -> dict:
     """(m, n) -> (gcd, factors, millis) for each cell its image settles.
 
-    An image 1 is the cell's gcd.  Any other image is lifted to the monic
-    H over Q whose coefficients reconstruct it mod p, and H is kept for the
-    cells whose iterates it divides: H | f^m - c when f^m(t) = c(t) in
-    Q[t]/(H), one orbit of t per map and H.  The screen's prime keeps the
-    degree of the primitive gcd G, so G mod p divides the image; H | G
-    and deg H = deg image >= deg G then give H = G, multiplicities
-    included.  A cell whose image fails to lift or to verify is left out.
+    Each prime keeps the degree of every line (`_lines`) and so of the
+    primitive gcd G, and G mod p divides the image: an image 1 is the gcd.
+    Any other image (acc, mod) is lifted to the monic H over Q whose
+    coefficients reconstruct acc mod the product of the primes, and H is
+    kept for the cells whose iterates it divides: H | f^m - c when f^m(t) =
+    c(t) in Q[t]/(H), one orbit of t per map and H.  H | G and deg H = deg
+    image >= deg G then give H = G, multiplicities included.  A cell whose
+    image fails to lift or to verify is left out.
     """
     groups: dict = {}
-    for mn, (h, _) in images.items():
-        groups.setdefault(tuple(h), []).append(mn)
+    for mn, (acc, mod) in images.items():
+        groups.setdefault((tuple(acc), mod), []).append(mn)
     settled = {}
-    for image, cells in groups.items():
+    for (image, mod), cells in groups.items():
         t0 = time.perf_counter()
-        coeffs = [rational_reconstruct(a, p) for a in image]
+        coeffs = [rational_reconstruct(a, mod) for a in image]
         if None in coeffs:
             continue
         h = Poly(coeffs)
@@ -294,13 +298,8 @@ def _lift(f: Poly, g: Poly, c: Poly, p, images: dict) -> dict:
             factors = factor_irreducible(h)
             share = (time.perf_counter() - t0) * 1000.0 / len(cells)
             for mn in cells:
-                settled[mn] = h, factors, images[mn][1] + share
+                settled[mn] = h, factors, share
     return settled
-
-
-def _minus_c(q: Poly, n: int, c: Poly) -> list:
-    """[q^k - c for k = 1..n], None where q^k equals c."""
-    return [None if qk == c else qk - c for qk in iterates(q, n)] if n else []
 
 
 def gcd_grid(f: Poly, g: Poly, c: Poly, grid_n: int,
@@ -312,13 +311,11 @@ def gcd_grid(f: Poly, g: Poly, c: Poly, grid_n: int,
     (any cell with m or n equal to grid_n) introduced no factor unseen in
     the interior, which is the observable shadow of the finiteness claims.
 
-    A screen modulo one prime (`_screen`) takes each cell's gcd mod p
+    A screen modulo a prime (`_screen`) takes each cell's gcd mod p
     without expanding an iterate over Q, and `_lift` turns the images into
-    verified gcds.  The other cells (constant maps, lines whose iterate has
-    the degree of c, images that fail to lift or verify) take the exact
-    route, poly_gcd and factor_irreducible on iterates expanded only as far
-    as those cells reach.  A grid that `_proof_prime` proves trivial at one
-    prime takes none of these routes: every cell has gcd 1.
+    verified gcds.  The cells it leaves are screened at the next prime, up
+    to LIMITS.gcd_primes primes, each cell's images taken in by `crt_image`.
+    A grid that `_proof_prime` proves trivial at one prime takes no screen.
     """
     if grid_n < 1:
         raise DegenerateInputError("grid size must be >= 1")
@@ -326,46 +323,48 @@ def gcd_grid(f: Poly, g: Poly, c: Poly, grid_n: int,
     _check_iterate_degree(f, grid_n)
     _check_iterate_degree(g, grid_n)
     t0 = time.perf_counter()
+    degenerate, bad, settled = {}, [], {}
     if _proof_prime(f, g, c):
         trivial = Poly.const(1), factor_irreducible(Poly.const(1))
         share = (time.perf_counter() - t0) * 1000.0 / len(pairs)
         settled = dict.fromkeys(pairs, (*trivial, share))
     else:
-        settled = _lift(f, g, c, *_screen(f, g, c, pairs))
-    exact = [mn for mn in pairs if mn not in settled]
-    # one left fold per map; iterate k - c is then formed once per k
-    f_minus_c = _minus_c(f, max((m for m, _ in exact), default=0), c)
-    g_minus_c = _minus_c(g, max((n for _, n in exact), default=0), c)
-
-    cells: dict = {}
-    gcds: dict = {}
-    degenerate: dict = {}
-    timings: dict = {}
-    for m, n in pairs:
-        if (m, n) in settled:
-            gcds[(m, n)], cells[(m, n)], timings[(m, n)] = settled[(m, n)]
+        (zero_f, zero_g), bad = _lines(f, g, c, grid_n)
+        for m, n in pairs:
+            if m in zero_f:
+                degenerate[(m, n)] = "f iterate %d equals c" % m
+            elif n in zero_g:
+                degenerate[(m, n)] = "g iterate %d equals c" % n
+    todo = [mn for mn in pairs if mn not in degenerate and mn not in settled]
+    images, millis = {}, dict.fromkeys(todo, 0.0)
+    for drawn, p in enumerate(prime_stream(), 1):
+        if not todo:
+            break
+        check_primes(drawn)
+        if any(b % p == 0 for b in bad):
             continue
-        t0 = time.perf_counter()
-        fm, gn = f_minus_c[m - 1], g_minus_c[n - 1]
-        if fm is None:
-            degenerate[(m, n)] = "f iterate %d equals c" % m
-        elif gn is None:
-            degenerate[(m, n)] = "g iterate %d equals c" % n
-        else:
-            gcds[(m, n)] = gcd_mn = poly_gcd(fm, gn)
-            cells[(m, n)] = factor_irreducible(gcd_mn)
-            timings[(m, n)] = (time.perf_counter() - t0) * 1000.0
+        fresh = {}
+        for mn, (h, share) in _screen(f, g, c, p, todo).items():
+            millis[mn] += share
+            state = crt_image(images.get(mn), h, p)
+            if state is not None:
+                images[mn] = fresh[mn] = state
+        for mn, (h, factors, share) in _lift(f, g, c, fresh).items():
+            settled[mn] = h, factors, millis[mn] + share
+        todo = [mn for mn in todo if mn not in settled]
+
+    cells = {mn: fl for mn, (_, fl, _) in settled.items()}
+    gcds = {mn: h for mn, (h, _, _) in settled.items()}
+    timings = {mn: ms for mn, (_, _, ms) in settled.items()}
     universe: dict = {}
-    shell_new = False
-    for pair in sorted(cells, key=lambda t: (max(t), t)):
-        on_shell = max(pair) == grid_n
-        for p, e in cells[pair].factors:
-            if p not in universe and on_shell:
-                shell_new = True
-            if universe.get(p, 0) < e:
-                universe[p] = e
+    for fl in cells.values():
+        for p, e in fl.factors:
+            universe[p] = max(universe.get(p, 0), e)
+    inner = {p for mn, fl in cells.items() if max(mn) < grid_n
+             for p, _ in fl.factors}
     return GcdGridReport(f, g, c, grid_n, diagonal_only, cells, gcds,
-                         degenerate, universe, not shell_new, timings)
+                         degenerate, universe, universe.keys() <= inner,
+                         timings)
 
 
 # ---------------------------------------------------------------------------

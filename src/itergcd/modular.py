@@ -17,13 +17,13 @@ from array import array
 from fractions import Fraction
 from itertools import zip_longest
 
-from .errors import LIMITS, ResourceLimitError, VerificationError
+from .errors import VerificationError, check_primes
 
 # ---------------------------------------------------------------------------
 # primes
 # ---------------------------------------------------------------------------
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
@@ -499,6 +499,18 @@ def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     return r1 + m1 * t
 
 
+def crt_image(state, image: list[int], p: int):
+    """(acc, mod) with the monic gcd image mod p taken into state, the
+    images so far by CRT (None before the first): a lower degree restarts,
+    an equal one combines, and a higher one marks p unlucky (None)."""
+    if state is None or len(image) < len(state[0]):
+        return image, p
+    acc, mod = state
+    if len(image) > len(acc):
+        return None
+    return [crt_pair(a, mod, b, p) for a, b in zip(acc, image)], mod * p
+
+
 def rational_reconstruct(c: int, m: int):
     """Fraction n/d with n = c*d mod m and |n|, d <= sqrt(m/2), or None."""
     c %= m
@@ -531,43 +543,30 @@ def zx_gcd_modular(f: list[int], g: list[int]) -> list[int]:
     avoiding the leading coefficients, CRT-combined images lifted back to Q
     by rational reconstruction, and every candidate, the first prime's too,
     certified by trial division: an image has degree >= deg gcd, so a
-    primitive common divisor of the lowest degree seen is the gcd.  A lower
-    degree restarts the accumulation; a higher one marks an unlucky prime.
-    More than LIMITS.gcd_primes primes raise ResourceLimitError.
+    primitive common divisor of the lowest degree seen is the gcd, the
+    images taken in by `crt_image`.  More than LIMITS.gcd_primes primes
+    raise ResourceLimitError.
     """
-    if not f and not g:
-        return []
-    if not f:
-        return zx_primitive(g)[1]
-    if not g:
-        return zx_primitive(f)[1]
+    if not f or not g:
+        return zx_primitive(f or g)[1]
     _, fp = zx_primitive(f)
     _, gp = zx_primitive(g)
     lcs = fp[-1] * gp[-1]
 
-    best_deg = None      # minimal gcd degree seen so far
-    acc: list[int] = []  # CRT-accumulated monic image
-    mod = 1
+    state = None         # CRT-accumulated monic image and its modulus
     stable = 0           # primes in a row that confirmed the candidate
     candidate = None
     for drawn, p in enumerate(prime_stream(), 1):
-        if drawn > LIMITS.gcd_primes:
-            raise ResourceLimitError(
-                "modular gcd used %d primes without a certified candidate"
-                % LIMITS.gcd_primes)
+        check_primes(drawn)
         if lcs % p == 0:
             continue
         hp = gf_gcd(gf_from_zx(fp, p), gf_from_zx(gp, p), p)
-        d = zx_deg(hp)
-        if d == 0:
+        if len(hp) == 1:
             return [1]
-        if best_deg is None or d < best_deg:
-            # restart: zeros mod 1 lift to the image itself
-            best_deg, acc, mod, candidate, stable = d, [0] * (d + 1), 1, None, 0
-        elif d > best_deg:
+        new = crt_image(state, hp, p)
+        if new is None:
             continue  # unlucky prime
-        acc = [crt_pair(a, mod, b, p) for a, b in zip(acc, hp)]
-        mod *= p
+        acc, mod = state = new
         cand = []
         for a in acc:
             q = rational_reconstruct(a, mod)
@@ -593,12 +592,8 @@ def zx_gcd_modular(f: list[int], g: list[int]) -> list[int]:
 
 def zx_gcd_subresultant(f: list[int], g: list[int]) -> list[int]:
     """Primitive gcd over Z via the subresultant PRS (slow, independent)."""
-    if not f and not g:
-        return []
-    if not f:
-        return zx_primitive(g)[1]
-    if not g:
-        return zx_primitive(f)[1]
+    if not f or not g:
+        return zx_primitive(f or g)[1]
     _, a = zx_primitive(f)
     _, b = zx_primitive(g)
     if zx_deg(a) < zx_deg(b):

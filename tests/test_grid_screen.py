@@ -1,16 +1,17 @@
 """The modular screen and lift of gcd_grid against the per-cell exact route.
 
 gcd_grid settles a grid that valuations at one prime prove trivial
-without any gcd.  Otherwise it takes every cell's gcd modulo one prime,
+without any gcd.  Otherwise it takes every cell's gcd modulo a prime,
 settles the cells of gcd 1 there, lifts the other images to Q and verifies
-them on orbits, and sends what is left to poly_gcd and factor_irreducible.
-The reference here computes every cell by poly_gcd on the iterates
-expanded over Q, so all routes must give the same report, apart from the
-millis of each cell.
+them on orbits, and screens what is left again at the next prime.  The
+reference here computes every cell by poly_gcd on the iterates expanded
+over Q, so the grid must give the same report, apart from the millis of
+each cell.
 """
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -107,49 +108,46 @@ def random_grid(rng):
     return f, g, c, grid_n, rng.random() < 0.2
 
 
-def _routes(screened, lifted, exact):
-    """(screened, lifted, fallback, exact) cell counts from the spies.
-
-    Screened cells have image 1, lifted ones a verified gcd of degree 1 or
-    more; fallback cells had an image that failed to lift or verify, and
-    exact cells are all the cells poly_gcd computed, fallback included.
-    """
-    images = [h for _, (_, cells) in screened for h, _ in cells.values()]
-    settled = [h for _, cells in lifted for h, _, _ in cells.values()]
-    n_screened = sum(len(h) == 1 for h in images)
-    n_lifted = sum(h.degree > 0 for h in settled)
-    return n_screened, n_lifted, len(images) - len(settled), len(exact)
+def _screened_primes(screens):
+    """The prime of each `_screen` call recorded by _count_calls."""
+    return [args[3] for args, _ in screens]
 
 
 def test_screen_matches_per_cell_route_on_seeded_grids(acceptance,
                                                       monkeypatch):
     proofs = _count_calls(monkeypatch, "_proof_prime")
-    screened = _count_calls(monkeypatch, "_screen")
-    lifted = _count_calls(monkeypatch, "_lift")
+    screens = _count_calls(monkeypatch, "_screen")
+    lifts = _count_calls(monkeypatch, "_lift")
     exact = _count_calls(monkeypatch, "poly_gcd")
     rng = random.Random(20261018)
     n_cases = 320
-    cells = n_proven = 0
+    cells = n_proven = n_degenerate = n_retried = 0
     for _ in range(n_cases):
         f, g, c, grid_n, diagonal = random_grid(rng)
         want = reference_json(f, g, c, grid_n, diagonal)
+        screens.clear()
         assert grid_json(f, g, c, grid_n, diagonal) == want, \
             (render_poly(f), render_poly(g), render_poly(c), grid_n, diagonal)
-        cells += len(want["cells"])
+        cells += len(want["cells"]) + len(want["degenerate_cells"])
+        n_degenerate += len(want["degenerate_cells"])
         if proofs[-1][1]:
             n_proven += len(want["cells"])
-    n_screened, n_lifted, n_fallback, n_exact = _routes(screened, lifted,
-                                                        exact)
-    # every cell takes one route, each route carries cells, and every
-    # image the screen took lifts: the seeded roots are small
-    assert n_screened + n_lifted + n_exact + n_proven == cells
-    assert cells // 4 < n_screened < cells - cells // 4
-    assert n_lifted > 50 and n_exact > 50 and n_fallback == 0
-    assert n_proven > 0
+        visits = Counter(mn for args, _ in screens for mn in args[4])
+        n_retried += sum(v > 1 for v in visits.values())
+    settled = [h for _, out in lifts for h, _, _ in out.values()]
+    n_screened = sum(h.degree == 0 for h in settled)
+    n_lifted = len(settled) - n_screened
+    # every cell is proven, screened, lifted or degenerate, and no cell
+    # takes a gcd over Q
+    assert n_proven + n_screened + n_lifted + n_degenerate == cells
+    assert cells // 2 < n_screened < cells - cells // 8
+    assert n_lifted > 50 and n_degenerate > 0 and n_proven > 0
+    assert exact == []
     acceptance("grid screen matches per-cell gcds, %d grids" % n_cases, True,
-               "%d of %d cells proven, %d screened, %d lifted, %d exact "
-               "(%d fallback)" % (n_proven, cells, n_screened, n_lifted,
-                                  n_exact, n_fallback))
+               "%d of %d cells proven, %d screened, %d lifted, %d "
+               "degenerate, %d retried, 0 poly_gcd" % (
+                   n_proven, cells, n_screened, n_lifted, n_degenerate,
+                   n_retried))
 
 
 @pytest.mark.parametrize("f, g, c, grid_n", [
@@ -167,6 +165,7 @@ def test_screen_matches_per_cell_route_on_seeded_grids(acceptance,
                                         # cells (1, 1) and (1, 3)
     ("x^2", "x^3", "x", 4),             # g^3, g^4 pass the largest row and
                                         # are composed modulo each row
+    ("-x", "2*x+1", "x", 4),            # f^2 = x = c: even rows degenerate
 ])
 def test_screen_matches_per_cell_route_on_named_grids(f, g, c, grid_n):
     f, g, c = parse_poly(f), parse_poly(g), parse_poly(c)
@@ -234,7 +233,7 @@ def test_rows_take_their_products_from_one_chain_per_column_set(
         assert (products[4] is products[5]) is not diagonal
 
 
-def test_unlucky_and_bad_primes_fall_back_to_the_exact_route(monkeypatch):
+def test_cells_unlucky_at_one_prime_are_settled_at_the_next(monkeypatch):
     f, g, c = parse_poly("x^2+x/3-5/7"), parse_poly("x^2-1"), Poly.zero()
     # 3 and 7 divide a denominator of f; mod 13 these cells have a common
     # factor although their gcd over Q is 1
@@ -251,11 +250,15 @@ def test_unlucky_and_bad_primes_fall_back_to_the_exact_route(monkeypatch):
     want = reference_json(f, g, c, 3)
     _no_proof(monkeypatch)  # the pair is proven at p = 7
     monkeypatch.setattr(gcdlab, "prime_stream", stream)
+    screens = _count_calls(monkeypatch, "_screen")
     exact = _count_calls(monkeypatch, "poly_gcd")
     assert grid_json(f, g, c, 3) == want
-    its_f, its_g = iterates(f, 3), iterates(g, 3)
-    assert [args for args, _ in exact] == [
-        (its_f[m - 1] - c, its_g[n - 1] - c) for m, n in unlucky]
+    # the unlucky images lift to no verified gcd, and the next prime of
+    # the stream screens those cells alone, each to 1
+    assert _screened_primes(screens) == [13, next(prime_stream())]
+    assert sorted(screens[1][0][4]) == unlucky
+    assert all(h == [1] for h, _ in screens[1][1].values())
+    assert exact == []
 
 
 def _count_calls(monkeypatch, name):
@@ -295,15 +298,24 @@ def _shared_root_pair(r):
     return (X - r) * (X + 1), (X - r) * (X - 2)
 
 
-def test_exact_iterates_stop_at_the_largest_exact_index(monkeypatch):
+@pytest.mark.parametrize("f, g, c, grid_n, formed", [
+    ("x^2-2", "x^2-1", "0", 6, []),
+    # x - 40001/3 is lifted from two primes, and nothing is expanded
+    ("(x-40001/3)*(x+1)", "(x-40001/3)*(x-2)", "0", 3, []),
+    # row 1 and column 1 have the degree of c, and no other line
+    ("x^2", "x^2+x", "x^2", 3, [("x^2", 1), ("x^2+x", 1)]),
+    ("x^3-x", "x^2+1/2", "x^4-x", 3, [("x^2+1/2", 2)]),
+    # every line of a linear pair with a linear target, and every line of
+    # a constant map
+    ("x+1", "2*x", "x", 3, [("x+1", 3), ("2*x", 3)]),
+    ("3", "x^2-1", "x", 2, [("3", 2)]),
+])
+def test_only_lines_that_can_lose_their_degree_are_formed_over_q(
+        monkeypatch, f, g, c, grid_n, formed):
     iterate_calls = _count_calls(monkeypatch, "iterates")
-    gcd_grid(parse_poly("x^2-2"), parse_poly("x^2-1"), Poly.zero(), 6)
-    assert iterate_calls == []
-    # x - 40001/3 does not lift mod p: cell (1, 1) alone takes the exact
-    # route, which expands the first iterates and no more
-    f, g = _shared_root_pair(Fraction(40001, 3))
-    gcd_grid(f, g, Poly.zero(), 3)
-    assert sorted(n for (_, n), _ in iterate_calls) == [1, 1]
+    gcd_grid(parse_poly(f), parse_poly(g), parse_poly(c), grid_n)
+    assert [(render_poly(q), n) for (q, n), _ in iterate_calls] == \
+        [(render_poly(parse_poly(q)), n) for q, n in formed]
 
 
 def test_powers_above_1_are_lifted(monkeypatch):
@@ -326,42 +338,67 @@ def test_a_factor_first_seen_on_the_outer_shell_is_lifted(monkeypatch):
     assert want["stabilized"] is False and exact == []
 
 
-def test_an_image_that_does_not_lift_falls_back(monkeypatch):
-    # 40001 is above sqrt(p/2) for every prime of the stream, so no
-    # reconstruction gives x - 40001/3
+def test_an_image_that_does_not_lift_is_combined_with_the_next(
+        monkeypatch):
+    # 40001 is above sqrt(p/2) for every prime of the stream, so no one
+    # image reconstructs x - 40001/3, but the CRT of two does
     r = Fraction(40001, 3)
     assert r.numerator ** 2 > (1 << 29) // 2
     f, g = _shared_root_pair(r)
     want = reference_json(f, g, Poly.zero(), 3)
-    lifted = _count_calls(monkeypatch, "_lift")
+    screens = _count_calls(monkeypatch, "_screen")
+    lifts = _count_calls(monkeypatch, "_lift")
     exact = _count_calls(monkeypatch, "poly_gcd")
     assert grid_json(f, g, Poly.zero(), 3) == want
     assert want["cells"][0]["gcd"] == "x-40001/3"
-    assert (1, 1) not in lifted[0][1]
-    assert [args for args, _ in exact] == [(f, g)]
+    p, q = _screened_primes(screens)
+    assert (1, 1) not in lifts[0][1] and screens[1][0][4] == [(1, 1)]
+    (args, out), = lifts[1:]
+    assert args[3][(1, 1)][1] == p * q and out[(1, 1)][0] == X - r
+    assert exact == []
 
 
 def test_a_corrupted_image_fails_verification(monkeypatch):
-    # row 1 of this grid has the gcd x^2 - 2 at even n and 1 at odd n.  In
-    # place of x^2 - 2, x^2 - 3 lifts but divides neither iterate; in place
-    # of 1, x^2 - 2 divides f - 0 but not g^n - 0
+    # row 1 of this grid has the gcd x^2 - 2 at even n and 1 at odd n.  At
+    # the first prime only, in place of x^2 - 2, (x^2 - 2)(x - 1) lifts but
+    # divides neither iterate; in place of 1, x^2 - 2 divides f - 0 but not
+    # g^n - 0.  An image of a prime that keeps the degrees has at least the
+    # degree of the gcd, so the corrupted ones are of higher degree, and
+    # the second prime restarts and settles those cells
     f, g = parse_poly("x^2-2"), parse_poly("x^2-1")
     want = reference_json(f, g, Poly.zero(), 6)
-    screen = gcdlab._screen
+    screen, primes = gcdlab._screen, []
 
-    def corrupted(*args):
-        p, images = screen(*args)
-        for n in range(1, 7):
+    def corrupted(f, g, c, p, pairs):
+        images = screen(f, g, c, p, pairs)
+        primes.append(p)
+        for n in range(1, 7) if len(primes) == 1 else ():
             h, millis = images[(1, n)]
-            images[(1, n)] = [p - (3 if len(h) > 1 else 2), 0, 1], millis
-        return p, images
+            images[(1, n)] = ([p - 2, 2, p - 1, 1] if len(h) > 1
+                              else [p - 2, 0, 1]), millis
+        return images
 
     monkeypatch.setattr(gcdlab, "_screen", corrupted)
+    screens = _count_calls(monkeypatch, "_screen")
     exact = _count_calls(monkeypatch, "poly_gcd")
     assert grid_json(f, g, Poly.zero(), 6) == want
-    its_f, its_g = iterates(f, 1), iterates(g, 6)
-    assert [args for args, _ in exact] == [
-        (its_f[0], its_g[n - 1]) for n in range(1, 7)]
+    assert len(primes) == 2
+    assert screens[1][0][4] == [(1, n) for n in range(1, 7)]
+    assert exact == []
+
+
+def test_images_that_never_verify_hit_the_prime_cap(monkeypatch):
+    # x^2 - 2 divides neither x^2 - 1 nor x^2 + 1: every prime combines
+    # the same image, no lift verifies, and only the cap ends the loop
+    def never(f, g, c, p, pairs):
+        return {mn: ([p - 2, 0, 1], 0.0) for mn in pairs}
+
+    monkeypatch.setattr(gcdlab, "_screen", never)
+    monkeypatch.setattr(LIMITS, "gcd_primes", 20)
+    screens = _count_calls(monkeypatch, "_screen")
+    with pytest.raises(ResourceLimitError, match="exceed cap 20"):
+        gcd_grid(parse_poly("x^2-1"), parse_poly("x^2+1"), Poly.zero(), 2)
+    assert len(screens) == 20
 
 
 def test_shared_factor_grid_expands_nothing_over_q(monkeypatch):
@@ -416,20 +453,32 @@ def test_grid_past_the_coefficient_cap_raises(monkeypatch):
     assert refused == [f7]
 
 
-def test_primes_dividing_a_leading_numerator_are_skipped(monkeypatch):
+@pytest.mark.parametrize("f, g, c, gcd", [
     # the cell gcd x - 1/13 has no image mod 13, where f and g drop a degree
-    f, g = parse_poly("13*x^2+25*x-2"), parse_poly("13*x^2+38*x-3")
-    want = reference_json(f, g, Poly.zero(), 2)
-    assert want["cells"][0]["gcd"] == "x-1/13"
+    ("13*x^2+25*x-2", "13*x^2+38*x-3", "0", "x-1/13"),
+    # f - c = 13x vanishes mod 13, where the cell's image would be g - c
+    ("x^2+13*x", "2*x^2+x", "x^2", "x"),
+])
+def test_primes_dividing_a_leading_numerator_are_skipped(monkeypatch, f, g,
+                                                         c, gcd):
+    f, g, c = parse_poly(f), parse_poly(g), parse_poly(c)
+    want = reference_json(f, g, c, 2)
+    assert want["cells"][0]["gcd"] == gcd
     monkeypatch.setattr(gcdlab, "prime_stream",
                         lambda: itertools.chain([13], prime_stream()))
-    assert grid_json(f, g, Poly.zero(), 2) == want
+    screens = _count_calls(monkeypatch, "_screen")
+    assert grid_json(f, g, c, 2) == want
+    assert 13 not in _screened_primes(screens)
 
 
-def test_constant_maps_take_the_exact_route(monkeypatch):
+def test_constant_maps_are_screened(monkeypatch):
+    f, g = Poly.const(3), parse_poly("x^2-1")
+    want = reference_json(f, g, X, 3)
+    screens = _count_calls(monkeypatch, "_screen")
     gcd_calls = _count_calls(monkeypatch, "poly_gcd")
-    rep = gcd_grid(Poly.const(3), parse_poly("x^2-1"), X, 2)
-    assert len(gcd_calls) == len(rep.cells) == 4
+    assert grid_json(f, g, X, 3) == want
+    assert len(screens) == 1 and len(screens[0][1]) == 9
+    assert gcd_calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from itergcd.modular import (
     KRON_NATIVE_SQR,
     KRON_WIDE_LEN,
     KRON_WIDE_SQR,
+    crt_image,
     crt_pair,
     gf_add,
     gf_divmod,
@@ -41,6 +42,14 @@ def test_is_prime_small_and_carmichael():
         assert is_prime(n)
     for n in (0, 1, 4, 561, 41041, 7917):  # 561, 41041 are Carmichael
         assert not is_prime(n)
+
+
+def test_is_prime_is_exact_past_the_first_twelve_bases():
+    # the least strong pseudoprime to every prime base up to 37; base 41
+    # makes Miller-Rabin exact below 3.3e24
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441 and not is_prime(n)
+    assert is_prime((1 << 61) - 1)
 
 
 def test_prime_stream_distinct_and_prime():
@@ -132,6 +141,15 @@ def test_crt_pair_reconstructs():
         v = rng.randrange(m1 * m2)
         r = crt_pair(v % m1, m1, v % m2, m2)
         assert r % m1 == v % m1 and r % m2 == v % m2
+
+
+def test_crt_image_restarts_combines_and_skips_unlucky_primes():
+    state = crt_image(None, [3, 1], 7)
+    assert state == ([3, 1], 7)
+    assert crt_image(state, [5, 0, 1], 11) is None  # higher degree: unlucky
+    acc, mod = crt_image(state, [5, 1], 11)
+    assert mod == 77 and acc[1] == 1 and acc[0] % 7 == 3 and acc[0] % 11 == 5
+    assert crt_image((acc, mod), [1], 13) == ([1], 13)  # lower: restart
 
 
 def test_rational_reconstruct_roundtrip():
