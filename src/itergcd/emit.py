@@ -24,6 +24,9 @@ _METHODS = {"json": "to_json_dict", "csv": "table", "md": "to_md"}
 
 
 def _round_floats(obj):
+    # exact types first: isinstance against Fraction goes through ABCMeta
+    if type(obj) is str or type(obj) is int or obj is None:
+        return obj
     if isinstance(obj, float):
         return float("%.12g" % obj)
     if isinstance(obj, Fraction):
@@ -37,14 +40,17 @@ def _round_floats(obj):
 
 
 def _fmt_cell(v) -> str:
+    # type(v) is int: a bool is an int and still prints true or false
+    if type(v) is str or type(v) is int:
+        return str(v)
+    if v is None:
+        return ""
     if isinstance(v, float):
         return "%.12g" % v
     if isinstance(v, Fraction):
         return _round_floats(v)
     if isinstance(v, bool):
         return "true" if v else "false"
-    if v is None:
-        return ""
     return str(v)
 
 

@@ -61,11 +61,15 @@ class GcdGridReport:
     timings: dict          # (m, n) -> milliseconds
 
     def _cells(self):
-        """(m, n, gcd, [[rendered factor, e], ...], millis) per cell."""
+        """(m, n, degree, gcd text, [[factor text, e], ...], millis) per
+        cell.  Each distinct gcd and its factors are rendered once."""
+        texts: dict = {}
         for mn in sorted(self.cells):
-            yield (*mn, self.gcds[mn],
-                   [[render_poly(p), e] for p, e in self.cells[mn].factors],
-                   self.timings[mn])
+            h = self.gcds[mn]
+            if h not in texts:
+                texts[h] = render_poly(h), [[render_poly(p), e] for p, e
+                                            in self.cells[mn].factors]
+            yield (*mn, h.degree, *texts[h], self.timings[mn])
 
     def _universe(self):
         return [[render_poly(p), e]
@@ -79,10 +83,10 @@ class GcdGridReport:
             "c": render_poly(self.c),
             "grid_n": self.grid_n,
             "diagonal_only": self.diagonal_only,
-            "cells": [{"m": m, "n": n, "gcd": render_poly(gcd_mn),
-                       "degree": gcd_mn.degree, "factors": factors,
-                       "millis": millis}
-                      for m, n, gcd_mn, factors, millis in self._cells()],
+            "cells": [{"m": m, "n": n, "gcd": gcd_mn, "degree": degree,
+                       "factors": factors, "millis": millis}
+                      for m, n, degree, gcd_mn, factors, millis
+                      in self._cells()],
             "degenerate_cells": [
                 {"m": m, "n": n, "reason": why}
                 for (m, n), why in sorted(self.degenerate.items())],
@@ -92,9 +96,9 @@ class GcdGridReport:
 
     def table(self):
         return GRID_COLUMNS, [
-            (m, n, gcd_mn.degree, render_poly(gcd_mn),
+            (m, n, degree, gcd_mn,
              ";".join("%s:%d" % (p, e) for p, e in factors), millis)
-            for m, n, gcd_mn, factors, millis in self._cells()]
+            for m, n, degree, gcd_mn, factors, millis in self._cells()]
 
     def to_md(self) -> str:
         head = ("gcd grid: f = %s, g = %s, c = %s, N = %d%s\n\n"
@@ -166,7 +170,8 @@ def _screen(f: Poly, g: Poly, c: Poly, p: int, pairs) -> dict:
     row that forms them).  A row's Euclid takes, unreduced, the product up
     to the first line past the row, and the iterates beyond are composed:
     a step costs deg g products modulo the row, reducing a line t steps
-    past it (deg g)^t - 1.
+    past it (deg g)^t - 1.  Rows with equal lines mod p and equal columns,
+    as every row of a constant map is, share one Euclid.
     """
     grid_n, swap = max(map(max, pairs)), f.degree > g.degree
     if swap:
@@ -180,20 +185,23 @@ def _screen(f: Poly, g: Poly, c: Poly, p: int, pairs) -> dict:
     top = max(f.degree ** max(rows), c.degree)
     n_fit = sum(g.degree ** n <= top for n in range(1, grid_n + 1))
     g_its = _gf_iterates(gp, n_fit, p)
-    prefixes, screened = {}, {}
+    prefixes, seen, screened = {}, {}, {}
     for m, ns in rows.items():
         t0 = time.perf_counter()
-        if tuple(ns) not in prefixes:
-            prefix = prefixes[tuple(ns)] = [[1]]
+        cols = tuple(ns)
+        if cols not in prefixes:
+            prefix = prefixes[cols] = [[1]]
             for n in range(1, n_fit + 1):
                 prefix.append(gf_mul(prefix[-1], gf_sub(g_its[n - 1], cp, p),
                                      p) if n in ns else prefix[-1])
         a = gf_sub(f_its[m - 1], cp, p)
         j = sum(g.degree ** (n - 1) < len(a) for n in range(1, n_fit + 1))
-        images = _cell_images(a, gp, g_its[:j], prefixes[tuple(ns)][j], cp,
-                              ns, p)
+        row = tuple(a), cols
+        if row not in seen:
+            seen[row] = _cell_images(a, gp, g_its[:j], prefixes[cols][j], cp,
+                                     ns, p)
         share = (time.perf_counter() - t0) * 1000.0 / len(ns)
-        for n, h in images.items():
+        for n, h in seen[row].items():
             screened[(n, m) if swap else (m, n)] = h, share
     return screened
 

@@ -9,7 +9,10 @@ over Q, so the grid must give the same report, apart from the millis of
 each cell.
 """
 
+import csv
+import io
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -18,6 +21,7 @@ import pytest
 
 from itergcd import factoring, gcdlab, modular
 from itergcd.cli import main
+from itergcd.emit import emit
 from itergcd.errors import DegenerateInputError, LIMITS, ResourceLimitError
 from itergcd.factoring import FactorList, factor_irreducible
 from itergcd.gcdlab import gcd_grid, gcd_iterates
@@ -231,6 +235,20 @@ def test_rows_take_their_products_from_one_chain_per_column_set(
         products = [args[3] for args, _ in lines]
         assert len({id(s) for s in products}) == (6 if diagonal else 5)
         assert (products[4] is products[5]) is not diagonal
+
+
+@pytest.mark.parametrize("f, g, c, grid_n", [
+    # every line of a constant map or of the identity is the same
+    ("3", "x^2-1", "x", 12),
+    ("x", "x^2-1", "0", 6),
+    ("x^2-1", "3", "x", 5),
+])
+def test_equal_rows_share_one_euclid(monkeypatch, f, g, c, grid_n):
+    f, g, c = parse_poly(f), parse_poly(g), parse_poly(c)
+    want = reference_json(f, g, c, grid_n)
+    lines = _count_calls(monkeypatch, "_cell_images")
+    assert grid_json(f, g, c, grid_n) == want
+    assert len(lines) == 1
 
 
 def test_cells_unlucky_at_one_prime_are_settled_at_the_next(monkeypatch):
@@ -469,6 +487,30 @@ def test_primes_dividing_a_leading_numerator_are_skipped(monkeypatch, f, g,
     screens = _count_calls(monkeypatch, "_screen")
     assert grid_json(f, g, c, 2) == want
     assert 13 not in _screened_primes(screens)
+
+
+def test_a_report_renders_each_distinct_gcd_once(monkeypatch):
+    f, g = parse_poly("x^3+x^2"), parse_poly("x^3+5*x^2")
+    rep = gcd_grid(f, g, Poly.zero(), 4)
+    distinct = {h: rep.cells[mn] for mn, h in rep.gcds.items()}
+    assert len(rep.gcds) == 16 and len(distinct) == 4
+    # the distinct gcds, their factors, the universe, and f, g and c
+    most = (len(distinct) + sum(len(fl.factors) for fl in distinct.values())
+            + len(rep.factor_universe) + 3)
+    renders = _count_calls(monkeypatch, "render_poly")
+    for fmt in ("csv", "json", "md"):
+        renders.clear()
+        emit(rep, fmt)
+        assert 0 < len(renders) <= most
+
+
+def test_csv_and_json_cells_carry_the_same_gcds():
+    f, g = parse_poly("x^2+x/5"), parse_poly("x^2-4*x/3+1/3")
+    rep = gcd_grid(f, g, Poly.zero(), 8)
+    rows = list(csv.DictReader(io.StringIO(emit(rep, "csv").decode())))
+    cells = json.loads(emit(rep, "json"))["cells"]
+    assert len(cells) == 64 and {cell["gcd"] for cell in cells} != {"1"}
+    assert [row["gcd"] for row in rows] == [cell["gcd"] for cell in cells]
 
 
 def test_constant_maps_are_screened(monkeypatch):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from itergcd.cli import main
-from itergcd.emit import emit
+from itergcd.emit import _fmt_cell, _round_floats, emit
 from itergcd.errors import (
     LIMITS,
     DegenerateInputError,
@@ -19,7 +19,7 @@ from itergcd.errors import (
 )
 from itergcd.gcdlab import gcd_grid, reference_suite
 from itergcd.parser import parse_poly
-from itergcd.polys import Poly, render_poly
+from itergcd.polys import Poly, _fmt_coeff, render_poly
 
 X = Poly.x()
 
@@ -197,6 +197,46 @@ def test_emit_renders_through_the_report_methods():
     assert emit(Report(), "json") == b'{\n  "a": "-1/3",\n  "b": 0.3\n}\n'
     assert emit(Report(), "csv") == b'x,y\n0.333333333333,\n"p,q",true\n'
     assert emit(Report(), "md") == b"free text\n"
+
+
+def _oracle_round_floats(obj):
+    """emit._round_floats as it was with isinstance tests only."""
+    if isinstance(obj, float):
+        return float("%.12g" % obj)
+    if isinstance(obj, Fraction):
+        text = _fmt_coeff(abs(obj))
+        return "-" + text if obj < 0 else text
+    if isinstance(obj, dict):
+        return {k: _oracle_round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_oracle_round_floats(v) for v in obj]
+    return obj
+
+
+def _oracle_fmt_cell(v) -> str:
+    """emit._fmt_cell as it was with isinstance tests only."""
+    if isinstance(v, float):
+        return "%.12g" % v
+    if isinstance(v, Fraction):
+        return _oracle_round_floats(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if v is None:
+        return ""
+    return str(v)
+
+
+def test_emit_dispatch_on_exact_types_matches_isinstance_dispatch():
+    # a bool is an int: testing isinstance(v, int) first would print True
+    values = [True, False, 0, -3, 2 ** 70, "x", "", Fraction(-2, 3),
+              Fraction(4), 0.1 + 0.2, 1e300, None]
+    values.append({"a": values[:], "b": tuple(values), "c": {"d": [None]}})
+    for v in values:
+        # repr tells True from 1, a list from a tuple and 0.3 from 0.1 + 0.2
+        assert repr(_round_floats(v)) == \
+            repr(_oracle_round_floats(v))
+        assert repr(_fmt_cell(v)) == repr(_oracle_fmt_cell(v))
+    assert [_fmt_cell(v) for v in values[:2]] == ["true", "false"]
 
 
 def test_emit_dict_list_cells_are_json(capsys):
