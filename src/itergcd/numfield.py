@@ -29,7 +29,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .factoring import _small_prime_factors, is_irreducible
-from .modular import _binary_power
+from .modular import _binary_power, zx_mul
 from .polys import Poly, render_poly
 
 NOT_A_ROOT_OF_UNITY = "not a root of unity"
@@ -38,7 +38,7 @@ NOT_A_ROOT_OF_UNITY = "not a root of unity"
 class NumberField:
     """Q[t]/(p) for monic irreducible p; degree-1 moduli give Q itself."""
 
-    __slots__ = ("modulus", "degree")
+    __slots__ = ("modulus", "degree", "_low")
 
     def __init__(self, modulus: Poly, *, check: bool = True):
         if modulus.degree < 1:
@@ -49,6 +49,9 @@ class NumberField:
                 "field modulus %s is reducible" % render_poly(modulus, "t"))
         self.modulus = modulus
         self.degree = modulus.degree
+        nums, den = modulus.int_form()   # (j, p_j) reduce Z[t] by p
+        self._low = [(j, c) for j, c in enumerate(nums[:-1]) if c] \
+            if den == 1 else None
 
     @classmethod
     def rationals(cls) -> "NumberField":
@@ -102,7 +105,7 @@ class NumberFieldElem:
 
     def _coerce(self, other):
         if isinstance(other, NumberFieldElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise DegenerateInputError("mixed number fields in arithmetic")
             return other
         if isinstance(other, (int, Fraction)):
@@ -205,8 +208,37 @@ def nf_invert(a: NumberFieldElem) -> NumberFieldElem:
 
 
 def nf_eval(f: Poly, a: NumberFieldElem) -> NumberFieldElem:
-    """f(a) inside a's field (Horner)."""
-    return a.field.element(f.evaluate(a))
+    """f(a) inside a's field (Horner).  With f, a and the modulus p
+    integral this runs in Z[t]/(p) on integer lists, squaring a once as
+    ``Poly.evaluate`` does and reducing each product by p's nonzero lower
+    terms; anything with a denominator keeps ``Poly.evaluate``."""
+    field, n = a.field, a.field.degree
+    nums, den = f.int_form()
+    y, yd = a.rep.int_form()
+    if field._low is None or den != 1 or yd != 1 or not nums:
+        return field.element(f.evaluate(a))
+    y += [0] * (n - len(y))
+    top = len(nums) - 1
+    acc = [nums[top]] + [0] * (n - 1)
+    if top >= 2:
+        sq = _reduce(zx_mul(y, y), field._low, n)
+        acc = [nums[top] * s + nums[top - 1] * b for s, b in zip(sq, y)]
+        acc[0] += nums[top - 2]
+        top -= 2
+    for c in reversed(nums[:top]):
+        acc = _reduce(zx_mul(acc, y), field._low, n)
+        acc[0] += c
+    return NumberFieldElem(field, Poly.from_int_list(acc))
+
+
+def _reduce(v: list[int], low: list, n: int) -> list[int]:
+    """v mod t^n + sum p_j t^j, low = [(j, p_j)], as n integers."""
+    for k in range(len(v) - 1, n - 1, -1):
+        t = v[k]
+        if t:
+            for j, c in low:
+                v[k - n + j] -= t * c
+    return v[:n] + [0] * (n - len(v))
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +277,27 @@ def min_poly(a: NumberFieldElem) -> Poly:
         row = nums + [0] * (2 * n + 1 - len(nums))
         row[n + k] = den
         last = 1            # P of the last step taken
+        step = None
         for c, p, r in rows:
             x = row[c]
             if x:
                 row[c] = 0
+                step = row, x, p, r, last
                 row = [(p * u - x * v) // last for u, v in zip(row, r)]
                 last = p
         pivot = next((i for i in range(n) if row[i]), None)
         if pivot is None:
             m = row[n:n + k + 1]
+            if step:
+                # when p | x on the zeroing step, (u - (x/p) v) / P_prev is
+                # the relation over p, if exact: no big content to remove
+                u, x, p, r, d = step
+                q, rest = divmod(x, p)
+                if not rest:
+                    qr = [divmod(e - q * h, d) for e, h in
+                          zip(u[n:n + k + 1], r[n:n + k + 1])]
+                    if not any(s for _, s in qr):
+                        m = [e for e, _ in qr]
             # the content divides the leading coefficient: start the gcd
             # there, where a coefficient that it divides costs one division
             g = math.gcd(*reversed(m))

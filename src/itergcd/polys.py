@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -202,6 +203,7 @@ class Poly:
         rem = list(self._n)
         b = other._n
         lb = b[-1]
+        bnz = [(j, c) for j, c in enumerate(b[:-1]) if c]
         quo = [0] * (len(rem) - d)
         scale = 1
         for k in range(len(quo) - 1, -1, -1):
@@ -221,8 +223,8 @@ class Poly:
                         quo[i] *= s
             quo[k] = t
             rem[k + d] = 0
-            for j in range(d):
-                rem[k + j] -= t * b[j]
+            for j, c in bnz:
+                rem[k + j] -= t * c
         den = scale * self._d
         return (_from_ints([q * other._d for q in quo], den),
                 _from_ints(rem[:d], den))
@@ -490,18 +492,21 @@ def mult_of_factor(f: Poly, p: Poly) -> int:
 # Decimal digits per str() call: below 640, the smallest int->str digit
 # limit an interpreter can be set to, so rendering never depends on it.
 _DIGITS = 600
-_DIGITS_POW = 10 ** _DIGITS
+# the powers 10^(_DIGITS 2^i) squared up to so far
+_TENS = [10 ** _DIGITS]
+_TENS_LOCK = threading.Lock()
 
 
 def _decimal(n: int) -> str:
     """Decimal digits of n >= 0, split into str() calls of at most _DIGITS."""
-    if n < _DIGITS_POW:
+    if n < _TENS[0]:
         return str(n)
-    k, high = _DIGITS, _DIGITS_POW
-    while high * high <= n:
-        k, high = 2 * k, high * high
-    top, low = divmod(n, high)
-    return _decimal(top) + _decimal(low).zfill(k)
+    with _TENS_LOCK:
+        while _TENS[-1] <= n:
+            _TENS.append(_TENS[-1] * _TENS[-1])
+    i = next(i for i, p in enumerate(_TENS) if p > n) - 1
+    top, low = divmod(n, _TENS[i])
+    return _decimal(top) + _decimal(low).zfill(_DIGITS << i)
 
 
 def _fmt_coeff(a: Fraction) -> str:

@@ -216,6 +216,148 @@ def test_min_poly_sparse_generator_of_degree_256():
     assert elapsed <= 0.33
 
 
+def test_min_poly_relation_leaves_out_the_last_pivot(monkeypatch):
+    # when the zeroing step's pivot p divides its entry x, the relation is
+    # formed as (u - (x/p) v) / P_prev, so the content the one gcd removes
+    # is small; with p in the relation it had about half the element's bits
+    contents = []
+
+    class SpyMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def gcd(self, *args):
+            g = math.gcd(*args)
+            contents.append(g)
+            return g
+
+    monkeypatch.setattr(numfield, "math", SpyMath())
+    y = SQRT2.generator()
+    for _ in range(12):
+        y = nf_eval(X ** 2 + X, y)
+        contents.clear()
+        m = min_poly(y)
+        assert m == krylov_over_q(y)
+        assert contents == [1]
+    # 29t - t^3 in Q(sqrt 2 + sqrt 3): its last pivot does not divide the
+    # entry, and the relation keeps today's formula
+    field = NumberField(X ** 4 - 10 * X ** 2 + 1)
+    a = field.element(Poly([0, 29, 0, -1]))
+    contents.clear()
+    m = min_poly(a)
+    assert m == X ** 4 - 3696 * X ** 2 + 304704 == krylov_over_q(a)
+    assert char_poly_resultant(a) == m
+    assert contents[0].bit_length() > 8
+
+
+# ---------------------------------------------------------------------------
+# seeded property suite: nf_eval in Z[t]/(p) against Poly.evaluate
+# ---------------------------------------------------------------------------
+
+# Q itself (modulus t), t^k as the grid's gcds x^k give, t^16 - 2, and the
+# minimal polynomial of 2 cos(pi/16)
+NF_EVAL_FIELDS = (
+    NumberField.rationals(),
+    NumberField(X ** 2, check=False),
+    NumberField(X ** 5, check=False),
+    NumberField(X ** 16 - 2),
+    NumberField(X ** 8 - 8 * X ** 6 + 20 * X ** 4 - 16 * X ** 2 + 2),
+)
+
+
+def integer_map(rng, degree, span=9):
+    """An integral map of the given degree, with zero coefficients."""
+    cs = [rng.randint(-span, span) if rng.random() < 0.7 else 0
+          for _ in range(degree)]
+    return Poly(cs + [rng.choice((1, -1, 2, -5, span))])
+
+
+def integer_elems(field, rng):
+    n = field.degree
+    return [field.zero(), field.element(rng.randint(-50, 50)),
+            field.generator(),
+            field.element(Poly([rng.randint(-10 ** 6, 10 ** 6)
+                                for _ in range(n)])),
+            field.element(Poly([rng.randint(-2 ** 90, 2 ** 90)
+                                if rng.random() < 0.5 else 0
+                                for _ in range(n)]))]
+
+
+def count_evaluate(monkeypatch):
+    calls = []
+    evaluate = Poly.evaluate
+
+    def spy(self, v):
+        calls.append(v)
+        return evaluate(self, v)
+
+    monkeypatch.setattr(Poly, "evaluate", spy)
+    return calls
+
+
+def test_integer_nf_eval_matches_poly_evaluate(monkeypatch):
+    rng = random.Random(4243)
+    calls = count_evaluate(monkeypatch)
+    cases = 0
+    for field in NF_EVAL_FIELDS:
+        for degree in (0, 1, 2, 3, 5):
+            for _ in range(4):
+                f = integer_map(rng, degree, span=rng.choice((9, 2 ** 40)))
+                for a in integer_elems(field, rng):
+                    want = field.element(f.evaluate(a))
+                    calls.clear()
+                    got = nf_eval(f, a)
+                    assert not calls      # the integer route ran
+                    assert got == want
+                    assert got.rep.int_form()[1] == 1
+                    assert got.rep.degree < field.degree
+                    cases += 1
+        # an orbit, as `dynamics.orbit` and the grid's lift walk one
+        y = want = field.generator() + 1
+        for _ in range(5):
+            y, want = nf_eval(X ** 2 - 3 * X + 1, y), \
+                field.element((X ** 2 - 3 * X + 1).evaluate(want))
+            assert y == want
+    assert nf_eval(Poly.zero(), NF_EVAL_FIELDS[3].generator()).is_zero()
+    assert cases == 500
+
+
+def test_rational_inputs_keep_the_poly_evaluate_route(monkeypatch):
+    rng = random.Random(4247)
+    calls = count_evaluate(monkeypatch)
+    integral = NumberField(X ** 16 - 2)
+    rational = NumberField(Poly([Fraction(-1, 3), Fraction(-1, 2), 0, 1]))
+    for _ in range(20):
+        f = integer_map(rng, rng.choice((1, 2, 3, 5)))
+        cases = [(f * Fraction(1, 7) + 1, integral.generator() + 2),
+                 (f, integral.generator() / 2 + 1),
+                 (f, rational.generator() * 3 - 1)]
+        for g, a in cases:
+            want = a.field.element(g.evaluate(a))
+            calls.clear()
+            assert nf_eval(g, a) == want
+            assert len(calls) == 1
+
+
+def test_integer_nf_eval_squares_one_object(monkeypatch):
+    log = []
+    mul = numfield.zx_mul
+
+    def spy(f, g):
+        log.append(f is g)
+        return mul(f, g)
+
+    monkeypatch.setattr(numfield, "zx_mul", spy)
+    a = NumberField(X ** 16 - 2).generator() * 3 - 1
+    for f, squares in ((X + 5, [False]),
+                       (X ** 2 + 1, [True]),
+                       (X ** 3 - 2 * X, [True, False]),
+                       (X ** 5 + X ** 4 - 7, [True, False, False, False])):
+        log.clear()
+        assert nf_eval(f, a) == a.field.element(f.evaluate(a))
+        assert log == squares
+
+
 def test_scaled_matches_the_fraction_route_bit_for_bit():
     # ratios of numerators against float() of the Fraction quotient, with
     # coefficients of up to 10^5 bits and ratios below the subnormal range

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import reduce
 
@@ -10,6 +11,7 @@ from itergcd.errors import DegenerateInputError, LIMITS, ResourceLimitError
 from itergcd.numfield import NumberField, identity_jet, jet_at
 from itergcd.polys import (
     Poly,
+    _decimal,
     iterate,
     iterates,
     poly_gcd,
@@ -200,6 +202,44 @@ def test_render_huge_coefficients():
     assert render_poly(Poly.const(10 ** 5000 + 7)) == "1" + "0" * 4999 + "7"
     big = Fraction(-(10 ** 9000), 3 ** 7)
     assert render_poly(big * x) == "-1%s/2187*x" % ("0" * 9000)
+
+
+def test_decimal_matches_str_at_the_cached_powers():
+    # _decimal splits at the kept powers 10^(600 2^i); str() is the oracle
+    # once the interpreter's int->str limit is lifted, inside this test only
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        rng = random.Random(71)
+        for i in range(6):
+            p = 10 ** (600 << i)
+            # 7p + 42 and p^2 / 10 + 3 have low halves that need zfill
+            for n in (p - 1, p, p + 1, 7 * p + 42, p * p // 10 + 3,
+                      rng.randrange(p, p * p)):
+                assert _decimal(n) == str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_divmod_by_sparse_divisors_matches_dense_reference():
+    # the division loop visits the divisor's nonzero terms only; the
+    # reference subtracts every term, zeros included
+    rng = random.Random(73)
+    divisors = [[0] * k + [1] for k in (1, 2, 5, 9)]    # t^k
+    divisors.append([-2] + [0] * 15 + [1])               # t^16 - 2
+    for _ in range(30):
+        b = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 7)))
+             if rng.random() < 0.3 else 0 for _ in range(rng.randint(1, 12))]
+        divisors.append(b + [Fraction(rng.choice((1, -3, 5)),
+                                      rng.choice((1, 4)))])
+    for b in divisors:
+        b = [Fraction(c) for c in b]
+        for _ in range(6):
+            a = ref_poly(rng, max_deg=24)
+            quo, rem = divmod(Poly(a), Poly(b))
+            rq, rr = ref_divmod(a, b)
+            assert_matches(quo, rq)
+            assert_matches(rem, rr)
 
 
 # ---------------------------------------------------------------------------
