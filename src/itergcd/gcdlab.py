@@ -18,8 +18,8 @@ from .emit import md_table
 from .errors import DegenerateInputError, check_bits, check_primes
 from .factoring import _factor_sort_key, factor_irreducible
 from .modular import (
-    crt_image, gf_add, gf_compose_mod, gf_gcd, gf_mul, gf_rem, gf_scale,
-    gf_sub, is_prime, prime_stream, rational_reconstruct,
+    crt_image, gf_compose_mod, gf_gcd, gf_mul, gf_rem, gf_scale, gf_sub,
+    is_prime, prime_stream, rational_reconstruct,
 )
 from .numfield import NumberField, NumberFieldElem, nf_eval
 from .polys import (
@@ -124,11 +124,8 @@ def _gf_iterates(q: list[int], n: int, p: int) -> list[list[int]]:
     """[q^k mod p for k = 1..n], by the left fold y <- q(y) mod p."""
     out, y = [], [0, 1]
     for _ in range(n):
-        acc: list[int] = []
-        for a in reversed(q):
-            acc = gf_add(gf_mul(acc, y, p), [a], p)
-        out.append(acc)
-        y = acc
+        y = gf_compose_mod(q, y, None, p)
+        out.append(y)
     return out
 
 

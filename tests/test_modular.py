@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from itergcd import modular
+from itergcd import gcdlab, modular
 from itergcd.errors import LIMITS, ResourceLimitError, VerificationError
 from itergcd.modular import (
     KRON_NATIVE_LEN,
@@ -18,6 +18,7 @@ from itergcd.modular import (
     crt_image,
     crt_pair,
     gf_add,
+    gf_compose_mod,
     gf_divmod,
     gf_from_zx,
     gf_gcd,
@@ -392,11 +393,12 @@ _LENGTHS = sorted({1, 2, 3, KRON_NATIVE_SQR - 1, KRON_NATIVE_SQR,
 
 @pytest.fixture(params=["crossover", "always", "bytewise"])
 def kron_mode(request, monkeypatch):
-    """Run at the measured crossovers, then with Kronecker for every length,
-    then also without the machine-format digits (as on a big-endian host)."""
+    """Run at the measured crossovers, then with Kronecker and GF(p) slots
+    for every length, then also without the machine-format digits (as on a
+    big-endian host, which turns the slots off)."""
     if request.param != "crossover":
         for name in ("KRON_NATIVE_LEN", "KRON_NATIVE_SQR", "KRON_WIDE_LEN",
-                     "KRON_WIDE_SQR"):
+                     "KRON_WIDE_SQR", "GF_SLOT_LEN"):
             monkeypatch.setattr(modular, name, 1)
     if request.param == "bytewise":
         monkeypatch.setattr(modular, "_NATIVE", {})
@@ -476,6 +478,181 @@ def test_kron_gf_powmod_matches_repeated_multiplication(kron_mode):
         for e in range(1, 21):
             want = school_gf_divmod(school_gf_mul(want, base, p), mod, p)[1]
             assert gf_powmod(base, e, mod, p) == want
+
+
+# ---------------------------------------------------------------------------
+# gf_mul in unsigned slots, and the square-aware folds
+# ---------------------------------------------------------------------------
+
+# a prime power below 2**31 and a prime above it, which keeps zx_mul
+_SLOT_MODULI = (2, 3, 10007, (1 << 29) - 3, 3 ** 19, (1 << 31) + 11)
+_SLOT_LENGTHS = (31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257, 513)
+
+
+@pytest.fixture
+def slot_route(monkeypatch):
+    """check(f, g, p): gf_mul(f, g, p) against the schoolbook product, and
+    the route taken against the one its lengths, p and the reducedness of
+    its inputs call for (zx_mul is called exactly off the slot route)."""
+    real, calls = modular.zx_mul, []
+
+    def spy(f, g):
+        calls.append(1)
+        return real(f, g)
+
+    def check(f, g, p, want=None):
+        calls.clear()
+        got = gf_mul(f, g, p)
+        assert got == (school_gf_mul(f, g, p) if want is None else want)
+        slots = (min(len(f), len(g)) >= modular.GF_SLOT_LEN
+                 and p < 1 << 31 and bool(modular._NATIVE)
+                 and all(0 <= c < p for c in f + g))
+        assert bool(calls) != slots
+        return slots
+
+    monkeypatch.setattr(modular, "zx_mul", spy)
+    return check
+
+
+@pytest.mark.parametrize("p", _SLOT_MODULI)
+def test_slot_gf_mul_matches_school(p, kron_mode, slot_route):
+    rng = random.Random(p + 29)
+    for n in _SLOT_LENGTHS:
+        f = _rand_vec(rng, n, 0, p - 1)
+        g = _rand_vec(rng, n + rng.choice((0, 1)), 0, p - 1)
+        short = _rand_vec(rng, rng.choice((1, 7, 31, 32, 33)), 0, p - 1)
+        slot_route(f, g, p)
+        slot_route(short, f, p)                   # unequal lengths
+        slot_route(f, f, p)                       # a square: f is g
+        runs = [rng.randrange(1, p)] + [0] * (n - 2) + [rng.randrange(1, p)]
+        runs[n // 3] = rng.randrange(p)
+        slot_route(runs, runs, p)                 # inner zero runs
+        bad = [c + p if i % 2 else -c for i, c in enumerate(f)]
+        assert not slot_route(bad, short, p)      # unreduced: zx_mul
+        assert not slot_route(short, bad, p)
+
+
+def _slot_edges(p, top):
+    """Lengths m <= top at which m (p - 1)**2 has D bits with D = 0 or 7 mod
+    8: the first and last such m for each D, as slots then hold exactly D
+    or 8k - 1 bits."""
+    sq, out = (p - 1) ** 2, set()
+    for D in range(1, 80):
+        lo, hi = max(1, -(-(1 << (D - 1)) // sq)), ((1 << D) - 1) // sq
+        if D % 8 in (0, 7) and lo <= hi:
+            out |= {m for m in (lo, hi) if m <= top}
+    return sorted(out)
+
+
+@pytest.mark.parametrize("p", [q for q in _SLOT_MODULI if q > 2]
+                         + [(1 << 28) + 3])
+def test_slot_gf_mul_all_top_coefficients(p, kron_mode, slot_route):
+    # f, g all p - 1: product coefficient j is (p - 1)**2 times the number
+    # of pairs i + l = j, the most a slot can get.  Where D is a multiple
+    # of 8 (p = 2**29 - 3, m = 33: D = 64) the slot needs D // 8 + 1 bytes,
+    # since the reduction's double slot takes 2D + 1 bits.  Where D = 8k - 1
+    # and p is little above a power of 2, the quotients reach the top bit
+    # of their mask; machine-digit slots read that bit back (p = 2**28 + 3,
+    # m = 127: 8 bytes), strided ones drop it with their high bytes
+    edges = _slot_edges(p, 2100)
+    if p == (1 << 29) - 3:
+        assert 33 in edges
+    if p == (1 << 28) + 3:
+        assert 127 in edges
+    taken = 0
+    for m in edges:
+        f = [p - 1] * m
+        for g in (f, [p - 1] * (m + 3)):
+            n = len(g)
+            want = [min(j + 1, m, n, m + n - 1 - j) % p
+                    for j in range(m + n - 1)]
+            taken += slot_route(f, g, p, want)
+    assert taken or kron_mode == "bytewise" or p > 1 << 31
+
+
+def horner_compose(f, g, mod, p):
+    """f(g) mod p, and mod `mod` unless it is None, one Horner step at a
+    time with the schoolbook kernels."""
+    out = []
+    for c in reversed(f):
+        out = _trim([a % p for a in school_gf_mul(out, g, p)])
+        out = gf_add(out, [c], p)
+        if mod is not None:
+            out = school_gf_divmod(out, mod, p)[1]
+    return out
+
+
+def _fold_maps(rng, p):
+    """Maps mod p of degree 0 to 5: zero, constant, linear, with zero
+    middle coefficients, with leading coefficient 1 and other than 1."""
+    maps = [[], [rng.randrange(1, p)], [0, 1], [rng.randrange(p), p - 1]]
+    for d in range(2, 6):
+        for lead in {1, p - 1, rng.randrange(1, p)}:
+            maps.append([rng.randrange(p) for _ in range(d)] + [lead])
+            maps.append([rng.randrange(p)] + [0] * (d - 1) + [lead])
+    return maps
+
+
+def _fold_spy(monkeypatch, target, name):
+    """Log of target.name calls, each followed by the gf_mul products it
+    made as (f is g, min(len f, len g))."""
+    log, real_mul, real = [], modular.gf_mul, getattr(target, name)
+
+    def mul(f, g, p):
+        log[-1].append((f is g, min(len(f), len(g))))
+        return real_mul(f, g, p)
+
+    def step(*args):
+        log.append([])
+        return real(*args)
+
+    monkeypatch.setattr(modular, "gf_mul", mul)
+    monkeypatch.setattr(target, name, step)
+    return log
+
+
+def _check_squares_first(log, f, g_len):
+    """Each step's first product of two polynomials (both of 2 terms or
+    more) is a square, and a map of degree 2 or more makes one."""
+    for products in log:
+        long = [sq for sq, m in products if m > 1]
+        if len(f) > 2 and g_len > 1:
+            assert long and long[0]
+        assert long.count(True) <= 1
+
+
+@pytest.mark.parametrize("p", [2, 3, (1 << 29) - 3])
+def test_gf_iterates_fold_matches_horner(p, monkeypatch):
+    rng = random.Random(p + 5)
+    for q in _fold_maps(rng, p):
+        want, y = [], [0, 1]
+        for _ in range(4):
+            y = horner_compose(q, y, None, p)
+            want.append(y)
+        log = _fold_spy(monkeypatch, gcdlab, "gf_compose_mod")
+        assert gcdlab._gf_iterates(q, 4, p) == want
+        assert len(log) == 4
+        for products, y in zip(log, [[0, 1]] + want):
+            _check_squares_first([products], q, len(y))
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("p", [2, 3, (1 << 29) - 3])
+def test_gf_compose_mod_fold_matches_horner(p, monkeypatch):
+    rng = random.Random(p + 6)
+    for f in _fold_maps(rng, p):
+        for n in (2, 5, 40):
+            mod = _rand_vec(rng, n, 0, p - 1)
+            mod[-1] = 1
+            for g in ([], [rng.randrange(1, p)],
+                      _rand_vec(rng, n - 1, 0, p - 1)):
+                log = _fold_spy(monkeypatch, modular, "gf_compose_mod")
+                got = modular.gf_compose_mod(f, g, mod, p)
+                monkeypatch.undo()
+                assert got == horner_compose(f, g, mod, p)
+                _check_squares_first(log, f, len(g))
+                assert gf_compose_mod(f, g, None, p) == horner_compose(
+                    f, g, None, p)
 
 
 # ---------------------------------------------------------------------------
@@ -580,17 +757,18 @@ def test_packed_gf_divmod_at_the_digit_budget(p, pack_mode, monkeypatch):
     # adds the most it can, (p - 1)**2, to every digit below the top; and
     # f = g = all p - 1.  Quotients of 60 and 300 terms outlast the budget
     # of the 31-bit and 29-bit primes.  Every digit handed to a reduction
-    # must be below 2**63.
+    # must be below 2**63, and every k-byte slot of a product below
+    # 2**(8k - 1).
     budget = modular._pack_budget(p)
     assert p - 1 + budget * (p - 1) ** 2 < 1 << 63
     assert p - 1 + (budget + 1) * (p - 1) ** 2 >= 1 << 63
     seen = []
     real = modular._gf_reduce
 
-    def checked(W, n, p):
-        assert W < 1 << (64 * n) and not W & modular._top_bits(8, n)
+    def checked(W, n, p, k=8):
+        assert W < 1 << (8 * k * n) and not W & modular._top_bits(k, n)
         seen.append(n)
-        return real(W, n, p)
+        return real(W, n, p, k)
 
     monkeypatch.setattr(modular, "_gf_reduce", checked)
     for n, lq in ((40, 60), (16, 300), (3, 300)):
