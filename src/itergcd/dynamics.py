@@ -19,6 +19,7 @@ from .errors import (
     ResourceLimitError,
     VerificationError,
 )
+from .modular import is_prime
 from .polys import Poly, _compose_checked, iterate
 from .numfield import NumberFieldElem, nf_eval
 
@@ -133,6 +134,15 @@ def _valuation(n: int, b: int) -> int:
         return 0
     w = _valuation(n, b * b)
     return 2 * w + (n // (b * b) ** w % b == 0)
+
+
+def _prime_factors(n: int) -> list:
+    """The primes below 2^10 dividing n >= 1, and the cofactor left over
+    when is_prime decides it exactly (below 2^64); others are not tried."""
+    out = [d for d in range(2, min(n + 1, 1024)) if n % d == 0 and is_prime(d)]
+    for d in out:
+        n //= d ** _valuation(n, d)
+    return out + [n] if 1 < n < 1 << 64 and is_prime(n) else out
 
 
 def log_escape_radius(q: Poly, p: int) -> Fraction:

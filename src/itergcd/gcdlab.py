@@ -13,13 +13,13 @@ import time
 from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
 
-from .dynamics import log_escape_radius, p_valuation
+from .dynamics import _prime_factors, log_escape_radius, p_valuation
 from .emit import md_table
 from .errors import DegenerateInputError, check_bits, check_primes
 from .factoring import _factor_sort_key, factor_irreducible
 from .modular import (
     crt_image, gf_compose_mod, gf_gcd, gf_mul, gf_rem, gf_scale, gf_sub,
-    is_prime, prime_stream, rational_reconstruct,
+    prime_stream, rational_reconstruct,
 )
 from .numfield import NumberField, NumberFieldElem, nf_eval
 from .polys import (
@@ -201,15 +201,6 @@ def _screen(f: Poly, g: Poly, c: Poly, p: int, pairs) -> dict:
         for n, h in seen[row].items():
             screened[(n, m) if swap else (m, n)] = h, share
     return screened
-
-
-def _prime_factors(n: int) -> list:
-    """The primes below 2^10 dividing n >= 1, and the cofactor left over
-    when is_prime decides it exactly (below 2^64); others are not tried."""
-    out = [d for d in range(2, min(n + 1, 1024)) if n % d == 0 and is_prime(d)]
-    for d in out:
-        n //= d ** p_valuation(Fraction(n), d)
-    return out + [n] if 1 < n < 1 << 64 and is_prime(n) else out
 
 
 def _proof_prime(f: Poly, g: Poly, c: Poly):

@@ -7,15 +7,25 @@ residual is certified.  Canonical heights use the limit definition
 h(f^N(x))/d^N with an explicit geometric error bound; a point whose orbit is
 seen to repeat is certified preperiodic and gets canonical height exactly 0.
 
-An integer orbit under an integer map that has escaped (|y| >= S + 2, S the
-sum of the non-leading |coefficients|) only grows, so its last iterate is
-needed for one log alone.  The escape tail carries it as an enclosure
-[lo, hi]*2^s of fixed width with outward rounding, and keeps the result only
-when Ziv's rounding test passes: both ends round to the same double, so the
-exact iterate does too, and math.log of an int reads nothing else.  The size
-cap is decided on the enclosure the same way.  When either test is
-undecided the exact loop resumes from the escape point, so the output never
-depends on the width, only the speed does.
+A rational orbit point needs its exact value only until it escapes (Call
+and Silverman, Compositio Math. 1993, for the local decomposition).  A
+prime p of den(f) den(x) is tracked at y when p does not divide den(f) and
+y is p-integral, as every later iterate then is, or when p divides den(y)
+and -v_p(y) > R_p, the log escape radius: from there on v_p(f(y)) =
+d v_p(y) + v_p(a_d), so |y|_p grows and the orbit never repeats.  Once all
+are tracked and one escapes, den(y) is D = prod p^-v_p(y) over the escaping
+primes, and the next one c D^d, c = prod p^-v_p(a_d).  An integer point of
+an integer map with |y| >= S + 2 (S the sum of the non-leading
+|coefficients|) only grows too: the case D = 1.
+
+From there the last iterate is needed for one log alone.  The escape tail
+carries y and D as enclosures [lo, hi]*2^s of fixed width with outward
+rounding (D's is exact while D is a power of 2), and keeps log max(|N|, D),
+N = y D, only when Ziv's rounding test passes: both ends round to the same
+double, so the exact value does too, and math.log of an int reads nothing
+else.  The size cap and |y| against 1 are decided on the enclosures.  When
+a test is undecided the exact loop resumes from the tail's start, so the
+output never depends on the width, only the speed does.
 
 The decay probe takes a root of the smallest irreducible factor of f^n - c.
 For constant c, f^n - c = (f^(n-1) - c) o f, so the factors of level n are
@@ -32,6 +42,7 @@ import math
 from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
 
+from .dynamics import _prime_factors, log_escape_radius, p_valuation
 from .emit import md_table
 from .errors import DegenerateInputError, LIMITS, ResourceLimitError
 from .factoring import _factor_sort_key, factor_irreducible
@@ -50,9 +61,10 @@ from .polys import Poly, iterate, iterates  # noqa: F401
 class HeightValue:
     """A nonnegative real in log scale with an error bar.
 
-    Only the escape tail's value is derived, by outward rounding and Ziv's
-    test.  The root-finding error _ROOT_ERR is asserted, not derived, and
-    the comparison constant and the final divisions are plain floats.
+    Only the escape tail's value is derived, for integer and rational
+    orbits alike, by outward rounding and Ziv's test.  The root-finding
+    error _ROOT_ERR is asserted, not derived, and the comparison constant
+    and the final divisions are plain floats.
     """
 
     value: float
@@ -96,14 +108,20 @@ def _comparison_constant(f: Poly) -> float:
     return math.log((f.degree + 1) * hf) + f.degree * math.log(2)
 
 
-# width in bits of the escape tail's enclosure; below 1024 so that float()
-# of an end never overflows.  Only the speed depends on it.
+# width in bits of the escape tail's enclosures; below 511 so that float()
+# of a product of two ends never overflows.  Only the speed depends on it.
 _TAIL_BITS = 256
 
 
-def _trim(lo: int, hi: int, t: int) -> tuple[int, int, int]:
-    """[lo, hi]*2^t widened outward until both ends fit in _TAIL_BITS bits."""
+def _trim(lo: int, hi: int, t: int, den: int = 1) -> tuple[int, int, int]:
+    """[lo, hi]*2^t/den widened outward until both ends fit in _TAIL_BITS
+    bits; a divisor den > 1 is shifted in first, so the quotient keeps
+    about _TAIL_BITS bits."""
     k = max(abs(lo).bit_length(), abs(hi).bit_length()) - _TAIL_BITS
+    if den > 1:
+        k -= den.bit_length()
+        lo, hi = (lo >> k, -(-hi >> k)) if k >= 0 else (lo << -k, hi << -k)
+        return lo // den, -(-hi // den), t + k
     if k <= 0:
         return lo, hi, t
     return lo >> k, -(-hi >> k), t + k
@@ -118,46 +136,90 @@ def _magnitudes(lo: int, hi: int):
     return None
 
 
-def _f_enclosure(nums: list[int], lo: int, hi: int, s: int):
-    """[alo, ahi]*2^t holding f(y) for every y in [lo, hi]*2^s: Horner on
-    intervals, each end rounded outward, coefficients shifted to scale."""
+def _f_enclosure(nums: list[int], lo: int, hi: int, s: int, den: int = 1):
+    """[alo, ahi]*2^t holding f(y) = sum nums[i] y^i / den for every y in
+    [lo, hi]*2^s: Horner on intervals, each end rounded outward,
+    coefficients shifted to scale, den divided in last."""
     alo = ahi = nums[-1]
     t = 0
     for c in reversed(nums[:-1]):
         prods = (alo * lo, alo * hi, ahi * lo, ahi * hi)
         t += s
-        alo, ahi, t = _trim(min(prods) + (c >> t), max(prods) - (-c >> t), t)
-    return alo, ahi, t
+        if t >= 0:
+            alo, ahi = min(prods) + (c >> t), max(prods) - (-c >> t)
+        else:   # c is exact at the finer scale
+            alo, ahi = min(prods) + (c << -t), max(prods) + (c << -t)
+        alo, ahi, t = _trim(alo, ahi, t)
+    return _trim(alo, ahi, t, den) if den > 1 else (alo, ahi, t)
 
 
-def _escape_tail(nums: list[int], y: int, n: int, steps: int):
-    """(h(f^N(x)), N) from the escaped integer y = f^n(x), or None.
+def _radii(f: Poly, m: int):
+    """[(p, max(R_p, 0))] over the primes of m, or None if m has one that
+    _prime_factors does not find; R_p is the log escape radius."""
+    ps = _prime_factors(m)
+    if math.prod(p ** p_valuation(m, p) for p in ps) != m:
+        return None
+    return [(p, max(log_escape_radius(f, p), 0)) for p in ps]
 
-    Runs the steps n..N of the exact loop on an enclosure of the orbit and
-    stops where it would: at `steps`, or before the first iterate whose
-    bit_size (|z|.bit_length() + 1) passes the cap.  None means the
-    enclosure could not decide the cap or the rounding of the final log.
-    """
-    lo = hi = y
-    s = 0
-    while n < steps:
-        alo, ahi, t = _f_enclosure(nums, lo, hi, s)
-        mags = _magnitudes(alo, ahi)
-        if mags is None:
+
+def _escaping(den: int, q: Fraction, radii):
+    """The primes p of radii at which q escapes, v_p(q) < -max(R_p, 0), or
+    None if q is not tracked: a prime of den(q) or of den(f) = den does
+    not escape, or den(q) has a prime outside radii."""
+    esc, rest = [], q.denominator
+    for p, r in radii:
+        v = p_valuation(rest, p)
+        rest //= p ** v
+        if v > r:
+            esc.append(p)
+        elif v or den % p == 0:
             return None
-        if mags[0].bit_length() + t + 1 > LIMITS.height_elem_bits:
+    return esc if rest == 1 else None
+
+
+def _escape_tail(nums: list[int], den: int, q: Fraction, esc: list,
+                 n: int, steps: int):
+    """(h(f^N(x)), N) from y = q = f^n(x), or None.
+
+    f = sum nums[i] x^i / den, and q escapes at the primes esc, or, with
+    none, is an integer past S + 2.  Runs the steps n..N of the exact loop
+    on enclosures of y and D = den(y) and stops where it would: at `steps`,
+    or before the first iterate whose bit_size, bitlen|N| + bitlen D with
+    N = y D, passes the cap.  None means the enclosures could not decide
+    the cap, |y| against 1 or the rounding of the final log.
+    """
+    num, dd = q.numerator, _trim(q.denominator, q.denominator, 0)
+    lo, hi, s = num, num, 0
+    if esc:     # D' = c D^d: v_p(f(y)) = d v_p(y) + v_p(a_d) at each p
+        lead = Fraction(nums[-1], den)
+        c = math.prod(Fraction(p) ** -p_valuation(lead, p) for p in esc)
+        dmap = [0] * (len(nums) - 1) + [c.numerator]
+        lo, hi, s = _trim(num, num, 0, q.denominator)
+    while n < steps:
+        alo, ahi, t = _f_enclosure(nums, lo, hi, s, den)
+        dn = _f_enclosure(dmap, *dd, c.denominator) if esc else dd
+        (dlo, dhi, u), ys = dn, _magnitudes(alo, ahi)
+        if ys is None or dlo <= 0:
+            return None
+        room = LIMITS.height_elem_bits - t - 2 * u
+        if (ys[0] * dlo).bit_length() + dlo.bit_length() > room:
             if n == 0:
                 raise ResourceLimitError("first iterate exceeds size budget")
             break
-        if mags[1].bit_length() + t + 1 > LIMITS.height_elem_bits:
+        if (ys[1] * dhi).bit_length() + dhi.bit_length() > room:
             return None
-        lo, hi, s = alo, ahi, t
+        lo, hi, s, dd = alo, ahi, t, dn
         n += 1
-    mags = _magnitudes(lo, hi)
-    # s = 0: never trimmed, so y itself, of any size
-    if mags is None or (s and float(mags[0]) != float(mags[1])):
+    ys, one = _magnitudes(lo, hi), 1 << max(-s, 0)
+    if ys is None or ys[0] < one <= ys[1]:
+        return None     # |y| against 1 undecided
+    # max(|N|, D) is |N| when |y| >= 1, else D
+    mlo, mhi, w = (ys[0] * dd[0], ys[1] * dd[1], s + dd[2]) \
+        if ys[0] >= one else dd
+    if mlo != mhi and float(mlo) != float(mhi):
         return None
-    return HeightValue(math.log(mags[0] << s), 0.0), n
+    return HeightValue(math.log(mlo << w if w >= 0 else math.ldexp(mlo, w)),
+                       0.0), n
 
 
 def canonical_height(f: Poly, x: NumberFieldElem, steps: int = 32) -> HeightValue:
@@ -169,10 +231,12 @@ def canonical_height(f: Poly, x: NumberFieldElem, steps: int = 32) -> HeightValu
     value is returned with the correspondingly larger error bound; only a
     budget bust before the very first step raises.
 
-    For f in Z[x], once the orbit reaches an integer of absolute value at
-    least S + 2 it cannot repeat, and the escape tail (see the module
-    docstring) finishes it without building the iterates; the result is
-    the one the exact loop gives, bit for bit.
+    For f in Q[x], once a rational orbit point escapes at a prime of
+    den(f) den(x) and every other such prime is tracked, or f is in Z[x]
+    and the point is an integer of absolute value at least S + 2, the orbit
+    cannot repeat, and the escape tail (see the module docstring) finishes
+    it without building the iterates; the result is the one the exact loop
+    gives, bit for bit.
     """
     d = f.degree
     if d < 2:
@@ -181,17 +245,20 @@ def canonical_height(f: Poly, x: NumberFieldElem, steps: int = 32) -> HeightValu
         raise DegenerateInputError("need at least one iteration step")
     nums, den = f.int_form()
     # from |y| >= S + 2 on, |f(y)| >= |y|^(d-1) (|y| - S) >= 2|y|
-    escape = sum(map(abs, nums[:-1])) + 2 if den == 1 else None
+    escape = sum(map(abs, nums[:-1])) + 2
+    m = den * (x.as_fraction().denominator if x.is_rational() else 1)
+    radii = _radii(f, m) if m > 1 else []   # None: no tail
     seen = {x}
     y = x
     n = 0
     h = None
     while n < steps:
-        if escape is not None and y.is_rational():
+        if radii is not None and y.is_rational():
             q = y.as_fraction()
-            if q.denominator == 1 and abs(q) >= escape:
-                escape = None   # tried once; a failed tail resumes exactly
-                tail = _escape_tail(nums, q.numerator, n, steps)
+            esc = _escaping(den, q, radii)
+            if esc is not None and (esc or abs(q) >= escape):
+                radii = None    # tried once; a failed tail resumes exactly
+                tail = _escape_tail(nums, den, q, esc, n, steps)
                 if tail is not None:
                     h, n = tail
                     break

@@ -50,6 +50,11 @@ COMMANDS = (
     ("height", "--f", "x^2+5", "--x", "61", "--steps", "18"),
     ("height", "--f", "x^3+2", "--x=-60", "--steps", "11"),
     ("height", "--f", "3*x^2-7", "--x", "9", "--steps", "14"),
+    # rational points: a denominator escapes 2-adically at every step; at
+    # the default steps the cap ends the orbit; three primes escape at once
+    ("height", "--f", "x^2+1", "--x", "1/2"),
+    ("height", "--f", "x^2-1/2", "--x", "1"),
+    ("height", "--f", "x^2+x/3-5/7", "--x", "2/5", "--steps", "16"),
     # the report echoes the argv text, not the parsed polynomial
     ("special-probe", "--f", "x^2 + 1", "--c", "0", "--n-hi", "3",
      "--steps", "12"),

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from itergcd import factoring, gcdlab, modular
+from itergcd import dynamics, factoring, gcdlab, modular
 from itergcd.cli import main
 from itergcd.emit import emit
 from itergcd.errors import DegenerateInputError, LIMITS, ResourceLimitError
@@ -592,12 +592,12 @@ def test_coefficients_past_the_bit_cap_are_not_tried():
 
 
 def test_primes_of_a_denominator_are_tried():
-    assert gcdlab._prime_factors(1) == []
-    assert gcdlab._prime_factors(12 * 1031) == [2, 3, 1031]
-    assert gcdlab._prime_factors(2 ** 70) == [2]
-    assert gcdlab._prime_factors((1 << 61) - 1) == [(1 << 61) - 1]
+    assert dynamics._prime_factors(1) == []
+    assert dynamics._prime_factors(12 * 1031) == [2, 3, 1031]
+    assert dynamics._prime_factors(2 ** 70) == [2]
+    assert dynamics._prime_factors((1 << 61) - 1) == [(1 << 61) - 1]
     # two primes past 2^10: the cofactor is not factored, so not tried
-    assert gcdlab._prime_factors(1031 * 1033) == []
+    assert dynamics._prime_factors(1031 * 1033) == []
     g = parse_poly("x^2-1")
     assert gcdlab._proof_prime(parse_poly("x^2+1/1031"), g, Poly.zero()) \
         == 1031

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 import sympy
 
 from itergcd import heights
+from itergcd.dynamics import log_escape_radius
 from itergcd.errors import (
     LIMITS,
     DegenerateInputError,
@@ -22,6 +24,7 @@ from itergcd.heights import (
     weil_height_alg,
 )
 from itergcd.numfield import NumberField, poly_complex_roots
+from itergcd.parser import parse_poly
 from itergcd.polys import Poly, iterate, iterates
 
 X = Poly.x()
@@ -172,19 +175,29 @@ def test_special_probe_power_map_exact():
 # the escape tail against an exact reference loop
 # ---------------------------------------------------------------------------
 
-def exact_height(nums, x, steps):
-    """canonical_height of the integer map sum nums[i] x^i at the rational x,
-    by the plain loop in Fractions: same seen set, size cap and first-step
-    refusal, every iterate built exactly."""
+def exact_height(nums, x, steps, den=1):
+    """canonical_height of the map sum nums[i] x^i / den at the rational x,
+    by the plain loop on exact fractions: same seen set, size cap and
+    first-step refusal, every iterate built in lowest terms."""
+    g = math.gcd(den, *nums)
+    nums, den = [c // g for c in nums], den // g
     d = len(nums) - 1
-    seen = {x}
-    y = x
+    y = x.numerator, x.denominator
+    seen = {y}
     n = 0
     while n < steps:
-        z = Fraction(0)
-        for c in reversed(nums):
-            z = z * y + c
-        if z.numerator.bit_length() + z.denominator.bit_length() \
+        # f(N/D) = P/Q, P = sum nums[i] N^i D^(d-i) and Q = den D^d.  A
+        # prime of P and Q divides den or D, and one of D divides nums[d],
+        # as P = nums[d] N^d mod p with gcd(N, D) = 1: so the gcds taken
+        # against den nums[d] alone leave P/Q in lowest terms.
+        (num, dd), p, q = y, nums[-1], den
+        for c in reversed(nums[:-1]):
+            q *= dd
+            p = p * num + c * (q // den)
+        while (h := math.gcd(den * nums[-1], p, q)) > 1:
+            p, q = p // h, q // h
+        z = (p, q) if p else (0, 1)
+        if abs(z[0]).bit_length() + z[1].bit_length() \
                 > LIMITS.height_elem_bits:
             if n == 0:
                 raise ResourceLimitError("first iterate exceeds size budget")
@@ -194,10 +207,9 @@ def exact_height(nums, x, steps):
         if y in seen:
             return HeightValue(0.0, 0.0)
         seen.add(y)
-    c = math.log((d + 1) * max(map(abs, nums))) + d * math.log(2)
+    c = math.log((d + 1) * max(*map(abs, nums), den)) + d * math.log(2)
     scale = float(d) ** n
-    return HeightValue(math.log(max(abs(y.numerator), y.denominator)) / scale,
-                       c / scale)
+    return HeightValue(math.log(max(abs(y[0]), y[1])) / scale, c / scale)
 
 
 def outcome(fn):
@@ -208,7 +220,7 @@ def outcome(fn):
 
 
 def draw_tail_case(rng):
-    """(nums, x, steps, cap): an integer map of degree 2-4 and an integer
+    """(nums, 1, x, steps, cap): an integer map of degree 2-4 and an integer
     point at, just below or far above the escape radius S + 2, with a cap
     that fires at the first step, mid-orbit, or not at all."""
     d = rng.randint(2, 4)
@@ -224,11 +236,45 @@ def draw_tail_case(rng):
     cap = rng.choice((first_bits - 1, first_bits,
                       first_bits + rng.randint(1, 64),
                       rng.randint(first_bits, 6000), 6000))
-    return nums, x, rng.randint(1, 14), max(cap, 1)
+    return nums, 1, x, rng.randint(1, 14), max(cap, 1)
 
 
-def check_tail_cases(seed, count, monkeypatch):
-    """Every drawn case matches exact_height; returns the tail's verdicts."""
+# two primes above 2^60: _prime_factors cannot split their product
+BIG_DEN = ((1 << 61) - 1) * ((1 << 89) - 1)
+
+
+def draw_rational_case(rng):
+    """(nums, den, x, steps, cap): a map of degree 2-3 with a denominator
+    from 2, 3, 4, 6, 12, 35 (or 1, or BIG_DEN, which has no tail) and a point
+    whose denominator puts it at, just inside or just outside the escape
+    radius R_p of one of its primes, with a cap that fires at the first
+    step, mid-orbit, or not within `steps`."""
+    d = rng.randint(2, 3)
+    den = rng.choice((1, 2, 3, 4, 6, 12, 35, 35, 12, BIG_DEN))
+    nums = [rng.randint(-30, 30) for _ in range(d)]
+    nums.append(rng.choice((1, -1, 2, 3, -5, 4, 9)))
+    base = rng.choice((1, 2, 3, 4, 6, 12, 35))
+    p = rng.choice([p for p in (2, 3, 5, 7) if den * base % p == 0] or [2])
+    r = log_escape_radius(Poly.from_int_list(nums, den), p)
+    k = rng.choice((math.ceil(r) - 1, math.floor(r), math.ceil(r),
+                    math.floor(r) + 1, math.floor(r) + 2))
+    x = Fraction(rng.randint(-40, 40), p ** max(k, 0) * base)
+    steps = rng.randint(1, 24)
+    sizes, y = [], x
+    for _ in range(steps):   # the exact orbit's sizes, while they are cheap
+        y = sum(Fraction(c, den) * y ** i for i, c in enumerate(nums))
+        sizes.append(y.numerator.bit_length() + y.denominator.bit_length())
+        if sizes[-1] > 3000:
+            break
+    cap = rng.choice((sizes[0] - 1, sizes[0], rng.choice(sizes),
+                      rng.randint(sizes[0], 6000),
+                      max(sizes) + rng.randint(0, 64)))
+    return nums, den, x, steps, min(max(cap, 1), 6000)
+
+
+def check_tail_cases(seed, count, monkeypatch, draw=draw_tail_case):
+    """Every drawn case matches exact_height; returns the tail's verdicts.
+    A denominator that cannot be factored never reaches the tail."""
     verdicts = []
     tail = heights._escape_tail
 
@@ -240,12 +286,14 @@ def check_tail_cases(seed, count, monkeypatch):
     monkeypatch.setattr(heights, "_escape_tail", spy)
     rng = random.Random(seed)
     for _ in range(count):
-        nums, x, steps, cap = draw_tail_case(rng)
+        nums, den, x, steps, cap = draw(rng)
         monkeypatch.setattr(LIMITS, "height_elem_bits", cap)
-        f = Poly.from_int_list(nums)
+        f = Poly.from_int_list(nums, den)
+        tried = len(verdicts)
         got = outcome(lambda: canonical_height(f, Q.element(x), steps))
-        want = outcome(lambda: exact_height(nums, Fraction(x), steps))
-        assert got == want, (nums, x, steps, cap)
+        want = outcome(lambda: exact_height(nums, x, steps, den))
+        assert got == want, (nums, den, x, steps, cap)
+        assert den != BIG_DEN or len(verdicts) == tried
     return verdicts
 
 
@@ -266,6 +314,70 @@ def test_escape_tail_narrow_width_falls_back(bits, monkeypatch):
         assert any(verdicts)
 
 
+def test_rational_tail_matches_exact_loop(monkeypatch):
+    verdicts = check_tail_cases(81, 400, monkeypatch, draw_rational_case)
+    assert len(verdicts) > 150 and sum(verdicts) >= 0.9 * len(verdicts)
+
+
+@pytest.mark.parametrize("bits", [2, 3, 8, 53, 54, 60])
+def test_rational_tail_narrow_width_falls_back(bits, monkeypatch):
+    monkeypatch.setattr(heights, "_TAIL_BITS", bits)
+    verdicts = check_tail_cases(90 + bits, 200, monkeypatch,
+                                draw_rational_case)
+    assert not all(verdicts)
+    if bits >= 53:
+        assert any(verdicts)
+
+
+@pytest.mark.parametrize("f, x, steps", [
+    ("x^2-1/2", "1", 19), ("x^2-1/2", "1", 32),   # the cap stops at 22
+    ("x^2+1", "1/2", 32), ("x^2+x/4-3/8", "3/2", 20),
+    ("x^2-3/4", "1/4", 25),
+    # escapes at 3, 5 and 7 from step 2: D has odd primes
+    ("x^2+x/3-5/7", "2/5", 16)])
+def test_rational_tail_at_the_default_cap(f, x, steps, monkeypatch):
+    verdicts = []
+    tail = heights._escape_tail
+    monkeypatch.setattr(heights, "_escape_tail",
+                        lambda *a: verdicts.append(tail(*a)) or verdicts[-1])
+    nums, den = parse_poly(f).int_form()
+    got = canonical_height(parse_poly(f), Q.element(Fraction(x)), steps)
+    assert got == exact_height(nums, Fraction(x), steps, den)
+    assert len(verdicts) == 1 and verdicts[0] is not None
+
+
+def test_points_on_the_escape_radius_do_not_start_the_tail():
+    # R_2 = 1 for both maps, and v_2(1/2) = -1 is on it, not past it:
+    # 1/2 is fixed by x^2 + 1/4, and x^2 - 3/4 sends it to the fixed -1/2
+    for f in ("x^2+1/4", "x^2-3/4"):
+        h = canonical_height(parse_poly(f), Q.element(Fraction(1, 2)))
+        assert h == HeightValue(0.0, 0.0)
+
+
+def test_a_prime_of_den_f_must_escape_before_the_tail_starts():
+    # 1/5 escapes at 5, but 3 divides den(f) and 1/5 is 3-integral: the
+    # next iterate, 1/25 + 2/15 + 1/3, has 3 in its denominator
+    nums, den = parse_poly("x^2+2*x/3+1/3").int_form()
+    want = exact_height(nums, Fraction(1, 5), 12, den)
+    got = canonical_height(parse_poly("x^2+2*x/3+1/3"),
+                           Q.element(Fraction(1, 5)), 12)
+    assert got == want
+
+
+@pytest.mark.parametrize("bits", [2, 3])
+def test_magnitude_against_one_needs_both_ends(bits, monkeypatch):
+    # D is a power of 2, so the branch log D always passes Ziv's test; at a
+    # few bits the enclosure of |y| straddles 1 for orbits such as
+    # 5/4 -> 17/16 under x^2 - 1/2, and only |N| is right there
+    monkeypatch.setattr(heights, "_TAIL_BITS", bits)
+    for f in ("x^2-2", "x^2-1/2", "x^2-7/4"):
+        nums, den = parse_poly(f).int_form()
+        for b, steps in itertools.product(range(-9, 10, 2), (1, 2, 3)):
+            x = Fraction(b, 4)
+            got = canonical_height(parse_poly(f), Q.element(x), steps)
+            assert got == exact_height(nums, x, steps, den), (f, x, steps)
+
+
 def test_escape_tail_matches_exact_loop_at_the_default_cap():
     # the default cap is reached within `steps` in every case but the first
     for nums, x, steps in (([5, 0, 1], 61, 18), ([2, 0, 0, 1], -60, 11),
@@ -280,7 +392,7 @@ def test_f_enclosure_holds_the_exact_value():
     # plus two per Horner step.
     rng = random.Random(63)
     for _ in range(200):
-        nums, x, _, _ = draw_tail_case(rng)
+        nums, _, x, _, _ = draw_tail_case(rng)
         y = x * rng.randint(1, 1 << 200)
         fy = sum(c * y ** i for i, c in enumerate(nums))
         for k in (0, 1, 7, max(abs(y).bit_length() - 3, 0)):
@@ -289,6 +401,21 @@ def test_f_enclosure_holds_the_exact_value():
             assert alo << t <= fy <= ahi << t, (nums, y, k)
             if k == 0:
                 assert ahi - alo < 1 << len(nums)
+
+
+def test_f_enclosure_divides_the_denominator_outward():
+    # y = a/b enclosed with a negative exponent; the image of the map
+    # sum nums[i] x^i / den must hold f(y) exactly
+    rng = random.Random(64)
+    for _ in range(300):
+        nums, den, _, _, _ = draw_rational_case(rng)
+        y = Fraction(rng.randint(-1 << 80, 1 << 80), rng.randint(1, 1 << 90))
+        fy = sum(Fraction(c, den) * y ** i for i, c in enumerate(nums))
+        for k in (0, 3, 60, 300):
+            lo, hi = math.floor(y * 2 ** k), math.ceil(y * 2 ** k)
+            alo, ahi, t = heights._f_enclosure(nums, lo, hi, -k, den)
+            assert Fraction(alo) * Fraction(2) ** t <= fy \
+                <= Fraction(ahi) * Fraction(2) ** t, (nums, den, y, k)
 
 
 def test_escape_tail_stopped_on_a_huge_exact_start(monkeypatch):
