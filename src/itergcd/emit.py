@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 from .errors import DegenerateInputError
@@ -71,8 +72,30 @@ def md_table(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+# json.dumps(indent=2)'s bytes, without its pure-Python encoder: the
+# containers laid out here, the leaves encoded by the C functions
+_STR = json.encoder.encode_basestring_ascii
+
+
+def _json_value(v, nl: str) -> str:
+    t = type(v)
+    if t is str:
+        return _STR(v)
+    if t is int or t is float and math.isfinite(v):
+        return t.__repr__(v)
+    inner = nl + "  "
+    if t is dict and v:     # a key that is not a str is quoted JSON text
+        return "{" + inner + ("," + inner).join(
+            [_STR(k if type(k) is str else json.dumps(k)) + ": "
+             + _json_value(x, inner) for k, x in sorted(v.items())]) + nl + "}"
+    if t is list and v:
+        return "[" + inner + ("," + inner).join(
+            [_json_value(x, inner) for x in v]) + nl + "]"
+    return json.dumps(v)    # bools, None, NaN, infinities, empty containers
+
+
 def _json_text(d: dict) -> str:
-    return json.dumps(_round_floats(d), sort_keys=True, indent=2) + "\n"
+    return _json_value(_round_floats(d), "\n") + "\n"
 
 
 def _dict_text(d: dict, fmt: str) -> str:

@@ -162,8 +162,7 @@ def _gf_edf(w: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]
         return [w]
     e = (p ** d - 1) // 2
     while True:
-        r = [rng.randrange(p) for _ in range(zx_deg(w))]
-        r = zx_trim(r)
+        r = zx_trim([rng.randrange(p) for _ in range(zx_deg(w))])
         if zx_deg(r) < 1:
             continue
         s = gf_powmod(r, e, w, p)
@@ -171,14 +170,6 @@ def _gf_edf(w: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]
         if 0 < zx_deg(g) < zx_deg(w):
             rest = gf_divmod(w, g, p)[0]
             return _gf_edf(g, d, p, rng) + _gf_edf(rest, d, p, rng)
-
-
-def _gf_factor_squarefree(g: list[int], p: int) -> list[list[int]]:
-    rng = random.Random(0xC0FFEE ^ p)
-    out = []
-    for d, w in _gf_ddf(g, p):
-        out.extend(_gf_edf(w, d, p, rng))
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +245,8 @@ def _factor_squarefree_z(G: list[int]) -> list[list[int]]:
     else:
         Gm = list(G)
 
-    # candidate primes keeping Gm squarefree; keep degree patterns for pruning
+    # candidate primes keeping Gm squarefree: the distinct-degree split
+    # gives each one's factor degrees, for the pruning mask and the choice
     want = 3 if n <= 24 else 2
     cands = []
     mask = (1 << (n + 1)) - 1
@@ -264,15 +256,19 @@ def _factor_squarefree_z(G: list[int]) -> list[list[int]]:
             q += 2
         gq = gf_from_zx(Gm, q)
         if zx_deg(gq) == n and zx_deg(gf_gcd(gq, gf_deriv(gq, q), q)) == 0:
-            fac = _gf_factor_squarefree(gf_monic(gq, q), q)
-            cands.append((q, fac))
-            mask &= _degree_mask([zx_deg(h) for h in fac])
+            ddf = _gf_ddf(gq, q)
+            pattern = [d for d, w in ddf for _ in range(zx_deg(w) // d)]
+            cands.append((len(pattern), q, ddf))
+            mask &= _degree_mask(pattern)
         q += 2
     interior = mask & ~1 & ~(1 << n)
     if interior == 0:
         return [G]  # only trivial factor degrees possible
 
-    p, facs = min(cands, key=lambda c: len(c[1]))
+    # the equal-degree split runs on the chosen prime alone
+    _, p, ddf = min(cands, key=lambda c: c[0])
+    rng = random.Random(0xC0FFEE ^ p)
+    facs = sorted(h for d, w in ddf for h in _gf_edf(w, d, p, rng))
     # Mignotte-style height bound for monic factors of Gm
     bound = (math.isqrt(sum(c * c for c in Gm)) + 1) << n
     target = 2 * bound + 1

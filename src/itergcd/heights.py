@@ -38,6 +38,7 @@ polynomial has degree 64.  The identity fails for a non-constant c, since
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
@@ -154,22 +155,32 @@ def _f_enclosure(nums: list[int], lo: int, hi: int, s: int, den: int = 1):
 
 
 def _radii(f: Poly, m: int):
-    """[(p, max(R_p, 0))] over the primes of m, or None if m has one that
-    _prime_factors does not find; R_p is the log escape radius."""
+    """[(p, max(R_p, 0))] over the primes of m, R_p the log escape radius;
+    a cofactor that _prime_factors leaves enters whole as (r, 0) if it is
+    prime to den(f) and num(lc f), as then each of its R_p is 0, else None."""
     ps = _prime_factors(m)
-    if math.prod(p ** p_valuation(m, p) for p in ps) != m:
+    r = m // math.prod(p ** p_valuation(m, p) for p in ps)
+    if math.gcd(r, f.int_form()[1] * f.leading().numerator) > 1:
         return None
-    return [(p, max(log_escape_radius(f, p), 0)) for p in ps]
+    return [(p, max(log_escape_radius(f, p), 0)) for p in ps] + \
+        [(r, 0)] * (r > 1)
 
 
 def _escaping(den: int, q: Fraction, radii):
-    """The primes p of radii at which q escapes, v_p(q) < -max(R_p, 0), or
+    """The entries p of radii at which q escapes, v_p(q) < -max(R_p, 0), or
     None if q is not tracked: a prime of den(q) or of den(f) = den does
     not escape, or den(q) has a prime outside radii."""
     esc, rest = [], q.denominator
     for p, r in radii:
-        v = p_valuation(rest, p)
-        rest //= p ** v
+        if r:
+            v = p_valuation(rest, p)
+            rest //= p ** v
+        else:   # each prime of p that divides den(q) escapes
+            g = math.gcd(rest, p)
+            v = int(g > 1)
+            while g > 1:
+                rest //= g
+                g = math.gcd(rest, g)
         if v > r:
             esc.append(p)
         elif v or den % p == 0:
@@ -330,14 +341,17 @@ def _tower(f: Poly, c: Poly, its: list[Poly]):
     Level n factors the pieces P o f over the factors P of level n - 1 (see
     the module docstring).  A common root a of two pieces would make f(a) a
     root of two distinct P, so no factor repeats.  A level with one factor
-    factors its iterate instead: the same set, with no composition.
+    factors its iterate instead: the same set, with no composition.  For a
+    periodic c, such as 1 under x^2, factors and pieces recur from level
+    to level; each polynomial is factored once per call.
     """
+    factors = functools.cache(_factors)
     level: list[Poly] = []
     for it in its:
         if len(level) > 1:
-            level = [q for p in level for q in _factors(p.compose(f))]
+            level = [q for p in level for q in factors(p.compose(f))]
         else:
-            level = _factors(it - c)
+            level = factors(it - c)
         yield level
 
 

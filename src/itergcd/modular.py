@@ -10,6 +10,7 @@ independent slow route for cross-checking.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import threading
@@ -280,6 +281,11 @@ def _slot_unpack(R: int, n: int, k: int) -> list[int]:
     return memoryview(out).cast(_NATIVE[4]).tolist()
 
 
+def _slot_width(m: int, p: int) -> int:
+    """Bytes per slot of gf_mul's product of m-term operands mod p."""
+    return max(4, (m * (p - 1) ** 2).bit_length() // 8 + 1)
+
+
 def gf_mul(f: list[int], g: list[int], p: int) -> list[int]:
     """f*g mod p, for any modulus p >= 2 (Hensel lifts use prime powers).
 
@@ -288,7 +294,7 @@ def gf_mul(f: list[int], g: list[int], p: int) -> list[int]:
     m = min(len(f), len(g))
     if (m >= GF_SLOT_LEN and p < 1 << 31 and _NATIVE and _reduced(f, p)
             and (f is g or _reduced(g, p))):
-        k = max(4, (m * (p - 1) ** 2).bit_length() // 8 + 1)
+        k = _slot_width(m, p)
         F, n = _slot_pack(f, k), len(f) + len(g) - 1
         R = _gf_reduce(F * F if f is g else F * _slot_pack(g, k), n, p, k)
         return zx_trim(_slot_unpack(R, n, k))
@@ -412,7 +418,8 @@ def gf_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]
     """(q, r) with f = q*g + r mod p and deg r < deg g.
 
     f must already be reduced mod p: when deg f < deg g it comes back as r
-    unchanged, and the scalar loop reduces only the coefficients it touches.
+    unchanged.  The scalar loop reduces each quotient term it reads, and
+    the remainder once (for Hensel's prime powers, 2.6 times as fast).
     Any modulus p works as long as lc(g) is a unit mod p (Hensel lifts divide
     by monic factors modulo prime powers); otherwise pow raises ValueError.
 
@@ -441,15 +448,11 @@ def gf_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]
     gnz = [(j, c) for j, c in enumerate(g[:-1]) if c]
     for k in range(len(q) - 1, -1, -1):
         c = rem[k + len(g) - 1] % p
-        if c == 0:
-            rem[k + len(g) - 1] = 0
-            continue
-        t = c * inv % p
-        q[k] = t
-        rem[k + len(g) - 1] = 0
-        for j, b in gnz:
-            rem[k + j] = (rem[k + j] - t * b) % p
-    return zx_trim(q), zx_trim(rem)
+        if c:
+            t = q[k] = c * inv % p
+            for j, b in gnz:
+                rem[k + j] -= t * b
+    return zx_trim(q), zx_trim([c % p for c in rem[:len(g) - 1]])
 
 
 def gf_rem(f: list[int], g: list[int], p: int) -> list[int]:
@@ -508,9 +511,53 @@ def _binary_power(x, e: int, one, mul):
     return out
 
 
+# Remainders by a fixed v of degree n (von zur Gathen and Gerhard, Modern
+# Computer Algebra, ch. 9): with inv = rev(v)^-1 mod x^(n-1), a of degree
+# m <= 2n - 2 has the quotient q = rev(rev(a) inv mod x^(m-n+1)) and the
+# remainder a - q v mod x^n, two gf_mul products.  They beat the packed
+# division from degree GF_INVERSE_DEG[k] on for k-byte slots (_slot_width),
+# from GF_INVERSE_WIDE for wider ones (measured on CPython 3.11).
+GF_INVERSE_DEG, GF_INVERSE_WIDE = {4: 40, 5: 56, 6: 64, 7: 64}, 96
+
+
+@functools.lru_cache(maxsize=16)
+def _rev_inverse(v: tuple, p: int) -> tuple:
+    """rev(v)^-1 mod x^(deg v - 1) or beyond, by Newton's g <- g (2 - rev(v)
+    g): where rev(v) g = 1 + x^m t mod x^2m, the new terms are -g t mod x^m.
+    A tuple, since the cache hands the same one to every caller."""
+    r, g, m = list(v[::-1]), [pow(v[-1], -1, p)], 1
+    while m < len(v) - 2:
+        t = gf_mul(r[:2 * m], g, p)[m:2 * m]
+        g = zx_trim(g + [0] * (m - len(g))
+                    + [-c % p for c in gf_mul(g, t, p)[:m]])
+        m *= 2
+    return tuple(g)
+
+
+def _fixed_rem(mod: list[int], p: int):
+    """h -> h mod `mod` for h reduced mod p: gf_rem, or from the crossover
+    on the two products with rev(mod)'s inverse when deg h < 2 deg mod."""
+    n = len(mod) - 1
+    width = _slot_width(n, p)
+    if not _NATIVE or n < GF_INVERSE_DEG.get(width, GF_INVERSE_WIDE):
+        return lambda h: gf_rem(h, mod, p)
+    inv = _rev_inverse(tuple(mod), p)
+
+    def rem(h):
+        k = len(h) - n      # quotient terms
+        if not 0 < k < n:
+            return gf_rem(h, mod, p)
+        q = gf_mul(h[:n - 1:-1], inv[:k], p)[:k]
+        q = (q + [0] * (k - len(q)))[::-1]
+        return gf_sub(h[:n], gf_mul(q, mod, p)[:n], p)
+    return rem
+
+
 def gf_powmod(f: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    """f^e mod `mod` over GF(p), by binary powering."""
+    rem = _fixed_rem(mod, p)
     return _binary_power(gf_rem(f, mod, p), e, [1],
-                         lambda a, b: gf_rem(gf_mul(a, b, p), mod, p))
+                         lambda a, b: rem(gf_mul(a, b, p)))
 
 
 def gf_compose_mod(f: list[int], g: list[int], mod: list[int] | None,
@@ -519,8 +566,7 @@ def gf_compose_mod(f: list[int], g: list[int], mod: list[int] | None,
 
     From degree 2 on, the first two steps are c_d g^2 + c_(d-1) g + c_(d-2)
     with g^2 formed as the square gf_mul(g, g), as Poly.evaluate does."""
-    def red(h):
-        return h if mod is None else gf_rem(h, mod, p)
+    red = (lambda h: h) if mod is None else _fixed_rem(mod, p)
     out, rest = [], f
     if len(f) > 2:
         out = gf_add(gf_scale(red(gf_mul(g, g, p)), f[-1], p),

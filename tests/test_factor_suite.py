@@ -25,6 +25,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from itergcd import factoring, heights
 from itergcd.factoring import factor_irreducible
 from itergcd.polys import Poly, iterate
 
@@ -158,6 +159,37 @@ def test_factor_list_matches_sympy(label, f):
         got.append(([str(sympy.Rational(c) / lc) for c in reversed(g.all_coeffs())], e))
     assert sorted(got) == sorted((q, e) for q, e in want["factors"]), label
     assert str(content * lcs) == want["content"], label
+
+
+def test_pattern_primes_run_no_equal_degree_split(monkeypatch):
+    # every candidate prime takes the distinct-degree split; the
+    # equal-degree split runs on the chosen one alone
+    ddf, edf = [], []
+    for name, calls in (("_gf_ddf", ddf), ("_gf_edf", edf)):
+        real = getattr(factoring, name)
+        monkeypatch.setattr(factoring, name, lambda g, *a, _r=real, _c=calls:
+                            _c.append(a[-1] if len(a) == 1 else a[1])
+                            or _r(g, *a))
+    for label, f in _CASES:
+        if label.startswith(("product 10*6", "product 40*10", "(x^2-1)^6",
+                             "swinnerton-dyer", "x^64 - (16)")):
+            ddf.clear()
+            edf.clear()
+            factor_irreducible(f)
+            assert len(set(ddf)) == len(ddf) >= 2, label
+            assert len(set(edf)) == 1 and edf[0] in ddf, label
+
+
+def test_tower_factors_each_piece_once(monkeypatch):
+    # under x^2 with c = 1 every factor of level n - 1 returns at level n;
+    # x^2 - 1, level 1's iterate, is also the piece of x - 1
+    pieces = []
+    real = heights._factors
+    monkeypatch.setattr(heights, "_factors",
+                        lambda p: pieces.append(p) or real(p))
+    rows = heights.special_probe(X ** 2, Poly.const(1), 1, 6)
+    assert [r.factor_degree for r in rows] == [1] * 6
+    assert len(pieces) == len(set(pieces)) == 6
 
 
 def _record():

@@ -319,6 +319,20 @@ def test_rational_tail_matches_exact_loop(monkeypatch):
     assert len(verdicts) > 150 and sum(verdicts) >= 0.9 * len(verdicts)
 
 
+def draw_cofactor_case(rng):
+    """A rational case whose point has in its denominator a product of
+    primes above 2^10 that _prime_factors leaves whole."""
+    nums, den, x, steps, cap = draw_rational_case(rng)
+    return nums, den, x / rng.choice((1031 * 1033, 1031 ** 2, 1033 * 4099)), \
+        steps, cap
+
+
+def test_rational_tail_with_an_unsplit_cofactor_matches_exact_loop(
+        monkeypatch):
+    verdicts = check_tail_cases(82, 150, monkeypatch, draw_cofactor_case)
+    assert len(verdicts) > 50 and sum(verdicts) >= 0.9 * len(verdicts)
+
+
 @pytest.mark.parametrize("bits", [2, 3, 8, 53, 54, 60])
 def test_rational_tail_narrow_width_falls_back(bits, monkeypatch):
     monkeypatch.setattr(heights, "_TAIL_BITS", bits)
@@ -506,6 +520,26 @@ def draw_tower_case(rng):
         Poly.const(Fraction(rng.randint(-9, 9), rng.choice((1, 4)))),
         Poly.zero(), X + (f.evaluate(s) - s)))
     return f, c, n_hi
+
+
+@pytest.mark.parametrize("f, x, tail", [
+    # 1031 * 1033: _prime_factors leaves it whole, and it is prime to
+    # den(f) and to lc(f), so it has R_p = 0 at both primes and is tracked
+    ("x^2+1", "1/1065023", True), ("x^2+1", "-7/1065023", True),
+    ("x^2-1/3", "2/3195069", True),
+    # the same cofactor in den(f): R_p = 1/2 at each prime, no tail
+    ("x^2+1/1065023", "1", False)])
+def test_an_unsplit_cofactor_of_den_x_is_tracked_whole(f, x, tail,
+                                                       monkeypatch):
+    verdicts = []
+    real = heights._escape_tail
+    monkeypatch.setattr(heights, "_escape_tail",
+                        lambda *a: verdicts.append(real(*a)) or verdicts[-1])
+    nums, den = parse_poly(f).int_form()
+    got = canonical_height(parse_poly(f), Q.element(Fraction(x)), 32)
+    assert got == exact_height(nums, Fraction(x), 32, den)
+    assert (len(verdicts) == 1 and verdicts[0] is not None) == tail
+    assert tail or not verdicts
 
 
 TOWER_FIXED = [(X ** 2, Poly.const(16), 4), (X ** 2, Poly.const(1), 4),

@@ -813,8 +813,9 @@ def test_packed_gf_gcd_xgcd_powmod(p, pack_mode):
 
 
 def test_gf_divmod_unreduced_input_keeps_the_scalar_contract():
-    # f need not be reduced: the scalar loop reduces what it touches, and
-    # the packed route must not take such an f
+    # f need not be reduced: the scalar loop reduces the quotient terms it
+    # reads and the remainder it returns, and the packed route must not
+    # take such an f
     p = (1 << 29) - 3
     rng = random.Random(7)
     g = _rand_vec(rng, 40, 0, p - 1)
@@ -835,3 +836,67 @@ def test_zx_content_matches_the_gcd_fold():
     for f in cases:
         want = functools.reduce(math.gcd, (abs(c) for c in f if c), 0)
         assert modular.zx_content(f) == want
+
+
+# ---------------------------------------------------------------------------
+# remainders by a fixed modulus through rev(v)'s inverse
+# ---------------------------------------------------------------------------
+
+_REDUCER_MODULI = (2, 3, 101, 10007, (1 << 29) - 3)
+
+
+def _crossover(p, n):
+    return modular.GF_INVERSE_DEG.get(modular._slot_width(n, p),
+                                      modular.GF_INVERSE_WIDE)
+
+
+@pytest.mark.parametrize("p", _REDUCER_MODULI)
+def test_fixed_rem_matches_gf_divmod(p, kron_mode):
+    # n on both sides of the crossover for p's slot width, every dividend
+    # degree from n to 2n - 2 (and 2n - 1 and beyond, which go to gf_rem),
+    # shorter and zero dividends, monic and non-monic v
+    rng = random.Random(p + 16)
+    n0 = next(n for n in range(2, 200) if _crossover(p, n) <= n)
+    for n in (2, 3, n0 - 1, n0, n0 + 1):
+        for monic in (True, False):
+            v = _rand_vec(rng, n + 1, 0, p - 1)
+            if monic:
+                v[-1] = 1
+            modular._rev_inverse.cache_clear()
+            rem = modular._fixed_rem(v, p)
+            inverse = modular._rev_inverse.cache_info().currsize == 1
+            assert inverse == (n >= _crossover(p, n) and bool(modular._NATIVE))
+            for m in range(0, 2 * n + 2):
+                a = _rand_vec(rng, m, 0, p - 1)
+                assert rem(a) == gf_divmod(a, v, p)[1], (p, n, m, monic)
+            assert rem([]) == []
+
+
+@pytest.mark.parametrize("p", _REDUCER_MODULI)
+def test_rev_inverse_is_the_power_series_inverse(p):
+    rng = random.Random(p + 5)
+    for n in (2, 3, 4, 5, 17, 64, 65, 100):
+        v = _rand_vec(rng, n + 1, 0, p - 1)
+        inv = modular._rev_inverse(tuple(v), p)
+        # rev(v) inv = 1 mod x^(n-1)
+        prod = school_gf_mul(v[::-1], inv, p) + [0] * n
+        assert prod[:n - 1] == [1] + [0] * (n - 2), (p, n)
+
+
+@pytest.mark.parametrize("p", _REDUCER_MODULI)
+def test_powmod_and_compose_past_the_crossover(p, kron_mode):
+    # gf_powmod and gf_compose_mod through the reducer against the same
+    # steps with gf_divmod
+    rng = random.Random(p + 17)
+    n = 1 + next(n for n in range(2, 200) if _crossover(p, n) <= n)
+    mod = _rand_vec(rng, n + 1, 0, p - 1)
+    base = _rand_vec(rng, n + 5, 0, p - 1)
+    want, b = [1], gf_divmod(base, mod, p)[1]
+    for e in range(1, 9):
+        want = gf_divmod(gf_mul(want, b, p), mod, p)[1]
+        assert gf_powmod(base, e, mod, p) == want
+    f = _rand_vec(rng, 7, 0, p - 1)
+    want = []
+    for c in reversed(f):
+        want = gf_divmod(gf_add(gf_mul(want, b, p), [c], p), mod, p)[1]
+    assert gf_compose_mod(f, b, mod, p) == want

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from itergcd.cli import main
-from itergcd.emit import _fmt_cell, _round_floats, emit
+from itergcd.emit import _fmt_cell, _json_text, _round_floats, emit
 from itergcd.errors import (
     LIMITS,
     DegenerateInputError,
@@ -151,6 +151,35 @@ def test_emit_json_deterministic_and_sorted():
     assert list(d) == ["a", "b", "c"]
     assert d["a"] == "3/2"
     assert d["b"] == 0.333333333333
+
+
+def _random_json(rng, depth=0):
+    if depth > 3 or rng.random() < 0.4:
+        return rng.choice((rng.randint(-10 ** 30, 10 ** 30), rng.random() * 1e10,
+                           -0.0, 1e-300, float("nan"), float("inf"),
+                           float("-inf"), True, False, None, 0, "",
+                           "q\"b\\c\n\u00e9\u2603\U0001F600\x7f"))
+    if rng.random() < 0.5:
+        return [_random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    return {rng.choice(("k", "b", "\u00e9", "z\"", "")) + str(rng.randint(0, 9)):
+            _random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))}
+
+
+def test_emit_json_writes_the_bytes_of_indented_json_dumps():
+    # the writer lays out the containers itself; json.dumps with an indent
+    # is the reference for nesting, empty containers, escapes, non-finite
+    # floats, bools, None and keys that are not strings
+    rng = random.Random(27)
+    cases = [{"v": _random_json(rng)} for _ in range(2000)]
+    cases += [{1: 2, 3: [4]}, {1.5: {}, 2.5: []}, {None: 1},
+              {True: 0}, {float("nan"): -1}, {}, rep_grid_dict()]
+    for d in cases:
+        want = json.dumps(_round_floats(d), sort_keys=True, indent=2) + "\n"
+        assert _json_text(d) == want, d
+
+
+def rep_grid_dict():
+    return gcd_grid(X ** 2 - 1, X ** 2 + X - 1, X, 4).to_json_dict()
 
 
 def test_emit_grid_csv_schema():
