@@ -155,15 +155,16 @@ def _f_enclosure(nums: list[int], lo: int, hi: int, s: int, den: int = 1):
 
 
 def _radii(f: Poly, m: int):
-    """[(p, max(R_p, 0))] over the primes of m, R_p the log escape radius;
-    a cofactor that _prime_factors leaves enters whole as (r, 0) if it is
-    prime to den(f) and num(lc f), as then each of its R_p is 0, else None."""
+    """[(p, max(R_p, 0))] over the primes p of m, R_p the log escape radius.
+    A cofactor r that _prime_factors cannot split enters whole as (r, 0)
+    when it is prime to den(f) and num(lc f), since R_p = 0 at each of its
+    primes; any other cofactor gives None."""
     ps = _prime_factors(m)
     r = m // math.prod(p ** p_valuation(m, p) for p in ps)
     if math.gcd(r, f.int_form()[1] * f.leading().numerator) > 1:
         return None
-    return [(p, max(log_escape_radius(f, p), 0)) for p in ps] + \
-        [(r, 0)] * (r > 1)
+    radii = [(p, max(log_escape_radius(f, p), 0)) for p in ps]
+    return radii + [(r, 0)] if r > 1 else radii
 
 
 def _escaping(den: int, q: Fraction, radii):

@@ -163,21 +163,29 @@ def test_factor_list_matches_sympy(label, f):
 
 def test_pattern_primes_run_no_equal_degree_split(monkeypatch):
     # every candidate prime takes the distinct-degree split; the
-    # equal-degree split runs on the chosen one alone
-    ddf, edf = [], []
-    for name, calls in (("_gf_ddf", ddf), ("_gf_edf", edf)):
-        real = getattr(factoring, name)
-        monkeypatch.setattr(factoring, name, lambda g, *a, _r=real, _c=calls:
-                            _c.append(a[-1] if len(a) == 1 else a[1])
-                            or _r(g, *a))
+    # equal-degree split runs only on the first with the fewest factors
+    splits, edf_primes = [], []
+    real_ddf, real_edf = factoring._gf_ddf, factoring._gf_edf
+
+    def ddf(g, p):
+        out = real_ddf(g, p)
+        splits.append((sum((len(w) - 1) // d for d, w in out), p))
+        return out
+
+    def edf(w, d, p, rng):
+        edf_primes.append(p)
+        return real_edf(w, d, p, rng)
+
+    monkeypatch.setattr(factoring, "_gf_ddf", ddf)
+    monkeypatch.setattr(factoring, "_gf_edf", edf)
     for label, f in _CASES:
         if label.startswith(("product 10*6", "product 40*10", "(x^2-1)^6",
                              "swinnerton-dyer", "x^64 - (16)")):
-            ddf.clear()
-            edf.clear()
+            splits.clear()
+            edf_primes.clear()
             factor_irreducible(f)
-            assert len(set(ddf)) == len(ddf) >= 2, label
-            assert len(set(edf)) == 1 and edf[0] in ddf, label
+            assert len({p for _, p in splits}) == len(splits) >= 2, label
+            assert set(edf_primes) == {min(splits)[1]}, label
 
 
 def test_tower_factors_each_piece_once(monkeypatch):

@@ -527,8 +527,10 @@ def draw_tower_case(rng):
     # den(f) and to lc(f), so it has R_p = 0 at both primes and is tracked
     ("x^2+1", "1/1065023", True), ("x^2+1", "-7/1065023", True),
     ("x^2-1/3", "2/3195069", True),
-    # the same cofactor in den(f): R_p = 1/2 at each prime, no tail
-    ("x^2+1/1065023", "1", False)])
+    # the same cofactor in den(f): R_p = 1/2 at each prime, no tail; in
+    # lc(f): R_p = 1, so 1/1065023 sits on the radius, not past it
+    ("x^2+1/1065023", "1", False), ("1065023*x^2+1", "1/1065023", False),
+    ("1065023*x^2+1", "5/1134273990529", False)])
 def test_an_unsplit_cofactor_of_den_x_is_tracked_whole(f, x, tail,
                                                        monkeypatch):
     verdicts = []
