@@ -3,11 +3,15 @@
 Every input is built here from fixed seeds: products of known irreducibles
 (Eisenstein polynomials) up to degree 256, some with a factor of more than
 half the degree; f^k - x for k <= 8; x^(2^k) - c; the pieces P(x^2) that
-the decay probe factors for f = x^2; and Swinnerton-Dyer polynomials,
-irreducible but split modulo every prime.  tests/data/factor_suite.json
-holds the FactorList of each, recorded from a route that was checked
-against sympy, so a change to the modular half of Zassenhaus must give the
-same lists; up to degree 64 each is also checked against sympy's
+the decay probe factors for f = x^2; Swinnerton-Dyer polynomials,
+irreducible but split modulo every prime; quadratics whose discriminant is
+a square, a non-square or negative, with coefficients up to 2^1000; and
+inputs that Eisenstein's criterion proves irreducible, directly or after a
+shift, with a rational content, a negative leading coefficient or x^k.
+tests/data/factor_suite.json holds the FactorList of each, recorded from a
+route that was checked against sympy, so a change to the modular half of
+Zassenhaus must give the same lists; up to degree 64, and the quadratic and
+Eisenstein inputs at any degree, each is also checked against sympy's
 factor_list here.
 
 To record the file again, from the repository root and only at a commit
@@ -47,6 +51,29 @@ _POWERS = ((16, 8), (1, 7), (-4, 7), (2, 7))
 # the constant targets whose probe pieces P(x^2) are factored, up to level 6
 _PROBES = (16, 1, -4)
 _SD_PRIMES = ((2, 3), (2, 3, 5), (2, 3, 5, 7), (3, 5, 7))
+# quadratics by their discriminant D: square, non-square (two next to a
+# square), negative and zero; non-monic, rational, with a content, times
+# x^k, huge; and quadratics that Yun's split leaves as a part
+_QUADRATICS = (
+    "x^2-16", "x^2+5*x+6", "x^2-2", "x^2-15", "x^2-17", "x^2+x+1",
+    "x^2+4", "6*x^2+5*x+1", "4*x^2-9", "3*x^2+2*x+7", "-2*x^2+3*x+2",
+    "x^2-1/4", "(2*x^2+3*x-1)/6", "x^2/2+5*x/6+1/3", "12*x^2-12",
+    "10*x^2+10*x+20", "x^2-6*x+9", "9*x^2+12*x+4", "-4*x^2+4*x-1",
+    "x^2/4+x+1", "x^3*(x^2-5*x+6)", "x^5*(2*x^2+1)", "x*(x^2-4*x+4)",
+    "x^2-2^1000", "x^2-2^1001", "x^2-2^1000-1", "x^2-2^1000+1",
+    "2^1000*x^2+x+1", "(2^500*x+3)*(3*x-2^499)", "(2^500*x-3)^2",
+    "x^2*(2^500*x+3)*(2^400*x-7)/5", "(x^2-4)^3", "(x^2+1)^2*(x^2-9)",
+)
+# Eisenstein at a prime of the constant term, or after the shift
+# x -> x + s for s in 1, -1, 2, -2; and squares of such, which it cannot prove
+_EISENSTEIN = (
+    "x^3-2", "x^5+6*x^2+3", "(5/7)*(x^3+2*x+2)", "x^4/3-5/6",
+    "-3*x^4+5*x+5", "-x^7+2", "x^3*(x^4+2)", "x^2*(-2*x^3+6)",
+    "x^128-2", "x^4+1", "x^4+x^3+x^2+x+1", "x^6+x^5+x^4+x^3+x^2+x+1",
+    "(3/2)*(x^4+1)", "-(x^4+1)", "x^2*(x^4+1)/9", "x^3-3*x^2+3*x+1",
+    "x^3+3*x^2+3*x-1", "x^64+1", "x^128+1", "(x^3-2)^2",
+    "(x^4+1)^2*(x^3-2)",
+)
 
 
 def _poly(text: str) -> Poly:
@@ -98,6 +125,8 @@ def cases(with_pieces: bool = True):
                      _swinnerton_dyer(primes)))
     out.append(("swinnerton-dyer 2,3 * 3,5,7",
                 _swinnerton_dyer((2, 3)) * _swinnerton_dyer((3, 5, 7))))
+    out += [("quadratic " + text, _poly(text)) for text in _QUADRATICS]
+    out += [("eisenstein " + text, _poly(text)) for text in _EISENSTEIN]
     if with_pieces:
         sq = X * X
         for c in _PROBES:
@@ -142,9 +171,14 @@ def test_suite_covers_every_recorded_case():
     assert sorted(lab for lab, _ in _CASES) == sorted(_recorded())
 
 
-@pytest.mark.parametrize("label,f", [(lab, f) for lab, f in _CASES
-                                     if f.degree <= 64],
-                         ids=[lab for lab, f in _CASES if f.degree <= 64])
+# sympy takes long past degree 64, but not on the quadratic and Eisenstein
+# inputs, which are checked at every degree
+_SYMPY_CASES = [(lab, f) for lab, f in _CASES if f.degree <= 64
+                or lab.startswith(("quadratic", "eisenstein"))]
+
+
+@pytest.mark.parametrize("label,f", _SYMPY_CASES,
+                         ids=[lab for lab, _ in _SYMPY_CASES])
 def test_factor_list_matches_sympy(label, f):
     want = _recorded()[label]
     x = sympy.Symbol("x")
