@@ -1,9 +1,9 @@
 """Factorization over Q: squarefree split, then Zassenhaus.
 
-The pipeline is classical: the power of x split off once, Yun's squarefree
-decomposition of the rest, an Eisenstein quick test (with small Taylor
-shifts) that certifies many naturally occurring irreducibles instantly,
-then finite-field factorization of each squarefree part, quadratic Hensel
+The pipeline is classical: the power of x split off once; a quadratic
+decided by its discriminant, or an Eisenstein test (with small Taylor
+shifts), first on the rest and then on each part of Yun's squarefree
+decomposition; finite-field factorization of the parts left, quadratic Hensel
 lifting of the modular factors, and subset recombination pruned by
 cross-prime degree analysis.  Intended for the low degrees that gcds of
 iterates actually produce; callers hit the degree cap long before
@@ -124,6 +124,23 @@ def _eisenstein_shifted(f: list[int]) -> bool:
                for s in (1, -1, 2, -2))
 
 
+def _settle(G: list[int]):
+    """[(factor, multiplicity)] of a primitive G of degree below 3, or of a
+    G that Eisenstein proves irreducible; else None.  a x^2 + b x + c with
+    b^2 - 4ac = r^2 has the factors 2a x + b -+ r, and none otherwise."""
+    if len(G) < 3:
+        return [(G, 1)] if len(G) == 2 else []
+    if len(G) > 3:
+        return [(G, 1)] if _eisenstein_shifted(G) else None
+    c, b, a = G
+    D = b * b - 4 * a * c
+    r = math.isqrt(D) if D >= 0 else -1
+    if r * r != D:
+        return [(G, 1)]
+    hs = [zx_primitive([b - r, 2 * a])[1], zx_primitive([b + r, 2 * a])[1]]
+    return [(hs[0], 2)] if r == 0 else [(h, 1) for h in hs]
+
+
 # ---------------------------------------------------------------------------
 # finite-field factorization (distinct degree + equal degree)
 # ---------------------------------------------------------------------------
@@ -231,12 +248,8 @@ def _degree_mask(pattern: list[int]) -> int:
 
 
 def _factor_squarefree_z(G: list[int]) -> list[list[int]]:
-    """Irreducible factors of a primitive squarefree integer polynomial."""
+    """Irreducible factors of a primitive squarefree G that _settle left."""
     n = zx_deg(G)
-    if n <= 1:
-        return [G]
-    if _eisenstein_shifted(G):
-        return [G]
 
     # monic transform: roots scale by lc, leading term becomes exactly 1
     lc = G[-1]
@@ -340,20 +353,22 @@ def factor_irreducible(f: Poly) -> FactorList:
     while nums[k] == 0:
         k += 1
     factors: list[tuple[Poly, int]] = [(Poly.x(), k)] if k else []
-    content, parts = squarefree_decomposition(Poly.from_int_list(nums[k:], den))
-    for part, mult in parts:
-        _, prim = zx_primitive(part.int_form()[0])
-        # parts are monic, so their monic irreducible factors multiply back
-        # exactly; the content is untouched by this loop
-        for h in _factor_squarefree_z(prim):
-            factors.append((Poly(h).monic(), mult))
+    G = zx_primitive(nums[k:])[1]
+    parts = _settle(G)
+    if parts is None:
+        # Yun's parts are squarefree and monic; G itself failed _settle
+        parts = []
+        for part, mult in squarefree_decomposition(
+                Poly.from_int_list(nums[k:], den))[1]:
+            P = zx_primitive(part.int_form()[0])[1]
+            parts += [(h, e * mult) for h, e in (P != G and _settle(P)) or
+                      [(h, 1) for h in _factor_squarefree_z(P)]]
+    factors += [(Poly(h).monic(), e) for h, e in parts]
     factors.sort(key=lambda pe: _factor_sort_key(pe[0]))
-    return FactorList(content, tuple(factors))
+    return FactorList(Fraction(nums[-1], den), tuple(factors))
 
 
 def is_irreducible(f: Poly) -> bool:
-    if f.degree < 1:
-        return False
-    fl = factor_irreducible(f)
-    return len(fl.factors) == 1 and fl.factors[0][1] == 1 and \
-        fl.factors[0][0].degree == f.degree
+    # one factor of multiplicity 1 has the degree of f
+    return f.degree >= 1 and \
+        [e for _, e in factor_irreducible(f).factors] == [1]

@@ -51,18 +51,19 @@ _POWERS = ((16, 8), (1, 7), (-4, 7), (2, 7))
 # the constant targets whose probe pieces P(x^2) are factored, up to level 6
 _PROBES = (16, 1, -4)
 _SD_PRIMES = ((2, 3), (2, 3, 5), (2, 3, 5, 7), (3, 5, 7))
-# quadratics by their discriminant D: square, non-square (two next to a
-# square), negative and zero; non-monic, rational, with a content, times
+# quadratics by their discriminant D: square, non-square (D = 60, 65 and 68
+# beside 64), negative and zero; non-monic, rational, with a content, times
 # x^k, huge; and quadratics that Yun's split leaves as a part
 _QUADRATICS = (
-    "x^2-16", "x^2+5*x+6", "x^2-2", "x^2-15", "x^2-17", "x^2+x+1",
-    "x^2+4", "6*x^2+5*x+1", "4*x^2-9", "3*x^2+2*x+7", "-2*x^2+3*x+2",
-    "x^2-1/4", "(2*x^2+3*x-1)/6", "x^2/2+5*x/6+1/3", "12*x^2-12",
-    "10*x^2+10*x+20", "x^2-6*x+9", "9*x^2+12*x+4", "-4*x^2+4*x-1",
-    "x^2/4+x+1", "x^3*(x^2-5*x+6)", "x^5*(2*x^2+1)", "x*(x^2-4*x+4)",
-    "x^2-2^1000", "x^2-2^1001", "x^2-2^1000-1", "x^2-2^1000+1",
-    "2^1000*x^2+x+1", "(2^500*x+3)*(3*x-2^499)", "(2^500*x-3)^2",
-    "x^2*(2^500*x+3)*(2^400*x-7)/5", "(x^2-4)^3", "(x^2+1)^2*(x^2-9)",
+    "x^2-16", "x^2+5*x+6", "x^2-2", "x^2-15", "x^2-17", "x^2+x-16",
+    "x^2+x+1", "x^2+4", "6*x^2+5*x+1", "4*x^2-9", "3*x^2+2*x+7",
+    "-2*x^2+3*x+2", "x^2-1/4", "(2*x^2+3*x-1)/6", "x^2/2+5*x/6+1/3",
+    "12*x^2-12", "10*x^2+10*x+20", "x^2-6*x+9", "9*x^2+12*x+4",
+    "-4*x^2+4*x-1", "x^2/4+x+1", "x^3*(x^2-5*x+6)", "x^5*(2*x^2+1)",
+    "x*(x^2-4*x+4)", "x^2-2^1000", "x^2-2^1001", "x^2-2^1000-1",
+    "x^2-2^1000+1", "2^1000*x^2+x+1", "(2^500*x+3)*(3*x-2^499)",
+    "(2^500*x-3)^2", "x^2*(2^500*x+3)*(2^400*x-7)/5", "(x^2-4)^3",
+    "(x^2+1)^2*(x^2-9)",
 )
 # Eisenstein at a prime of the constant term, or after the shift
 # x -> x + s for s in 1, -1, 2, -2; and squares of such, which it cannot prove

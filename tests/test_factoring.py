@@ -189,3 +189,49 @@ def test_ddf_matches_the_horner_stepped_split(monkeypatch):
         assert factoring._gf_ddf(g, p) == _ddf_by_horner(g, p), (g, p)
     assert {name for name, deg in steps if deg > 1} == \
         {"gf_powmod", "gf_compose_mod"}
+
+
+def _spy(monkeypatch, name):
+    """Record the first argument of each call of factoring.<name>."""
+    calls, real = [], getattr(factoring, name)
+    monkeypatch.setattr(factoring, name,
+                        lambda f, *a: calls.append(f) or real(f, *a))
+    return calls
+
+
+_QUADRATICS = [X ** 2 - 16, X ** 2 + 1,
+               Poly([6, 5, 1]) * Poly.const(Fraction(2, 3)), Poly([4, -12, 9]),
+               X ** 3 * Poly([-1, 0, 2 ** 600]), (X ** 2 - 4) ** 3,
+               (X ** 2 + 1) ** 2 * (X ** 2 - 9)]
+
+
+def test_quadratics_are_split_by_their_discriminant(monkeypatch):
+    # with or without Yun's split first, no quadratic reaches Zassenhaus
+    ddf = _spy(monkeypatch, "_gf_ddf")
+    for f in _QUADRATICS:
+        fl = factor_irreducible(f)
+        assert fl.expand() == f and ddf == [], f
+    assert factor_irreducible(Poly([4, -12, 9])).factors == \
+        ((X - Fraction(2, 3), 2),)
+
+
+def test_eisenstein_inputs_skip_yun(monkeypatch):
+    # x^3 - 2 directly, x^4 + 1 after the shift x -> x + 1, with a content
+    # and x^k; an irreducible that is not Eisenstein goes through Yun once
+    yun = _spy(monkeypatch, "squarefree_decomposition")
+    for f in (X ** 3 - 2, (X ** 4 + 1) * Poly.const(Fraction(-3, 2)) * X ** 2,
+              Poly([5, 5, 0, 0, -3])):
+        assert len(factor_irreducible(f).factors) == 1 + (f[0] == 0), f
+        assert yun == [], f
+    assert is_irreducible(X ** 3 - X - 1) and len(yun) == 1
+
+
+def test_eisenstein_runs_once_per_polynomial(monkeypatch):
+    # a squarefree input that fails the test is its own Yun part and is not
+    # tested again; each other part is tested once
+    seen = _spy(monkeypatch, "_eisenstein_shifted")
+    for f in (X ** 3 - X - 1, (X ** 3 - 2) ** 2 * (X ** 3 - X - 1),
+              (X ** 4 + 1) * (X ** 4 + 2) * X, (X ** 3 - 2) ** 2):
+        seen.clear()
+        factor_irreducible(f)
+        assert len(seen) == len({tuple(g) for g in seen}) >= 1, f
