@@ -1,8 +1,9 @@
 """Factorization over Q: squarefree split, then Zassenhaus.
 
 The pipeline is classical: the power of x split off once; a quadratic
-decided by its discriminant, or an Eisenstein test (with small Taylor
-shifts), first on the rest and then on each part of Yun's squarefree
+decided by its discriminant, an even quartic by the biquadratic test, or
+an Eisenstein test (with small Taylor shifts on the integer coefficients),
+first on the rest and then on each part of Yun's squarefree
 decomposition; finite-field factorization of the parts left, quadratic Hensel
 lifting of the modular factors, and subset recombination pruned by
 cross-prime degree analysis.  Intended for the low degrees that gcds of
@@ -115,27 +116,65 @@ def _eisenstein_at(f: list[int]) -> bool:
     return False
 
 
+def _taylor_shift(f: list[int], s: int) -> list[int]:
+    """f(x + s) by repeated synthetic division: n^2/2 multiply-adds."""
+    f = list(f)
+    for i in range(len(f) - 1):
+        for j in range(len(f) - 2, i - 1, -1):
+            f[j] += s * f[j + 1]
+    return f
+
+
 def _eisenstein_shifted(f: list[int]) -> bool:
     """Eisenstein after a small shift proves irreducibility of f itself."""
-    if _eisenstein_at(f):
-        return True
-    fx = Poly.from_int_list(f)
-    return any(_eisenstein_at(fx.shift(s).int_form()[0])
-               for s in (1, -1, 2, -2))
+    return _eisenstein_at(f) or any(_eisenstein_at(_taylor_shift(f, s))
+                                    for s in (1, -1, 2, -2))
+
+
+def _exact_sqrt(n: int):
+    """r >= 0 with r * r == n, or None."""
+    r = math.isqrt(n) if n >= 0 else -1
+    return r if r * r == n else None
+
+
+def _biquadratic(G: list[int]):
+    """[(factor, multiplicity)] of a primitive a x^4 + b x^2 + c, c != 0.
+
+    With X = a x, a^3 G = X^4 + B X^2 + C for B = ab, C = a^3 c.  It splits
+    over Q exactly when b^2 - 4ac = r^2, as 4a G = (2a x^2 + b - r)
+    (2a x^2 + b + r), or when C = d^2 and 2d - B = k^2 > 0, as
+    (X^2 - k X + d)(X^2 + k X + d) (Kappe and Warren, Amer. Math. Monthly
+    96, 1989)."""
+    c, _, b, _, a = G
+    r = _exact_sqrt(b * b - 4 * a * c)
+    if r is not None:
+        # the halves differ by the constant 2r: coprime, and equal at r = 0
+        halves, e = ([b - r, b + r], 1) if r else ([b], 2)
+        return [(h, e * m) for q in halves
+                for h, m in _settle(zx_primitive([q, 0, 2 * a])[1])]
+    B, root = a * b, _exact_sqrt(a ** 3 * c)
+    for d in (root, -root) if root else ():
+        k = _exact_sqrt(2 * d - B)
+        if k:
+            return [(zx_primitive([d, s * k * a, a * a])[1], 1)
+                    for s in (-1, 1)]
+    return [(G, 1)]
 
 
 def _settle(G: list[int]):
-    """[(factor, multiplicity)] of a primitive G of degree below 3, or of a
-    G that Eisenstein proves irreducible; else None.  a x^2 + b x + c with
-    b^2 - 4ac = r^2 has the factors 2a x + b -+ r, and none otherwise."""
+    """[(factor, multiplicity)] of a primitive G of degree below 3, of an
+    even quartic, or of a G that Eisenstein proves irreducible; else None.
+    a x^2 + b x + c with b^2 - 4ac = r^2 has the factors 2a x + b -+ r,
+    and none otherwise."""
     if len(G) < 3:
         return [(G, 1)] if len(G) == 2 else []
+    if len(G) == 5 and G[1] == G[3] == 0:
+        return _biquadratic(G)
     if len(G) > 3:
         return [(G, 1)] if _eisenstein_shifted(G) else None
     c, b, a = G
-    D = b * b - 4 * a * c
-    r = math.isqrt(D) if D >= 0 else -1
-    if r * r != D:
+    r = _exact_sqrt(b * b - 4 * a * c)
+    if r is None:
         return [(G, 1)]
     hs = [zx_primitive([b - r, 2 * a])[1], zx_primitive([b + r, 2 * a])[1]]
     return [(hs[0], 2)] if r == 0 else [(h, 1) for h in hs]

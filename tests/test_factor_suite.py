@@ -214,6 +214,9 @@ def test_pattern_primes_run_no_equal_degree_split(monkeypatch):
     monkeypatch.setattr(factoring, "_gf_ddf", ddf)
     monkeypatch.setattr(factoring, "_gf_edf", edf)
     for label, f in _CASES:
+        # x^4 - 10x^2 + 1 is an even quartic, settled in closed form
+        if label == "swinnerton-dyer 2,3":
+            continue
         if label.startswith(("product 10*6", "product 40*10", "(x^2-1)^6",
                              "swinnerton-dyer", "x^64 - (16)")):
             splits.clear()
@@ -221,6 +224,18 @@ def test_pattern_primes_run_no_equal_degree_split(monkeypatch):
             factor_irreducible(f)
             assert len({p for _, p in splits}) == len(splits) >= 2, label
             assert set(edf_primes) == {min(splits)[1]}, label
+
+
+def test_even_quartic_swinnerton_dyer_skips_zassenhaus(monkeypatch):
+    # irreducible, split modulo every prime, and decided without a prime
+    zassenhaus = []
+    real = factoring._factor_squarefree_z
+    monkeypatch.setattr(factoring, "_factor_squarefree_z",
+                        lambda G: zassenhaus.append(G) or real(G))
+    f = dict(_CASES)["swinnerton-dyer 2,3"]
+    assert f == X ** 4 - 10 * X ** 2 + 1
+    assert factor_irreducible(f).factors == ((f, 1),)
+    assert zassenhaus == []
 
 
 def test_tower_factors_each_piece_once(monkeypatch):

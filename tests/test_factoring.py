@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -235,3 +236,89 @@ def test_eisenstein_runs_once_per_polynomial(monkeypatch):
         seen.clear()
         factor_irreducible(f)
         assert len(seen) == len({tuple(g) for g in seen}) >= 1, f
+
+
+def test_taylor_shift_matches_poly_shift():
+    rng = random.Random(20261020)
+    for deg in range(1, 131):
+        f = [rng.randint(-50, 50) for _ in range(deg)] + [rng.choice((-3, 1, 2))]
+        for s in (1, -1, 2, -2):
+            want = Poly.from_int_list(f).shift(s).int_form()[0]
+            assert factoring._taylor_shift(f, s) == want, (deg, s)
+
+
+def test_shifted_eisenstein_composes_no_poly(monkeypatch):
+    # x^128 + 1 is Eisenstein at 2 only after x -> x + 1
+    calls = []
+    real = Poly.compose
+    monkeypatch.setattr(Poly, "compose",
+                        lambda self, g: calls.append(g) or real(self, g))
+    f = [1] + [0] * 127 + [1]
+    assert not factoring._eisenstein_at(f)
+    assert factoring._eisenstein_shifted(f)
+    assert calls == []
+
+
+# (a, b, c) of a x^4 + b x^2 + c: x^4 + 4, x^4 + 64, 4x^4 + 1 and
+# x^4 + x^2 + 1, which split with D = b^2 - 4ac not a square; x^4 - 16;
+# x^4 - 4x^2 + 4 (D = 0); 9x^4 - 10x^2 + 1 = (x^2 - 1)(9x^2 - 1)
+_NAMED_QUARTICS = ((1, 0, 4), (1, 0, 64), (4, 0, 1), (1, 1, 1), (1, 0, -16),
+                   (1, -4, 4), (9, -10, 1))
+
+
+def _even_quartics():
+    """(a, b, c) of at least 400 even quartics with c != 0, from fixed seeds:
+    the named ones; a and c square or not, either sign, b in [-40, 40];
+    products (a1 x^2 + c1)(a2 x^2 + c2), equal halves included; and
+    products (p x^2 + q x + r)(p x^2 - q x + r)."""
+    rng = random.Random(20261021)
+    squares, others = (1, 4, 9, 16, 25, 36, 49, 64), (2, 3, 5, 6, 7, 8, 12, 18)
+    out = list(_NAMED_QUARTICS)
+    for _ in range(240):
+        a, c = (rng.choice(rng.choice((squares, others))) * rng.choice((-1, 1))
+                for _ in range(2))
+        out.append((a, rng.randint(-40, 40), c))
+    for _ in range(90):
+        a1, a2 = rng.randint(-6, 6) or 1, rng.randint(-6, 6) or 1
+        c1, c2 = rng.randint(-9, 9) or 2, rng.randint(-9, 9) or 3
+        if rng.random() < 0.2:
+            a2, c2 = a1, c1
+        out.append((a1 * a2, a1 * c2 + a2 * c1, c1 * c2))
+    for _ in range(90):
+        p, q, r = rng.randint(-5, 5) or 1, rng.randint(1, 9), rng.randint(-9, 9) or 1
+        out.append((p * p, 2 * p * r - q * q, r * r))
+    return out
+
+
+def test_even_quartics_match_forced_zassenhaus(monkeypatch):
+    # the reference is the route the biquadratic test replaces: Yun, then
+    # Zassenhaus on every squarefree part
+    real = factoring._factor_squarefree_z
+    reached = _spy(monkeypatch, "_factor_squarefree_z")
+    # by_square_c counts splits that only the C = d^2 branch finds
+    kinds, by_square_c = {}, 0
+    cases = _even_quartics()
+    assert len(cases) >= 400
+    for i, (a, b, c) in enumerate(cases):
+        # every third input with a rational content
+        f = Poly([c, 0, b, 0, a]) * Poly.const(Fraction(-5, 7) if i % 3 == 0 else 1)
+        content, parts = squarefree_decomposition(f)
+        want = []
+        for part, mult in parts:
+            P = factoring.zx_primitive(part.int_form()[0])[1]
+            want += [(Poly(h).monic(), mult) for h in real(P)]
+        want.sort(key=lambda pe: (pe[0].degree, pe[0].coeffs))
+        got = factor_irreducible(f)
+        assert got == FactorList(content, tuple(want)), (a, b, c)
+        kind = tuple(sorted((p.degree, e) for p, e in got.factors))
+        kinds[kind] = kinds.get(kind, 0) + 1
+        D = b * b - 4 * a * c
+        if D < 0 or math.isqrt(D) ** 2 != D:
+            by_square_c += len(kind) > 1
+    assert reached == []
+    assert by_square_c >= 50, by_square_c
+    # irreducible; two quadratics; a square; a quadratic and two lines;
+    # four lines; a square of two lines
+    for kind in (((4, 1),), ((2, 1), (2, 1)), ((2, 2),),
+                 ((1, 1), (1, 1), (2, 1)), ((1, 1),) * 4, ((1, 2), (1, 2))):
+        assert kinds.get(kind, 0) >= 3, (kind, kinds)
