@@ -15,7 +15,6 @@ import argparse
 import functools
 import os
 import sys
-import tempfile
 from fractions import Fraction
 
 from .dynamics import independence_probe, orbit, ramified_cycle_check
@@ -69,6 +68,7 @@ def _write_out(data: bytes, out_path: str | None) -> bool:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
         return True
+    import tempfile   # here, not at the top: a report on stdout needs none
     directory = os.path.dirname(os.path.abspath(out_path))
     tmp = None
     try:

@@ -10,7 +10,7 @@ a blown step cap is not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -32,20 +32,18 @@ ESCAPE_SIZE = "size cap"
 ESCAPE_STEPS = "step cap"
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(namedtuple(
+        "OrbitRecord", "start points preperiod period escape_reason",
+        defaults=(None,))):
     """Exact forward orbit of a point, ending at the first repeat or escape.
 
     When periodic, points[preperiod + period] == points[preperiod] and the
     period is minimal (first repeat of a deterministic orbit).  When escaped,
     preperiod and period are None and escape_reason says which cap fired.
+    start is a NumberFieldElem and points a tuple of them.
     """
 
-    start: NumberFieldElem
-    points: tuple
-    preperiod: int | None
-    period: int | None
-    escape_reason: str | None = None
+    __slots__ = ()
 
     @property
     def is_periodic(self) -> bool:
@@ -160,23 +158,26 @@ def log_escape_radius(q: Poly, p: int) -> Fraction:
 # words in the two-generator composition semigroup
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Word:
+class Word(namedtuple("Word", "runs")):
     """Canonical word: alternating runs (generator, exponent), exponents >= 1.
 
     Generators are the letters "F" and "G"; the word (F,2),(G,1) denotes the
     composition f o f o g (leftmost applied last, as usual for o).
     """
 
-    runs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        for gen, exp in self.runs:
+    def __new__(cls, runs: tuple):
+        for gen, exp in runs:
             if gen not in ("F", "G") or exp < 1:
                 raise DegenerateInputError("bad word run %r" % ((gen, exp),))
-        for (g1, _), (g2, _) in zip(self.runs, self.runs[1:]):
+        for (g1, _), (g2, _) in zip(runs, runs[1:]):
             if g1 == g2:
                 raise DegenerateInputError("word runs must alternate generators")
+        return super().__new__(cls, runs)
+
+    # _replace builds through _make, which would skip the checks above
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @classmethod
     def from_letters(cls, letters: str) -> "Word":

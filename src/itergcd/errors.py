@@ -10,8 +10,6 @@ orbit command takes per-call step and size caps).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class ItergcdError(Exception):
     """Base class for every error raised on purpose by this package."""
@@ -61,20 +59,20 @@ class EmbeddingError(ItergcdError):
     """Complex root finding failed to reach the requested residual."""
 
 
-@dataclass
 class Limits:
-    """Mutable resource caps; the defaults are deliberately generous."""
+    """Mutable resource caps; the defaults are deliberately generous.  They
+    are class attributes: a cap set on LIMITS leaves Limits() as it was."""
 
-    max_degree: int = 65536        # hard cap on any polynomial degree
-    max_coeff_bits: int = 1 << 22  # cap on a single coefficient's bit size
-    orbit_steps: int = 512         # steps before an orbit search gives up
-    orbit_elem_bits: int = 1 << 16 # size cap on one exact orbit element
-    jet_order: int = 4096          # adaptive jet refinement stops here
-    power_search: int = 64         # exceptional-exponent search cap
-    height_elem_bits: int = 1 << 22  # size cap on canonical-height iterates
-    recombination_subsets: int = 1 << 16  # Zassenhaus subsets tried
-    gcd_primes: int = 4096         # primes drawn by one modular gcd or grid
-    indep_words: int = 1 << 16     # words kept by one independence probe
+    max_degree = 65536        # hard cap on any polynomial degree
+    max_coeff_bits = 1 << 22  # cap on a single coefficient's bit size
+    orbit_steps = 512         # steps before an orbit search gives up
+    orbit_elem_bits = 1 << 16 # size cap on one exact orbit element
+    jet_order = 4096          # adaptive jet refinement stops here
+    power_search = 64         # exceptional-exponent search cap
+    height_elem_bits = 1 << 22  # size cap on canonical-height iterates
+    recombination_subsets = 1 << 16  # Zassenhaus subsets tried
+    gcd_primes = 4096         # primes drawn by one modular gcd or grid
+    indep_words = 1 << 16     # words kept by one independence probe
 
 
 LIMITS = Limits()

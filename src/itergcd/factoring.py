@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import LIMITS, ResourceLimitError, VerificationError
@@ -32,12 +32,11 @@ from .polys import Poly, poly_gcd
 # factor list container
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FactorList:
-    """f = content * prod(p_i ** e_i) with monic irreducible p_i."""
+class FactorList(namedtuple("FactorList", "content factors")):
+    """f = content * prod(p_i ** e_i) with monic irreducible p_i; content is
+    a Fraction and factors the tuple of pairs (p_i, e_i)."""
 
-    content: Fraction
-    factors: tuple[tuple[Poly, int], ...]
+    __slots__ = ()
 
     def expand(self) -> Poly:
         out = Poly.const(self.content)

@@ -10,7 +10,7 @@ the grid, never asserted beyond it.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, astuple, dataclass, fields
+from collections import namedtuple
 from fractions import Fraction
 
 from .dynamics import _prime_factors, log_escape_radius, p_valuation
@@ -46,19 +46,19 @@ def gcd_iterates(f: Poly, g: Poly, c: Poly, m: int, n: int) -> Poly:
 GRID_COLUMNS = ("m", "n", "degree", "gcd", "factors", "millis")
 
 
-@dataclass(frozen=True)
-class GcdGridReport:
-    f: Poly
-    g: Poly
-    c: Poly
-    grid_n: int
-    diagonal_only: bool
-    cells: dict            # (m, n) -> FactorList of the monic cell gcd
-    gcds: dict             # (m, n) -> the monic cell gcd itself
-    degenerate: dict       # (m, n) -> reason string, for skipped cells
-    factor_universe: dict  # irreducible monic Poly -> max multiplicity seen
-    stabilized: bool
-    timings: dict          # (m, n) -> milliseconds
+class GcdGridReport(namedtuple(
+        "GcdGridReport", "f g c grid_n diagonal_only cells gcds degenerate "
+        "factor_universe stabilized timings")):
+    """gcd(f^(m) - c, g^(n) - c) for m, n <= grid_n, in these dicts:
+
+    cells            (m, n) -> FactorList of the monic cell gcd
+    gcds             (m, n) -> the monic cell gcd itself
+    degenerate       (m, n) -> reason string, for skipped cells
+    factor_universe  irreducible monic Poly -> max multiplicity seen
+    timings          (m, n) -> milliseconds
+    """
+
+    __slots__ = ()
 
     def _cells(self):
         """(m, n, degree, gcd text, [[factor text, e], ...], millis) per
@@ -435,29 +435,25 @@ def linear_normal_form(f: Poly, g: Poly):
 # bundled worked families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SuiteRow:
-    family: str
-    n: int
-    claim: str
-    ok: bool
+class SuiteRow(namedtuple("SuiteRow", "family n claim ok")):
+    """One checked claim: family and claim are str, n an int, ok a bool."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    rows: tuple
+class SuiteReport(namedtuple("SuiteReport", "rows")):
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:
         return all(r.ok for r in self.rows)
 
     def to_json_dict(self) -> dict:
-        return {"rows": [asdict(r) for r in self.rows],
+        return {"rows": [r._asdict() for r in self.rows],
                 "all_pass": self.all_pass}
 
     def table(self):
-        return ([f.name for f in fields(SuiteRow)],
-                [astuple(r) for r in self.rows])
+        return SuiteRow._fields, self.rows
 
     def to_md(self) -> str:
         return (md_table(*self.table())

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, astuple, dataclass, fields
+from collections import namedtuple
 from fractions import Fraction
 
 from .dynamics import _prime_factors, log_escape_radius, p_valuation
@@ -58,9 +58,8 @@ from .numfield import (
 from .polys import Poly, iterate, iterates  # noqa: F401
 
 
-@dataclass(frozen=True)
-class HeightValue:
-    """A nonnegative real in log scale with an error bar.
+class HeightValue(namedtuple("HeightValue", "value error_bound")):
+    """A nonnegative real in log scale with an error bar, two floats.
 
     Only the escape tail's value is derived, for integer and rational
     orbits alike, by outward rounding and Ziv's test.  The root-finding
@@ -68,8 +67,7 @@ class HeightValue:
     and the final divisions are plain floats.
     """
 
-    value: float
-    error_bound: float
+    __slots__ = ()
 
 
 def weil_height(x) -> HeightValue:
@@ -295,30 +293,24 @@ def canonical_height(f: Poly, x: NumberFieldElem, steps: int = 32) -> HeightValu
 # the decay probe: heights of roots of f^n - c shrink like 1/d^n
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProbeRow:
-    n: int
-    factor_degree: int
-    height: float
-    error: float
-    predicted: float | None
+class ProbeRow(namedtuple(
+        "ProbeRow", "n factor_degree height error predicted")):
+    """n and factor_degree ints; height, error, predicted floats (or None)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(namedtuple("ProbeReport", "f c rows")):
     """special_probe's rows under the argv text of f and c, echoed as given."""
 
-    f: str
-    c: str
-    rows: tuple
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"f": self.f, "c": self.c,
-                "rows": [asdict(r) for r in self.rows]}
+                "rows": [r._asdict() for r in self.rows]}
 
     def table(self):
-        return ([f.name for f in fields(ProbeRow)],
-                [astuple(r) for r in self.rows])
+        return ProbeRow._fields, self.rows
 
     def to_md(self) -> str:
         return md_table(*self.table())

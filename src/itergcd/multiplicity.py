@@ -18,7 +18,7 @@ and checks that it does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .dynamics import (
@@ -112,43 +112,44 @@ def direct_v(q: Poly, c: Poly, lam_field: NumberField, n: int) -> int:
 # the certificate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ApproachParams:
-    """Intermediate local data at lambda: where the orbit meets c0 and how."""
+class ApproachParams(namedtuple(
+        "ApproachParams", "c0 hit ell periodic r e u a1 prefix cycle notes",
+        defaults=((), (), ()))):
+    """Intermediate local data at lambda: where the orbit meets c0 and how.
 
-    c0: NumberFieldElem
-    hit: bool                 # does the lambda-orbit ever reach c0?
-    ell: int | None           # first n >= 1 with q^(n)(lambda) = c0
-    periodic: bool            # is c0 periodic under q?
-    r: int | None             # least period of c0 when periodic
-    e: int | None             # order of q^(ell) - c0 at lambda
-    u: int | None             # first nonvanishing jet index of q^(r) at c0
-    a1: NumberFieldElem | None  # linear coefficient of q^(r) at c0
-    prefix: tuple = ()        # lambda, q(lambda), ..., q^(ell-1)(lambda)
-    cycle: tuple = ()         # c0, q(c0), ..., q^(r-1)(c0)
-    notes: tuple = ()
+    c0        the NumberFieldElem c(lambda)
+    hit       does the lambda-orbit ever reach c0?
+    ell       first n >= 1 with q^(n)(lambda) = c0, else None
+    periodic  is c0 periodic under q?
+    r         least period of c0 when periodic, else None
+    e         order of q^(ell) - c0 at lambda, else None
+    u         first nonvanishing jet index of q^(r) at c0, else None
+    a1        linear coefficient of q^(r) at c0, else None
+    prefix    lambda, q(lambda), ..., q^(ell-1)(lambda)
+    cycle     c0, q(c0), ..., q^(r-1)(c0)
+    notes     tuple of str
+    """
+
+    __slots__ = ()
 
 
 CERT_COLUMNS = ("case", "bound", "congruence", "ell", "r", "e", "u", "s",
                 "d", "exceptional", "notes", "lambda_modulus", "c0")
 
 
-@dataclass(frozen=True)
-class MultiplicityCertificate:
-    lambda_field: NumberField
-    c0: NumberFieldElem
-    case_tag: str             # not-periodic | constant-c | u1-nontorsion
-                              # | u1-torsion | superattracting
-    bound_M: int
-    congruence: str           # "<ell> mod <r>" | "single n" | "no n"
-    ell: int | None = None
-    r: int | None = None
-    e: int | None = None
-    u: int | None = None
-    s: int | None = None
-    d: int | None = None
-    exceptional_ns: tuple = ()
-    notes: tuple = ()
+class MultiplicityCertificate(namedtuple(
+        "MultiplicityCertificate", "lambda_field c0 case_tag bound_M "
+        "congruence ell r e u s d exceptional_ns notes",
+        defaults=(None,) * 6 + ((), ()))):
+    """bound_M bounds the order of q^(n) - c at lambda, the distinguished
+    root of lambda_field; c0 = c(lambda).
+
+    case_tag    not-periodic | constant-c | u1-nontorsion
+                | u1-torsion | superattracting
+    congruence  "<ell> mod <r>" | "single n" | "no n"
+    """
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

@@ -21,13 +21,13 @@ from __future__ import annotations
 import math
 import numbers
 import threading
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
 
 from . import modular
 from .errors import DegenerateInputError, LIMITS, check_bits, check_degree
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 class _LowestTerms:

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -26,6 +27,31 @@ def test_every_import_is_relative_or_stdlib():
             outside += ["%s: %s" % (path.name, name) for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def _tracer_layers():
+    """perfbench/tracer.py's LAYERS, read without importing the tracer."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text("utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "LAYERS")
+
+
+def test_cli_import_loads_every_layer_and_no_heavy_stdlib():
+    # every CLI call pays for its imports at start-up: dataclasses (with
+    # inspect, ast, dis and tokenize) and typing cost milliseconds, and
+    # tempfile serves --out alone.  The benchmark's tracer reads each layer
+    # module from sys.modules, so none of them may be imported lazily.
+    # -S: no site hook imports typing or tempfile on the CLI's behalf.
+    code = ("import sys; sys.path.insert(0, %r); import itergcd.cli; "
+            "print(*sorted(sys.modules))" % str(ROOT / "src"))
+    loaded = set(subprocess.run([sys.executable, "-S", "-c", code],
+                                capture_output=True, text=True, check=True,
+                                timeout=60).stdout.split())
+    assert {"dataclasses", "inspect", "typing", "tempfile"} & loaded == set()
+    layers = _tracer_layers()
+    assert len(layers) == 11
+    assert {"itergcd." + layer for layer in layers} <= loaded
 
 
 def test_pyproject_lists_no_dependencies():
