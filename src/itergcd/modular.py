@@ -16,7 +16,7 @@ import sys
 import threading
 from array import array
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import compress, zip_longest
 
 from .errors import VerificationError, check_primes
 
@@ -459,28 +459,103 @@ def gf_rem(f: list[int], g: list[int], p: int) -> list[int]:
     return gf_divmod(f, g, p)[1]
 
 
+def _deflation(a: list[int], b: list[int]) -> int:
+    """The largest e with a and b both polynomials in x**e (0 when both
+    are constants); 1 as soon as a term's power shows it."""
+    e = 0
+    for f in (b, a):
+        for i in compress(range(len(f)), f):
+            e = math.gcd(e, i)
+            if e == 1:
+                return 1
+    return e
+
+
+def _gf_fold(W: int, c: int, lo: int, hi: int) -> int:
+    """The 64-bit digits of W folded twice by 2**29 = c mod p = 2**29 - c.
+
+    lo and hi mask the low 29 and the low 35 bits of every digit.  A digit
+    d < 2**64 becomes (d mod 2**29) + c (d >> 29) < 2**29 + c 2**35, and
+    after the second fold, for c < 2**10, a digit congruent to d mod p and
+    below 2**29 + 2**27 < 2p: shifts, masks and one-limb multiplies
+    (Solinas, "Generalized Mersenne numbers", CORR 99-39, 1999)."""
+    W = (W & lo) + ((W >> 29) & hi) * c
+    return (W & lo) + ((W >> 29) & hi) * c
+
+
 def gf_gcd(f: list[int], g: list[int], p: int) -> list[int]:
     """Monic gcd mod p by Euclid.
 
-    When the first divisor takes the packed route (_packs), the whole
-    remainder sequence stays packed: each remainder is packed once and
-    serves as divisor, then as dividend.  Later divisors are not checked;
-    the packed step costs about what the scalar one does at short lengths
-    (measured on the benchmark's grid gcds), and remainders are dense."""
-    a, b = list(f), list(g)
-    if len(a) < len(b):
-        a, b = b, a
-    if b and _packs(b, p) and _reduced(a, p) and _reduced(b, p):
-        budget = _pack_budget(p)
-        A, la = _kron_pack(a, 8, False), len(a)
-        B, lb = _kron_pack(b, 8, False), len(b)
-        while lb:
+    When the shorter input takes the packed division (_packs) and both are
+    reduced mod p, the whole remainder sequence stays packed in 64-bit
+    digits (_gf_euclid).  Inputs there that are both polynomials in x**e,
+    as every line of x**d + a against a constant target is, are deflated
+    first and the gcd inflated, so their steps drop one degree, not e.
+    Everything else runs gf_rem step by step."""
+    a, b = (f, g) if len(f) >= len(g) else (g, f)
+    if not (b and _packs(b, p) and _reduced(a, p) and _reduced(b, p)):
+        while b:
+            a, b = b, gf_rem(a, b, p)
+        return gf_monic(a, p)
+    e = _deflation(a, b)
+    if e > 1:
+        a, b = a[::e], b[::e]
+    h = gf_monic(_gf_euclid(a, b, p), p)
+    if e < 2:
+        return h
+    out = [0] * (e * len(h) - e + 1)
+    out[::e] = h
+    return out
+
+
+def _gf_euclid(a: list[int], b: list[int], p: int) -> list[int]:
+    """The last nonzero remainder of Euclid on a and b mod p, up to a unit;
+    a and b reduced mod p, len(a) >= len(b) > 0.
+
+    A step whose degree drops by one, as almost every step of a random
+    sequence does, is one product and one mask: the quotient q1 x + q0
+    comes from the top two digits of a and b, r = a + b ((-q1 mod p) 2**64
+    + (-q0 mod p)), and r's top two digits, now 0 mod p, are masked off.
+    That adds two products to a digit, so it needs a budget of two
+    (_pack_budget).  Longer quotients, the first one and any after a
+    remainder lost more than one degree, take the windowed _gf_rem_packed
+    on canonical digits.
+
+    For p = 2**29 - c with c < 2**10, as the first 56 primes of
+    prime_stream are, the digits stay lazy: a step folds them by _gf_fold
+    into [0, 2**29 + 2**27), below 2p, a remainder's degree is read from
+    its top digit mod p (a digit 0 mod p is 0 or p), and _gf_reduce makes
+    them canonical only before a windowed step and at the end.  Other
+    primes reduce each step by _gf_reduce."""
+    A, la = _kron_pack(a, 8, False), len(a)
+    B, lb = _kron_pack(b, 8, False), len(b)
+    budget, c = _pack_budget(p), (1 << 29) - p
+    lo = hi = 0
+    if 0 < c < 1 << 10:
+        lo = int.from_bytes(((1 << 29) - 1).to_bytes(8, "little") * la,
+                            "little")
+        hi = lo | lo << 6
+    while lb > 1:
+        if la - lb != 1 or budget < 2:
             R = _gf_rem_packed(A, la, B, lb, p, min(budget, lb))
             A, la, B, lb = B, lb, R, _digits(R)
-        return gf_monic(_kron_unpack(A, la, 8), p)
-    while b:
-        a, b = b, gf_rem(a, b, p)
-    return gf_monic(a, p)
+            continue
+        sh = 64 * (lb - 2)
+        a2, b2 = A >> sh + 64, B >> sh
+        inv = pow(b2 >> 64, -1, p)
+        t1 = -(a2 >> 64) * inv % p
+        t0 = -((a2 & _DIGIT) + t1 * (b2 & _DIGIT)) * inv % p
+        R = (A + B * (t1 << 64 | t0)) & ((1 << sh + 64) - 1)
+        R = _gf_fold(R, c, lo, hi) if lo else _gf_reduce(R, lb - 1, p)
+        if (R >> sh) % p:
+            A, la, B, lb = B, lb, R, lb - 1
+        else:
+            if lo:
+                B, R = _gf_reduce(B, lb, p), _gf_reduce(R, lb - 1, p)
+            A, la, B, lb = B, lb, R, _digits(R)
+    if lb:
+        return [1]
+    return _kron_unpack(_gf_reduce(A, la, p) if lo else A, la, 8)
 
 
 def gf_xgcd(f: list[int], g: list[int], p: int):

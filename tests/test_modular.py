@@ -751,6 +751,11 @@ def test_packed_gf_divmod_matches_school(p, pack_mode):
                 assert gf_divmod(f, g, p) == (q, _trim(list(r)))
 
 
+def _digits64(W, n):
+    """The n 64-bit digits of 0 <= W < 2**(64 n)."""
+    return memoryview(W.to_bytes(8 * n, "little")).cast("Q").tolist()
+
+
 @pytest.mark.parametrize("p", _DIV_PRIMES)
 def test_packed_gf_divmod_at_the_digit_budget(p, pack_mode, monkeypatch):
     # every quotient term is 1 against g = (p-1, ..., p-1, 1), so each term
@@ -758,19 +763,39 @@ def test_packed_gf_divmod_at_the_digit_budget(p, pack_mode, monkeypatch):
     # f = g = all p - 1.  Quotients of 60 and 300 terms outlast the budget
     # of the 31-bit and 29-bit primes.  Every digit handed to a reduction
     # must be below 2**63, and every k-byte slot of a product below
-    # 2**(8k - 1).
+    # 2**(8k - 1).  The Euclid's one-product step adds two products to a
+    # digit: against b = all p - 1, a = (p - 1, ..., p - 1, p - 2, p - 1)
+    # has the quotient -(x + 1), so every digit but the lowest two reaches
+    # (p - 1) + 2 (p - 1)**2, exactly the most a budget of two allows.  For
+    # p = 2**29 - 3 those digits go to the fold, which must take digits
+    # below 2**64 and return them below 2**29 + 2**27, congruent mod p.
     budget = modular._pack_budget(p)
     assert p - 1 + budget * (p - 1) ** 2 < 1 << 63
     assert p - 1 + (budget + 1) * (p - 1) ** 2 >= 1 << 63
-    seen = []
-    real = modular._gf_reduce
+    two_terms = p - 1 + 2 * (p - 1) ** 2
+    seen, folded, tops = [], [], []
+    real, real_fold = modular._gf_reduce, modular._gf_fold
 
     def checked(W, n, p, k=8):
         assert W < 1 << (8 * k * n) and not W & modular._top_bits(k, n)
         seen.append(n)
+        if k == 8:
+            tops.append(max(_digits64(W, n)))
         return real(W, n, p, k)
 
+    def checked_fold(W, c, lo, hi):
+        n = modular._digits(lo)
+        assert c == (1 << 29) - p and W < 1 << 64 * n
+        out = real_fold(W, c, lo, hi)
+        ins, outs = _digits64(W, n), _digits64(out, n)
+        assert all(d < (1 << 29) + (1 << 27) for d in outs)
+        assert all((d - e) % p == 0 for d, e in zip(ins, outs))
+        folded.append(n)
+        tops.append(max(ins))
+        return out
+
     monkeypatch.setattr(modular, "_gf_reduce", checked)
+    monkeypatch.setattr(modular, "_gf_fold", checked_fold)
     for n, lq in ((40, 60), (16, 300), (3, 300)):
         g = [p - 1] * (n - 1) + [1]
         q = [1] * lq
@@ -784,8 +809,16 @@ def test_packed_gf_divmod_at_the_digit_budget(p, pack_mode, monkeypatch):
         assert gf_gcd(f, g, p) == gf_monic(g, p)
         assert gf_gcd(top, [p - 1] * n, p) == school_gf_gcd(
             top, [p - 1] * n, p)
+        a, b = [p - 1] * (n - 1) + [p - 2, p - 1], [p - 1] * n
+        for u, v in ((a, b), (b, a)):
+            tops.clear()
+            assert gf_gcd(u, v, p) == school_gf_gcd(a, b, p)
+            # the first step is the one-product step
+            assert not modular._packs(b, p) or tops[0] == two_terms
     if pack_mode == "packed" and budget < 300:
         assert len(seen) > 3     # reductions mid-loop, not only at the end
+    assert bool(folded) == (pack_mode in ("packed", "crossover")
+                            and p == (1 << 29) - 3)
 
 
 @pytest.mark.parametrize("p", _DIV_PRIMES)
@@ -810,6 +843,124 @@ def test_packed_gf_gcd_xgcd_powmod(p, pack_mode):
         acc = school_gf_divmod(school_gf_mul(acc, want, p), mod, p)[1]
         assert gf_powmod(base, e, mod, p) == acc
     assert gf_gcd([], [], p) == [] and gf_gcd([3 % p or 1], [], p) == [1]
+
+
+# the packed Euclid folds digits by 2**29 = c mod p for c < 2**10: c = 3,
+# the first prime of the stream; c = 1021, the largest such c of a stream
+# prime; and c = 1081, the first stream prime past it, which _gf_reduce
+# reduces
+_EUCLID_PRIMES = ((1 << 29) - 3, (1 << 29) - 1021, (1 << 29) - 1081)
+_EUCLID_LENGTHS = (modular.GF_PACK_LEN - 1, modular.GF_PACK_LEN,
+                   modular.GF_PACK_LEN + 1, 257, 513)
+
+
+def test_the_fold_takes_the_first_56_stream_primes():
+    cs = [(1 << 29) - p for p in itertools.islice(prime_stream(), 57)]
+    assert max(cs[:56]) == 1021 < 1 << 10 < cs[56] == 1081
+
+
+def _inflate(f, e):
+    """f(x**e)."""
+    out = [0] * (e * len(f) - e + 1) if f else []
+    out[::e] = f
+    return out
+
+
+def _sequence(rng, p, degrees):
+    """(f, g) whose remainders mod p have exactly these degrees, from deg f
+    down; the last remainder divides the one before, so it is the gcd."""
+    rs = [_rand_vec(rng, degrees[-1] + 1, 0, p - 1)]
+    rs.insert(0, gf_mul(_rand_vec(rng, degrees[-2] - degrees[-1] + 1, 0,
+                                  p - 1), rs[0], p))
+    for d in reversed(degrees[:-2]):
+        q = _rand_vec(rng, d - len(rs[0]) + 2, 0, p - 1)
+        rs.insert(0, gf_add(gf_mul(q, rs[0], p), rs[1], p))
+    return rs[0], rs[1]
+
+
+def _euclid_pairs(rng, n, p):
+    """Pairs with a length-n member: dense; common factors of degree 1,
+    n/2 and n - 1; remainder sequences that lose two or three degrees in a
+    step (a zero just below the top) and end in a gcd of degree 0 or 3;
+    all digits p - 1."""
+    dense = lambda k: _rand_vec(rng, k, 0, p - 1, zeros=0)  # noqa: E731
+    yield dense(n), dense(n - 1)
+    for k in (1, n // 2, n - 1):
+        common = dense(k + 1)
+        yield (gf_mul(dense(n - k), common, p),
+               gf_mul(dense(max(n - k - 1, 2)), common, p))
+    for end in (0, min(3, n - 3)):
+        degrees = [n - 1]
+        while degrees[-1] > end:
+            degrees.append(max(degrees[-1] - rng.choice((1, 1, 2, 3)), end))
+        yield _sequence(rng, p, degrees)
+    yield [p - 1] * n, [p - 1] * (n - 1)
+
+
+@pytest.mark.parametrize("p", _EUCLID_PRIMES)
+def test_packed_euclid_matches_school(p, pack_mode, monkeypatch):
+    folds = []
+    real = modular._gf_fold
+    monkeypatch.setattr(modular, "_gf_fold",
+                        lambda *args: folds.append(args[1]) or real(*args))
+    rng = random.Random(p)
+    for n in _EUCLID_LENGTHS:
+        if n > 257 and pack_mode != "crossover":
+            continue     # the schoolbook oracle is slow there
+        for f, g in _euclid_pairs(rng, n, p):
+            want = school_gf_gcd(f, g, p)
+            assert gf_gcd(f, g, p) == want == gf_gcd(g, f, p)
+        # both in x**e, and one in x**4 with the other in x**2
+        for e in (2, 3, 4):
+            for f, g in itertools.islice(_euclid_pairs(rng, n // e + 1, p), 3):
+                f, g = _inflate(f, e), _inflate(g, e)
+                assert gf_gcd(f, g, p) == school_gf_gcd(f, g, p)
+        f, g = next(itertools.islice(_euclid_pairs(rng, n // 4 + 1, p), 2,
+                                     None))
+        f, g = _inflate(f, 4), _inflate(g, 2)
+        assert gf_gcd(f, g, p) == school_gf_gcd(f, g, p) == gf_gcd(g, f, p)
+    packed = pack_mode in ("packed", "crossover")
+    assert set(folds) == ({(1 << 29) - p} if packed and p > (1 << 29) - 1024
+                          else set())
+
+
+def test_one_product_step_needs_a_budget_of_two(monkeypatch):
+    # the largest prime with a budget of one term: a step of one product
+    # would add two, 2 (p - 1)**2 > 2**63, so every step takes the window
+    p = next(n for n in range(3037000499, 0, -2) if is_prime(n))
+    assert modular._pack_budget(p) == 1 < modular._pack_budget(
+        (1 << 31) - 1)
+    real = modular._gf_reduce
+
+    def checked(W, n, p, k=8):
+        assert not W & modular._top_bits(k, n)
+        return real(W, n, p, k)
+
+    monkeypatch.setattr(modular, "_gf_reduce", checked)
+    rng = random.Random(11)
+    for n in (modular.GF_PACK_LEN, 40):
+        pairs = list(_euclid_pairs(rng, n, p))
+        # all p - 1 but the next to top digit: digits of 2 (p - 1)**2
+        pairs.append(([p - 1] * (n - 1) + [p - 2, p - 1], [p - 1] * n))
+        for f, g in pairs:
+            assert gf_gcd(f, g, p) == school_gf_gcd(f, g, p)
+
+
+def test_deflation_only_on_the_packed_route(monkeypatch):
+    calls = []
+    real = modular._deflation
+    monkeypatch.setattr(modular, "_deflation",
+                        lambda a, b: calls.append(len(b)) or real(a, b))
+    p, n = (1 << 29) - 3, modular.GF_PACK_LEN
+    short = _inflate([1, 2, 3, 4, 5, 6, 1], 2), _inflate([2, 3, 1], 2)
+    assert gf_gcd(*short, p) == school_gf_gcd(*short, p) and not calls
+    rng = random.Random(12)
+    f, g = (_inflate(_rand_vec(rng, n, 0, p - 1, zeros=0), 2)
+            for _ in range(2))
+    assert gf_gcd(f, g, p) == school_gf_gcd(f, g, p) and calls
+    assert modular._deflation(f, g) == 2
+    assert modular._deflation([5], [7]) == 0
+    assert modular._deflation(_inflate([1, 1], 6), _inflate([1, 0, 1], 4)) == 2
 
 
 def test_gf_divmod_unreduced_input_keeps_the_scalar_contract():
