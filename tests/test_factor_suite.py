@@ -42,10 +42,11 @@ _PRODUCTS = (
     ((24, 8), 1), ((40, 10), 1), ((16, 16, 16, 16), 1), ((50, 14), 1),
     ((3, 4), 3), ((6, 5, 2), 5), ((100, 28), 1), ((64, 64), 1),
     ((128, 64, 64), 1), ((200, 56), 1),
+    ((12, 8, 4), 2 ** 64), ((30, 20), 7 ** 15), ((6, 5, 3, 2), 2 ** 10 * 5 ** 20),
 )
 # (f, highest k) for the inputs f^k - x
 _ITERATES = (("x^2-1", 8), ("x^2+1", 7), ("x^2+x", 7), ("x^2-2", 6),
-             ("x^2", 6), ("x^2-3/4", 5))
+             ("x^2", 6), ("x^2-3/4", 7), ("x^2+1/4", 6))
 # (c, highest k) for the inputs x^(2^k) - c
 _POWERS = ((16, 8), (1, 7), (-4, 7), (2, 7))
 # the constant targets whose probe pieces P(x^2) are factored, up to level 6
