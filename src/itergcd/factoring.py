@@ -286,18 +286,20 @@ def _degree_mask(pattern: list[int]) -> int:
 
 
 def _factor_squarefree_z(G: list[int]) -> list[list[int]]:
-    """Irreducible factors of a primitive squarefree G that _settle left."""
+    """Irreducible factors of a primitive squarefree G that _settle left.
+
+    The modular factors of lc(G)^-1 G, monic mod p, are lifted to M = p^(2^s)
+    (von zur Gathen and Gerhard, Modern Computer Algebra, Alg. 15.19 with
+    15.17).  A factor h of the part H of G still unfactored has
+    lc(H) prod_S g_i = (lc(H) / lc(h)) h mod M for a subset S of the lifted
+    g_i; Mignotte bounds h by (|G|_2 + 1) 2^n and |lc(H)| <= |lc(G)|, so a
+    modulus past twice lc(G) times that bound gives h back exactly as the
+    primitive part of the symmetric residue."""
     n = zx_deg(G)
 
-    # monic transform: roots scale by lc, leading term becomes exactly 1
-    lc = G[-1]
-    if lc != 1:
-        Gm = [c * lc ** (n - 1 - k) for k, c in enumerate(G[:-1])] + [1]
-    else:
-        Gm = list(G)
-
-    # candidate primes keeping Gm squarefree: the distinct-degree split
-    # gives each one's factor degrees, for the pruning mask and the choice
+    # candidate primes keeping G of degree n and squarefree: the
+    # distinct-degree split gives each one's factor degrees, for the
+    # pruning mask and the choice
     want = 3 if n <= 24 else 2
     cands = []
     mask = (1 << (n + 1)) - 1
@@ -305,7 +307,7 @@ def _factor_squarefree_z(G: list[int]) -> list[list[int]]:
     while len(cands) < want:
         while not is_prime(q):
             q += 2
-        gq = gf_from_zx(Gm, q)
+        gq = gf_from_zx(G, q)
         if zx_deg(gq) == n and zx_deg(gf_gcd(gq, gf_deriv(gq, q), q)) == 0:
             ddf = _gf_ddf(gq, q)
             pattern = [d for d, w in ddf for _ in range(zx_deg(w) // d)]
@@ -320,18 +322,17 @@ def _factor_squarefree_z(G: list[int]) -> list[list[int]]:
     _, p, ddf = min(cands, key=lambda c: c[0])
     rng = random.Random(0xC0FFEE ^ p)
     facs = sorted(h for d, w in ddf for h in _gf_edf(w, d, p, rng))
-    # Mignotte-style height bound for monic factors of Gm
-    bound = (math.isqrt(sum(c * c for c in Gm)) + 1) << n
+    bound = abs(G[-1]) * ((math.isqrt(sum(c * c for c in G)) + 1) << n)
     target = 2 * bound + 1
     M = p
     while M < target:
         M = M * M
-    lifted = _lift_tree(Gm, facs, p, M)
+    lifted = _lift_tree(gf_monic(G, M), facs, p, M)
 
-    # subset recombination in the monic world
-    found_m = []
+    # subset recombination: each product starts at lc(H)
+    out = []
     rem_idx = list(range(len(lifted)))
-    H = Gm
+    H = G
     size = 1
     tried = 0
     while 2 * size <= len(rem_idx):
@@ -345,15 +346,15 @@ def _factor_squarefree_z(G: list[int]) -> list[list[int]]:
             dsum = sum(zx_deg(lifted[i]) for i in combo)
             if not (mask >> dsum) & 1:
                 continue
-            cand = [1]
+            cand = [H[-1]]
             for i in combo:
                 cand = gf_mul(cand, lifted[i], M)
-            cand = _symmetric(cand, M)
+            cand = zx_primitive(_symmetric(cand, M))[1]
             if cand[0] != 0 and H[0] != 0 and H[0] % cand[0] != 0:
                 continue
             quo = zx_divides(H, cand)
             if quo is not None:
-                found_m.append(cand)
+                out.append(cand)
                 H = quo
                 rem_idx = [i for i in rem_idx if i not in combo]
                 hit = True
@@ -361,15 +362,8 @@ def _factor_squarefree_z(G: list[int]) -> list[list[int]]:
         if not hit:
             size += 1
     if zx_deg(H) > 0:
-        found_m.append(H)
+        out.append(H)
 
-    if lc == 1:
-        out = found_m
-    else:
-        out = []
-        for h in found_m:
-            hx = [c * lc ** k for k, c in enumerate(h)]
-            out.append(zx_primitive(hx)[1])
     # cross-check the reconstruction
     prod = [1]
     for h in out:

@@ -486,21 +486,23 @@ def _gf_fold(W: int, c: int, lo: int, hi: int) -> int:
 def gf_gcd(f: list[int], g: list[int], p: int) -> list[int]:
     """Monic gcd mod p by Euclid.
 
-    When the shorter input takes the packed division (_packs) and both are
-    reduced mod p, the whole remainder sequence stays packed in 64-bit
-    digits (_gf_euclid).  Inputs there that are both polynomials in x**e,
-    as every line of x**d + a against a constant target is, are deflated
-    first and the gcd inflated, so their steps drop one degree, not e.
-    Everything else runs gf_rem step by step."""
+    Inputs whose shorter one has GF_PACK_LEN terms or more and that are
+    both polynomials in x**e, as every line of x**d + a against a constant
+    target is, are deflated first and the gcd inflated, so their steps drop
+    one degree, not e.  When the shorter deflated input takes the packed
+    division (_packs) and both are reduced mod p, the whole remainder
+    sequence stays packed in 64-bit digits (_gf_euclid); everything else
+    runs gf_rem step by step."""
     a, b = (f, g) if len(f) >= len(g) else (g, f)
-    if not (b and _packs(b, p) and _reduced(a, p) and _reduced(b, p)):
-        while b:
-            a, b = b, gf_rem(a, b, p)
-        return gf_monic(a, p)
-    e = _deflation(a, b)
+    e = _deflation(a, b) if len(b) >= GF_PACK_LEN else 1
     if e > 1:
         a, b = a[::e], b[::e]
-    h = gf_monic(_gf_euclid(a, b, p), p)
+    if b and _packs(b, p) and _reduced(a, p) and _reduced(b, p):
+        h = gf_monic(_gf_euclid(a, b, p), p)
+    else:
+        while b:
+            a, b = b, gf_rem(a, b, p)
+        h = gf_monic(a, p)
     if e < 2:
         return h
     out = [0] * (e * len(h) - e + 1)

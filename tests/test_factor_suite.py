@@ -21,6 +21,7 @@ whose factoring is trusted:
 """
 
 import json
+import math
 import pathlib
 import random
 import sys
@@ -42,7 +43,8 @@ _PRODUCTS = (
     ((24, 8), 1), ((40, 10), 1), ((16, 16, 16, 16), 1), ((50, 14), 1),
     ((3, 4), 3), ((6, 5, 2), 5), ((100, 28), 1), ((64, 64), 1),
     ((128, 64, 64), 1), ((200, 56), 1),
-    ((12, 8, 4), 2 ** 64), ((30, 20), 7 ** 15), ((6, 5, 3, 2), 2 ** 10 * 5 ** 20),
+    ((12, 8, 4), 2 ** 64), ((30, 20), 7 ** 15),
+    ((6, 5, 3, 2), 2 ** 10 * 5 ** 20),
 )
 # (f, highest k) for the inputs f^k - x
 _ITERATES = (("x^2-1", 8), ("x^2+1", 7), ("x^2+x", 7), ("x^2-2", 6),
@@ -225,6 +227,40 @@ def test_pattern_primes_run_no_equal_degree_split(monkeypatch):
             factor_irreducible(f)
             assert len({p for _, p in splits}) == len(splits) >= 2, label
             assert set(edf_primes) == {min(splits)[1]}, label
+
+
+def test_non_monic_lift_modulus_covers_lc_times_mignotte(monkeypatch):
+    # lc(H) prod g_i is (lc(H) / lc(h)) h mod M, so M must pass twice
+    # |lc G| times the Mignotte bound; the monic transform's n bitlen(lc)
+    # extra bits must not come back
+    lifts = []  # [G, M] per Zassenhaus call, M None when nothing is lifted
+    real_z, real_lift = factoring._factor_squarefree_z, factoring._lift_tree
+
+    def zassenhaus(G):
+        lifts.append([G, None])
+        return real_z(G)
+
+    def lift(G, facs, p, M):
+        lifts[-1][1] = M
+        return real_lift(G, facs, p, M)
+
+    monkeypatch.setattr(factoring, "_factor_squarefree_z", zassenhaus)
+    monkeypatch.setattr(factoring, "_lift_tree", lift)
+    moduli = {}
+    for label, f in _CASES:
+        lifts.clear()
+        if abs(f.int_form()[0][-1]) > 1:
+            factor_irreducible(f)
+        for G, M in lifts:
+            if M is not None and abs(G[-1]) > 1:
+                moduli[label] = M
+                norm = math.isqrt(sum(c * c for c in G))
+                bound = (norm + 1) << (len(G) - 1)
+                assert M >= 2 * abs(G[-1]) * bound + 1, label
+    assert {"(x^2-3/4)^7 - x", "(x^2+1/4)^6 - x",
+            "product 12*8*4 lc %d" % 2 ** 64,
+            "product 30*20 lc %d" % 7 ** 15} <= set(moduli)
+    assert moduli["(x^2-3/4)^7 - x"] < 2 ** 1000
 
 
 def test_even_quartic_swinnerton_dyer_skips_zassenhaus(monkeypatch):

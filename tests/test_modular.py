@@ -961,6 +961,20 @@ def test_deflation_only_on_the_packed_route(monkeypatch):
     assert modular._deflation(f, g) == 2
     assert modular._deflation([5], [7]) == 0
     assert modular._deflation(_inflate([1, 1], 6), _inflate([1, 0, 1], 4)) == 2
+    # in x^4 and x^8 no input is dense enough to pack until it is deflated;
+    # the Euclid then runs at the deflated lengths
+    euclid = []
+    real_euclid = modular._gf_euclid
+    monkeypatch.setattr(modular, "_gf_euclid", lambda a, b, p: euclid.append(
+        (len(a), len(b))) or real_euclid(a, b, p))
+    for e, m in ((4, 64), (8, 32)):
+        c, u, v = (_rand_vec(rng, k, 0, p - 1, zeros=0) for k in (5, m - 4, m - 8))
+        f, g = (_inflate(gf_mul(c, w, p), e) for w in (u, v))
+        assert not modular._packs(g, p)
+        euclid.clear()
+        h = gf_gcd(f, g, p)
+        assert h == school_gf_gcd(f, g, p) and len(h) == 4 * e + 1
+        assert euclid == [(m, m - 4)]
 
 
 def test_gf_divmod_unreduced_input_keeps_the_scalar_contract():
