@@ -28,7 +28,7 @@ from .errors import (
     UndecidedError,
     VerificationError,
 )
-from .emit import FORMATS, emit
+from .emit import FORMATS, Record, emit
 from .gcdlab import (
     NO_SOLUTION,
     gcd_grid,
@@ -99,12 +99,12 @@ def _cmd_gcd_grid(args):
 def _cmd_divisor(args):
     h, certs = divisor_h(parse_poly(args.f), parse_poly(args.g),
                          parse_poly(args.c), args.N)
-    report = {
+    report = Record({
         "f": args.f, "g": args.g, "c": args.c, "grid_n": args.N,
         "h": render_poly(h), "h_degree": h.degree,
         "certificates": [dict(factor=render_poly(p), **cert.to_json_dict())
                          for p, cert in certs.items()],
-    }
+    })
     return report, "json", 0
 
 
@@ -117,10 +117,9 @@ def _cmd_mult_cert(args):
 def _cmd_height(args):
     x = _field_point(args)
     hv = canonical_height(parse_poly(args.f), x, steps=args.steps)
-    report = {"f": args.f, "x": args.x or args.lambda_minpoly,
-              "steps": args.steps,
-              "value": hv.value, "error_bound": hv.error_bound}
-    return report, "json", 0
+    return Record({"f": args.f, "x": args.x or args.lambda_minpoly,
+                   "steps": args.steps, "value": hv.value,
+                   "error_bound": hv.error_bound}), "json", 0
 
 
 def _cmd_special_probe(args):
@@ -132,19 +131,19 @@ def _cmd_special_probe(args):
 def _cmd_orbit(args):
     rec = orbit(parse_poly(args.q), _field_point(args),
                 step_cap=args.step_cap, size_cap=args.size_cap)
-    report = {
+    report = Record({
         "q": args.q,
         "points": [render_poly(p.rep, "t") for p in rec.points],
         "preperiod": rec.preperiod, "period": rec.period,
         "escape_reason": rec.escape_reason,
-    }
+    })
     return report, "json", 0
 
 
 def _cmd_ramified(args):
     verdict = ramified_cycle_check(parse_poly(args.q), _field_point(args))
-    return {"q": args.q, "point": args.x or args.lambda_minpoly,
-            "classification": verdict}, "json", 0
+    return Record({"q": args.q, "point": args.x or args.lambda_minpoly,
+                   "classification": verdict}), "json", 0
 
 
 def _cmd_linear(args):
@@ -165,8 +164,8 @@ def _cmd_linear(args):
     if c is not None and shift != 0:
         c = c.shift(shift) - Poly.const(shift)
     lam = linear_common_root(alpha, beta, gamma, args.n, c=c)
-    report = {"alpha": alpha, "beta": beta, "gamma": gamma, "n": args.n,
-              "shift": shift, "swapped": swapped}
+    report = Record({"alpha": alpha, "beta": beta, "gamma": gamma,
+                     "n": args.n, "shift": shift, "swapped": swapped})
     if lam == NO_SOLUTION:
         report["result"] = NO_SOLUTION
     else:
@@ -177,7 +176,7 @@ def _cmd_linear(args):
 def _cmd_indep(args):
     status, detail = independence_probe(parse_poly(args.f), parse_poly(args.g),
                                         args.max_len)
-    report = {"f": args.f, "g": args.g, "status": status}
+    report = Record({"f": args.f, "g": args.g, "status": status})
     if status == "dependent":
         w1, w2 = detail
         report["witness"] = [w1.render(), w2.render()]

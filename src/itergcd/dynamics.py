@@ -19,7 +19,7 @@ from .errors import (
     ResourceLimitError,
     VerificationError,
 )
-from .modular import is_prime
+from .factoring import _valuation
 from .polys import Poly, _compose_checked, iterate
 from .numfield import NumberFieldElem, nf_eval
 
@@ -123,24 +123,6 @@ def compositional_power_check(c: Poly, f: Poly):
 def p_valuation(a: Fraction, p: int) -> int:
     """v_p of a nonzero rational a, for a prime p."""
     return _valuation(a.numerator, p) - _valuation(a.denominator, p)
-
-
-def _valuation(n: int, b: int) -> int:
-    """The largest k with b^k | n, for n != 0 and b >= 2: twice that of
-    b^2, plus one if b divides what is left; about log2 k divisions."""
-    if n % b:
-        return 0
-    w = _valuation(n, b * b)
-    return 2 * w + (n // (b * b) ** w % b == 0)
-
-
-def _prime_factors(n: int) -> list:
-    """The primes below 2^10 dividing n >= 1, and the cofactor left over
-    when is_prime decides it exactly (below 2^64); others are not tried."""
-    out = [d for d in range(2, min(n + 1, 1024)) if n % d == 0 and is_prime(d)]
-    for d in out:
-        n //= d ** _valuation(n, d)
-    return out + [n] if 1 < n < 1 << 64 and is_prime(n) else out
 
 
 def log_escape_radius(q: Poly, p: int) -> Fraction:

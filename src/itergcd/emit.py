@@ -1,11 +1,11 @@
 """Deterministic report serialization: json, csv, and markdown.
 
-A report is a plain dict or an object that says how it serialises, through
-three methods: to_json_dict() for json, table() -> (header, rows) for csv,
-and to_md() for markdown.  This module writes the bytes: sorted JSON keys,
-rationals printed as a/b, and floats clipped to 12 significant digits, so
-repeated runs are byte-identical.  Report modules build their markdown
-tables with md_table.
+A report is an object that says how it serialises, through three methods:
+to_json_dict() for json, table() -> (header, rows) for csv, and to_md() for
+markdown; a Record is a report of named fields.  This module writes the
+bytes: sorted JSON keys, rationals printed as a/b, and floats clipped to 12
+significant digits, so repeated runs are byte-identical.  Report modules
+build their markdown tables with md_table.
 """
 
 from __future__ import annotations
@@ -98,28 +98,34 @@ def _json_text(d: dict) -> str:
     return _json_value(_round_floats(d), "\n") + "\n"
 
 
-def _dict_text(d: dict, fmt: str) -> str:
-    """A plain dict: json, one csv row, or a table of field and value."""
-    if fmt == "json":
-        return _json_text(d)
-    keys = sorted(d)
-    # a list or dict value is one cell of JSON, not a Python repr
-    cells = [json.dumps(_round_floats(d[k]), sort_keys=True)
-             if isinstance(d[k], (list, tuple, dict)) else d[k] for k in keys]
-    if fmt == "csv":
-        return _csv_table(keys, [cells])
-    return md_table(("field", "value"),
-                    [(k, _fmt_cell(_round_floats(v)))
-                     for k, v in zip(keys, cells)])
+class Record(dict):
+    """A report of named fields: json, one csv row, or a table of field and
+    value."""
+
+    __slots__ = ()
+
+    def to_json_dict(self) -> dict:
+        return self
+
+    def table(self):
+        keys = sorted(self)
+        # a list or dict value is one cell of JSON, not a Python repr
+        return keys, [[json.dumps(_round_floats(self[k]), sort_keys=True)
+                       if isinstance(self[k], (list, tuple, dict))
+                       else self[k] for k in keys]]
+
+    def to_md(self) -> str:
+        keys, (cells,) = self.table()
+        return md_table(("field", "value"),
+                        [(k, _fmt_cell(_round_floats(v)))
+                         for k, v in zip(keys, cells)])
 
 
 def emit(report, fmt: str = "json") -> bytes:
-    """Serialize a report (or plain dict) to one of json, csv, md."""
+    """Serialize a report to one of json, csv, md."""
     if fmt not in FORMATS:
         raise DegenerateInputError("unsupported format %r (choose from %s)"
                                    % (fmt, ", ".join(FORMATS)))
-    if isinstance(report, dict):
-        return _dict_text(report, fmt).encode("utf-8")
     render = getattr(report, _METHODS[fmt], None)
     if render is None:
         raise DegenerateInputError("report type %s is not serializable"

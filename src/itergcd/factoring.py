@@ -82,22 +82,31 @@ def squarefree_decomposition(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]
 
 
 # ---------------------------------------------------------------------------
-# Eisenstein quick test
+# prime splitting and the Eisenstein quick test
 # ---------------------------------------------------------------------------
 
-def _small_prime_factors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n and d <= 10000:
+def _valuation(n: int, b: int) -> int:
+    """The largest k with b^k | n, for n != 0 and b >= 2: twice that of
+    b^2, plus one if b divides what is left; about log2 k divisions."""
+    if n % b:
+        return 0
+    w = _valuation(n, b * b)
+    return 2 * w + (n // (b * b) ** w % b == 0)
+
+
+def _prime_split(n: int):
+    """(ps, r) for n >= 1: the primes ps of n below 2^10, then the cofactor
+    r, which joins ps (r = 1) when no trial divisor up to its square root
+    divides it, or when it is below 2^64, where is_prime is exact."""
+    ps, d = [], 2
+    while d < 1024 and d * d <= n:
         if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+            ps.append(d)
+            n //= d ** _valuation(n, d)
         d += 1 if d == 2 else 2
-    if n > 1 and is_prime(n):
-        out.append(n)
-    return out
+    if n > 1 and (d * d > n or n < 1 << 64 and is_prime(n)):
+        return ps + [n], 1
+    return ps, n
 
 
 def _eisenstein_at(f: list[int]) -> bool:
@@ -109,7 +118,7 @@ def _eisenstein_at(f: list[int]) -> bool:
         g = math.gcd(g, c)
     if g <= 1:
         return False
-    for p in _small_prime_factors(g):
+    for p in _prime_split(g)[0]:
         if f[-1] % p != 0 and f[0] % (p * p) != 0:
             return True
     return False
@@ -145,12 +154,11 @@ def _biquadratic(G: list[int]):
     (X^2 - k X + d)(X^2 + k X + d) (Kappe and Warren, Amer. Math. Monthly
     96, 1989)."""
     c, _, b, _, a = G
-    r = _exact_sqrt(b * b - 4 * a * c)
-    if r is not None:
-        # the halves differ by the constant 2r: coprime, and equal at r = 0
-        halves, e = ([b - r, b + r], 1) if r else ([b], 2)
-        return [(h, e * m) for q in halves
-                for h, m in _settle(zx_primitive([q, 0, 2 * a])[1])]
+    # G as a quadratic in y = x^2: coprime halves, or a square at r = 0
+    halves = _settle([c, b, a])
+    if len(halves[0][0]) == 2:
+        return [(h, e * m) for (q0, q1), e in halves
+                for h, m in _settle([q0, 0, q1])]
     B, root = a * b, _exact_sqrt(a ** 3 * c)
     for d in (root, -root) if root else ():
         k = _exact_sqrt(2 * d - B)

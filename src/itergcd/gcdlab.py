@@ -13,10 +13,10 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 
-from .dynamics import _prime_factors, log_escape_radius, p_valuation
+from .dynamics import log_escape_radius, p_valuation
 from .emit import md_table
 from .errors import DegenerateInputError, check_bits, check_primes
-from .factoring import _factor_sort_key, factor_irreducible
+from .factoring import _factor_sort_key, _prime_split, factor_irreducible
 from .modular import (
     crt_image, gf_compose_mod, gf_gcd, gf_mul, gf_rem, gf_scale, gf_sub,
     prime_stream, rational_reconstruct,
@@ -220,7 +220,7 @@ def _proof_prime(f: Poly, g: Poly, c: Poly):
                    for a in (den, *nums)) > 1 << 12):
         return None
     for q, h in ((f, g), (g, f)):
-        for p in _prime_factors(q.int_form()[1]) if q[0] else ():
+        for p in _prime_split(q.int_form()[1])[0] if q[0] else ():
             vc = [-p_valuation(c[0], p)] if c else []
             lr, a0 = max([log_escape_radius(h, p), *vc]), -p_valuation(q[0], p)
             if all(a0 > b for b in (log_escape_radius(q, p), *vc, *(

@@ -43,10 +43,10 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .dynamics import _prime_factors, log_escape_radius, p_valuation
+from .dynamics import log_escape_radius, p_valuation
 from .emit import md_table
 from .errors import DegenerateInputError, LIMITS, ResourceLimitError
-from .factoring import _factor_sort_key, factor_irreducible
+from .factoring import _factor_sort_key, _prime_split, factor_irreducible
 from .numfield import (
     NumberField,
     NumberFieldElem,
@@ -154,11 +154,10 @@ def _f_enclosure(nums: list[int], lo: int, hi: int, s: int, den: int = 1):
 
 def _radii(f: Poly, m: int):
     """[(p, max(R_p, 0))] over the primes p of m, R_p the log escape radius.
-    A cofactor r that _prime_factors cannot split enters whole as (r, 0)
+    A cofactor r that _prime_split cannot split enters whole as (r, 0)
     when it is prime to den(f) and num(lc f), since R_p = 0 at each of its
     primes; any other cofactor gives None."""
-    ps = _prime_factors(m)
-    r = m // math.prod(p ** p_valuation(m, p) for p in ps)
+    ps, r = _prime_split(m)
     if math.gcd(r, f.int_form()[1] * f.leading().numerator) > 1:
         return None
     radii = [(p, max(log_escape_radius(f, p), 0)) for p in ps]

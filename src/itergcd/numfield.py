@@ -28,7 +28,7 @@ from .errors import (
     LIMITS,
     ResourceLimitError,
 )
-from .factoring import _small_prime_factors, is_irreducible
+from .factoring import _prime_split, is_irreducible
 from .modular import _binary_power, zx_mul
 from .polys import Poly, render_poly
 
@@ -408,7 +408,7 @@ def poly_complex_roots(f: Poly) -> list[complex]:
 
 def _euler_phi(n: int) -> int:
     out = n
-    for p in _small_prime_factors(n):
+    for p in _prime_split(n)[0]:
         out -= out // p
     return out
 

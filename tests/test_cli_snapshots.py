@@ -73,6 +73,11 @@ COMMANDS = (
     ("linear", "--f", "2*x+1", "--g", "3*x-2", "--n", "4"),
     ("linear", "--alpha", "2", "--beta", "3", "--gamma", "1", "--n", "5",
      "--c", "x"),
+    # the normal form of 2x + 1, 3x - 2 has shift -1, so c is shifted too:
+    # a constant and a linear c give lambda = 19/13, and c = x none
+    ("linear", "--f", "2*x+1", "--g", "3*x-2", "--n", "4", "--c", "499/13"),
+    ("linear", "--f", "2*x+1", "--g", "3*x-2", "--n", "4", "--c", "x+480/13"),
+    ("linear", "--f", "2*x+1", "--g", "3*x-2", "--n", "4", "--c", "x"),
     ("indep", "--f", "2*x", "--g", "x+1", "--max-len", "4"),
     ("indep", "--f", "x^2", "--g", "x^2+1", "--max-len", "3"),
     ("paper-suite",),

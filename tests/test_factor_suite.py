@@ -88,6 +88,9 @@ def _poly(text: str) -> Poly:
 def _eisenstein(rng, d: int, lc: int) -> Poly:
     """An irreducible of degree d: Eisenstein at 2 or 3 (lc prime to it)."""
     p = 2 if lc % 2 else 3
+    if lc % p == 0:
+        raise ValueError("lc %d is divisible by 2 and 3: no Eisenstein prime"
+                         % lc)
     low = [p * rng.randint(-3, 3) for _ in range(d)]
     low[0] = p * rng.choice([r for r in range(-5, 6) if r % p])
     return Poly([Fraction(c) for c in low + [lc]])
@@ -173,6 +176,12 @@ def test_factor_list_is_the_recorded_one(label, f):
 
 def test_suite_covers_every_recorded_case():
     assert sorted(lab for lab, _ in _CASES) == sorted(_recorded())
+
+
+def test_products_refuse_a_leading_coefficient_divisible_by_6():
+    # 3 is the prime taken for an even lc: 2^30 * 3^20 leaves none
+    with pytest.raises(ValueError):
+        _eisenstein(random.Random(0), 3, 2 ** 30 * 3 ** 20)
 
 
 # sympy takes long past degree 64, but not on the quadratic and Eisenstein

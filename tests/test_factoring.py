@@ -259,6 +259,45 @@ def test_shifted_eisenstein_composes_no_poly(monkeypatch):
     assert calls == []
 
 
+def _split_cases():
+    """(n, its primes) from a fixed seed: up to four primes below 2^10 with
+    exponents up to 70, times zero, one or two primes in (2^10, 2^64), and
+    in every third case one prime past 2^64."""
+    rng = random.Random(20261021)
+    small = list(sympy.primerange(2, 1 << 10))
+    out = []
+    for i in range(300):
+        primes = set(rng.sample(small, rng.randint(0, 4)))
+        n = math.prod(p ** rng.randint(1, 70) for p in primes)
+        for _ in range(rng.randint(0, 2)):
+            bits = rng.randint(11, 63)
+            primes.add(sympy.nextprime(rng.randrange(1 << bits - 1, 1 << bits)))
+        if i % 3 == 0:
+            primes.add(sympy.nextprime(rng.randrange(1 << 64, 1 << 90)))
+        out.append((n * math.prod(primes - set(small)), primes))
+    return out
+
+
+def test_prime_split_against_sympy():
+    for n, primes in _split_cases():
+        ps, r = factoring._prime_split(n)
+        assert n == r * math.prod(p ** factoring._valuation(n, p) for p in ps)
+        assert set(ps) <= primes and all(sympy.isprime(p) for p in ps)
+        assert (r == 1) == (set(ps) == primes), n
+        if r > 1:
+            assert all(r % p for p in sympy.primerange(2, 1 << 10))
+            assert r >= 1 << 64 or not sympy.isprime(r), n
+    rng = random.Random(7)
+    for n in [*range(1, 4097), *(rng.randrange(1, 1 << 20) for _ in range(500))]:
+        assert factoring._prime_split(n) == (sympy.primefactors(n), 1), n
+
+
+def test_euler_phi_against_sympy():
+    from itergcd.numfield import _euler_phi
+    assert [_euler_phi(s) for s in range(1, 8193)] == \
+        [sympy.totient(s) for s in range(1, 8193)]
+
+
 # (a, b, c) of a x^4 + b x^2 + c: x^4 + 4, x^4 + 64, 4x^4 + 1 and
 # x^4 + x^2 + 1, which split with D = b^2 - 4ac not a square; x^4 - 16;
 # x^4 - 4x^2 + 4 (D = 0); 9x^4 - 10x^2 + 1 = (x^2 - 1)(9x^2 - 1)

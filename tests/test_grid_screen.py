@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from itergcd import dynamics, factoring, gcdlab, modular
+from itergcd import factoring, gcdlab, modular
 from itergcd.cli import main
 from itergcd.emit import emit
 from itergcd.errors import DegenerateInputError, LIMITS, ResourceLimitError
@@ -592,12 +592,13 @@ def test_coefficients_past_the_bit_cap_are_not_tried():
 
 
 def test_primes_of_a_denominator_are_tried():
-    assert dynamics._prime_factors(1) == []
-    assert dynamics._prime_factors(12 * 1031) == [2, 3, 1031]
-    assert dynamics._prime_factors(2 ** 70) == [2]
-    assert dynamics._prime_factors((1 << 61) - 1) == [(1 << 61) - 1]
+    split = factoring._prime_split
+    assert split(1) == ([], 1)
+    assert split(12 * 1031) == ([2, 3, 1031], 1)
+    assert split(2 ** 70) == ([2], 1)
+    assert split((1 << 61) - 1) == ([(1 << 61) - 1], 1)
     # two primes past 2^10: the cofactor is not factored, so not tried
-    assert dynamics._prime_factors(1031 * 1033) == []
+    assert split(1031 * 1033) == ([], 1031 * 1033)
     g = parse_poly("x^2-1")
     assert gcdlab._proof_prime(parse_poly("x^2+1/1031"), g, Poly.zero()) \
         == 1031

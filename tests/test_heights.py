@@ -239,7 +239,7 @@ def draw_tail_case(rng):
     return nums, 1, x, rng.randint(1, 14), max(cap, 1)
 
 
-# two primes above 2^60: _prime_factors cannot split their product
+# two primes above 2^60: _prime_split cannot split their product
 BIG_DEN = ((1 << 61) - 1) * ((1 << 89) - 1)
 
 
@@ -321,7 +321,7 @@ def test_rational_tail_matches_exact_loop(monkeypatch):
 
 def draw_cofactor_case(rng):
     """A rational case whose point has in its denominator a product of
-    primes above 2^10 that _prime_factors leaves whole."""
+    primes above 2^10 that _prime_split leaves whole."""
     nums, den, x, steps, cap = draw_rational_case(rng)
     return nums, den, x / rng.choice((1031 * 1033, 1031 ** 2, 1033 * 4099)), \
         steps, cap
@@ -523,7 +523,7 @@ def draw_tower_case(rng):
 
 
 @pytest.mark.parametrize("f, x, tail", [
-    # 1031 * 1033: _prime_factors leaves it whole, and it is prime to
+    # 1031 * 1033: _prime_split leaves it whole, and it is prime to
     # den(f) and to lc(f), so it has R_p = 0 at both primes and is tracked
     ("x^2+1", "1/1065023", True), ("x^2+1", "-7/1065023", True),
     ("x^2-1/3", "2/3195069", True),

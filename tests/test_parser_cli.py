@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from itergcd.cli import main
-from itergcd.emit import _fmt_cell, _json_text, _round_floats, emit
+from itergcd.emit import Record, _fmt_cell, _json_text, _round_floats, emit
 from itergcd.errors import (
     LIMITS,
     DegenerateInputError,
@@ -19,7 +19,7 @@ from itergcd.errors import (
 )
 from itergcd.gcdlab import gcd_grid, reference_suite
 from itergcd.parser import parse_poly
-from itergcd.polys import Poly, _fmt_coeff, render_poly
+from itergcd.polys import Poly, _fmt_coeff, iterate, render_poly
 
 X = Poly.x()
 
@@ -143,7 +143,7 @@ def test_render_parse_round_trip_random():
 
 
 def test_emit_json_deterministic_and_sorted():
-    rep = {"b": 1.0 / 3.0, "a": Fraction(3, 2), "c": [1, 2]}
+    rep = Record({"b": 1.0 / 3.0, "a": Fraction(3, 2), "c": [1, 2]})
     one = emit(rep, "json")
     two = emit(rep, "json")
     assert one == two
@@ -212,6 +212,13 @@ def test_emit_rejects_unknown_format():
         emit(object(), "json")
 
 
+def test_emit_refuses_a_plain_dict():
+    # a report says how it serialises; a dict of fields is a Record
+    with pytest.raises(DegenerateInputError, match="dict is not serializable"):
+        emit({}, "json")
+    assert emit(Record(), "json") == b"{}\n"
+
+
 def test_emit_renders_through_the_report_methods():
     class Report:
         def to_json_dict(self):
@@ -269,8 +276,8 @@ def test_emit_dispatch_on_exact_types_matches_isinstance_dispatch():
 
 
 def test_emit_dict_list_cells_are_json(capsys):
-    rep = {"points": [Fraction(1, 2), -2], "c": 0,
-           "certs": [{"r": None, "e": [1.0 / 3.0], "ok": True}]}
+    rep = Record({"points": [Fraction(1, 2), -2], "c": 0,
+                  "certs": [{"r": None, "e": [1.0 / 3.0], "ok": True}]})
     want = {"points": ["1/2", -2],
             "certs": [{"r": None, "e": [0.333333333333], "ok": True}]}
     row = next(csv.DictReader(io.StringIO(emit(rep, "csv").decode())))
@@ -428,6 +435,22 @@ def test_cli_linear_normal_form_path(capsys):
     assert code == 0
     d = json.loads(out)
     assert d["lambda"] == "7/4"
+
+
+def test_cli_linear_target_follows_the_shift(capsys):
+    # 2x + 1, 3x - 2 has the normal form shift -1; c must move with it
+    f, g = parse_poly("2*x+1"), parse_poly("3*x-2")
+    for c in ("499/13", "x+480/13"):
+        code, out, _ = run_cli(capsys, "linear", "--f", "2*x+1", "--g",
+                               "3*x-2", "--n", "4", "--c", c)
+        d = json.loads(out)
+        assert code == 0 and d["shift"] == "-1"
+        lam = Fraction(d["lambda"])
+        assert {iterate(f, 4).evaluate(lam), iterate(g, 4).evaluate(lam),
+                parse_poly(c).evaluate(lam)} == {Fraction(499, 13)}
+    code, out, _ = run_cli(capsys, "linear", "--f", "2*x+1", "--g", "3*x-2",
+                           "--n", "4", "--c", "x")
+    assert code == 0 and json.loads(out)["result"] == "no solution"
 
 
 def test_cli_orbit(capsys):

@@ -74,6 +74,11 @@ def test_emit_knows_no_report_type():
     assigned = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
     assert not {name for name in assigned if name.endswith("_COLUMNS")}
+    # nor asks whether a report is a dict: a plain dict is no report
+    body, = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == "emit"]
+    assert not [node for node in ast.walk(body) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "isinstance"]
 
 
 def _unused_imports(tree):
