@@ -2,8 +2,9 @@
 
 Heights of rationals are exact up to float rounding of the final log.
 Heights of algebraic numbers go through the Mahler measure of the minimal
-polynomial, so the only approximation is the complex root finding, whose
-residual is certified.  Canonical heights use the limit definition
+polynomial, so the only approximation is the complex root finding.  Its
+error _ROOT_ERR is asserted, not derived: a NaN iterate passes the residual
+test (ROADMAP item 18).  Canonical heights use the limit definition
 h(f^N(x))/d^N with an explicit geometric error bound; a point whose orbit is
 seen to repeat is certified preperiodic and gets canonical height exactly 0.
 
@@ -25,7 +26,13 @@ N = y D, only when Ziv's rounding test passes: both ends round to the same
 double, so the exact value does too, and math.log of an int reads nothing
 else.  The size cap and |y| against 1 are decided on the enclosures.  When
 a test is undecided the exact loop resumes from the tail's start, so the
-output never depends on the width, only the speed does.
+output never depends on the width, only the speed does.  An integer orbit
+steps exactly while |y| fits in the width.  With f = sum a_i x^i / den
+(a_i integers), T = sum_(i<d) |a_i| and g the width plus 8, each step from
+|y| >= max(1, 2^g T / |a_d|) on is dominated by its leading term: f(y) =
+a_d y^d (1 + e) / den with |e| <= T / (|a_d| |y|) <= 2^-g.  Such a step
+powers the ends of y's enclosure, widens them by a relative 2^-g and one
+unit, and gives them the sign of a_d y^d; D' = c D^d is powered alike.
 
 The decay probe takes a root of the smallest irreducible factor of f^n - c.
 For constant c, f^n - c = (f^(n-1) - c) o f, so the factors of level n are
@@ -186,6 +193,21 @@ def _escaping(den: int, q: Fraction, radii):
     return esc if rest == 1 else None
 
 
+def _power_enclosure(a: int, d: int, lo: int, hi: int, s: int,
+                     den: int = 1, g: int | None = None):
+    """[alo, ahi]*2^t holding a y^d (1 + e) / den for every y in
+    [lo, hi]*2^s, an interval without 0, and, with g given, every
+    |e| <= 2^-g: the powers of the ends, widened outward by a relative
+    2^-g and one unit, with the sign of a y^d."""
+    ylo, yhi = _magnitudes(lo, hi)
+    alo, ahi = abs(a) * ylo ** d, abs(a) * yhi ** d
+    if g is not None:
+        alo, ahi = alo - (alo >> g) - 1, ahi + (ahi >> g) + 1
+    if (a < 0) != (hi < 0 and d % 2 == 1):
+        alo, ahi = -ahi, -alo
+    return _trim(alo, ahi, s * d, den)
+
+
 def _escape_tail(nums: list[int], den: int, q: Fraction, esc: list,
                  n: int, steps: int):
     """(h(f^N(x)), N) from y = q = f^n(x), or None.
@@ -195,22 +217,36 @@ def _escape_tail(nums: list[int], den: int, q: Fraction, esc: list,
     on enclosures of y and D = den(y) and stops where it would: at `steps`,
     or before the first iterate whose bit_size, bitlen|N| + bitlen D with
     N = y D, passes the cap.  None means the enclosures could not decide
-    the cap, |y| against 1 or the rounding of the final log.
+    the cap, |y| against 1 or the rounding of the final log.  An integer
+    prefix runs exactly, and a step dominated by a_d = nums[d] powers y
+    alone (see the module docstring).
     """
-    num, dd = q.numerator, _trim(q.denominator, q.denominator, 0)
-    lo, hi, s = num, num, 0
+    num, d, cap = q.numerator, len(nums) - 1, LIMITS.height_elem_bits
+    while not esc and n < steps and num.bit_length() <= _TAIL_BITS:
+        z = functools.reduce(lambda acc, c: acc * num + c, reversed(nums))
+        if z.bit_length() + 1 > cap:
+            break       # the loop below refuses z, and raises at n = 0
+        num, n = z, n + 1
+    lo, hi, s, dd = num, num, 0, _trim(q.denominator, q.denominator, 0)
     if esc:     # D' = c D^d: v_p(f(y)) = d v_p(y) + v_p(a_d) at each p
         lead = Fraction(nums[-1], den)
         c = math.prod(Fraction(p) ** -p_valuation(lead, p) for p in esc)
-        dmap = [0] * (len(nums) - 1) + [c.numerator]
         lo, hi, s = _trim(num, num, 0, q.denominator)
-    while n < steps:
-        alo, ahi, t = _f_enclosure(nums, lo, hi, s, den)
-        dn = _f_enclosure(dmap, *dd, c.denominator) if esc else dd
+    g = _TAIL_BITS + 8
+    big = max(g + sum(map(abs, nums[:-1])).bit_length()
+              - abs(nums[-1]).bit_length() + 2, 1)
+    ys = _magnitudes(lo, hi)
+    while n < steps:    # ys is _magnitudes(lo, hi) here
+        if ys and ys[0].bit_length() + s >= big:    # |y| >= 2^(big - 1)
+            alo, ahi, t = _power_enclosure(nums[-1], d, lo, hi, s, den, g)
+        else:
+            alo, ahi, t = _f_enclosure(nums, lo, hi, s, den)
+        dn = _power_enclosure(c.numerator, d, *dd, c.denominator) \
+            if esc else dd
         (dlo, dhi, u), ys = dn, _magnitudes(alo, ahi)
         if ys is None or dlo <= 0:
             return None
-        room = LIMITS.height_elem_bits - t - 2 * u
+        room = cap - t - 2 * u
         if (ys[0] * dlo).bit_length() + dlo.bit_length() > room:
             if n == 0:
                 raise ResourceLimitError("first iterate exceeds size budget")

@@ -188,6 +188,9 @@ class NumberFieldElem:
 
     def bit_size(self) -> int:
         """Crude representation size, used by orbit escape caps."""
+        nums, den = self.rep.int_form()
+        if den == 1:    # every denominator is 1, of one bit
+            return sum(map(int.bit_length, nums)) + len(nums)
         return sum(a.numerator.bit_length() + a.denominator.bit_length()
                    for a in self.rep.coeffs)
 
@@ -217,11 +220,11 @@ def nf_eval(f: Poly, a: NumberFieldElem) -> NumberFieldElem:
     y, yd = a.rep.int_form()
     if field._low is None or den != 1 or yd != 1 or not nums:
         return field.element(f.evaluate(a))
-    y += [0] * (n - len(y))
     top = len(nums) - 1
     acc = [nums[top]] + [0] * (n - 1)
     if top >= 2:
-        sq = _reduce(zx_mul(y, y), field._low, n)
+        sq = _reduce(zx_mul(y, y), field._low, n)   # before y is padded
+        y += [0] * (n - len(y))
         acc = [nums[top] * s + nums[top - 1] * b for s, b in zip(sq, y)]
         acc[0] += nums[top - 2]
         top -= 2

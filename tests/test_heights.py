@@ -432,6 +432,78 @@ def test_f_enclosure_divides_the_denominator_outward():
                 <= Fraction(ahi) * Fraction(2) ** t, (nums, den, y, k)
 
 
+def draw_dominant_case(rng):
+    """(nums, 1, x, steps, cap): an integer map of degree 2-4 with leading
+    coefficient from +-1, +-3, 2^5 and a point of either sign (for odd
+    degrees the sign of the orbit follows it) past the dominant-term
+    threshold |y| >= 2^(_TAIL_BITS + 8) T / |a_d| or crossing it mid-orbit,
+    with a cap from the first step to 2^16 bits."""
+    d = rng.randint(2, 4)
+    nums = [rng.choice((0, rng.randint(-40, 40),
+                        rng.randint(-2 ** 20, 2 ** 20))) for _ in range(d)]
+    nums.append(rng.choice((1, -1, 3, -3, 32)))
+    esc = sum(map(abs, nums[:-1])) + 2
+    x = rng.choice((esc + rng.randint(0, 9), rng.randint(esc, 1 << 40),
+                    rng.randint(1 << 300, 1 << 420)))
+    x *= rng.choice((1, -1))
+    first = sum(c * x ** i for i, c in enumerate(nums))
+    first_bits = abs(first).bit_length() + 1
+    cap = rng.choice((first_bits - 1, first_bits,
+                      rng.randint(first_bits, 1 << 16), 1 << 16))
+    return nums, 1, x, rng.randint(1, 24), min(max(cap, 1), 1 << 16)
+
+
+def test_dominant_term_steps_match_the_exact_loop(monkeypatch):
+    # a spy on the leading-term step marks the cases in which it ran
+    marks = []
+    power, draw = heights._power_enclosure, draw_dominant_case
+
+    def spy(a, d, lo, hi, s, den=1, g=None):
+        if g is not None:
+            marks[-1] = True
+        return power(a, d, lo, hi, s, den, g)
+
+    def marked_draw(rng):
+        marks.append(False)
+        return draw(rng)
+
+    monkeypatch.setattr(heights, "_power_enclosure", spy)
+    verdicts = check_tail_cases(66, 300, monkeypatch, marked_draw)
+    # the cap fires at the first step in about a fifth of the cases
+    assert len(verdicts) > 200 and sum(verdicts) >= 0.9 * len(verdicts)
+    assert sum(marks) >= 0.5 * len(marks)
+
+
+def test_power_enclosure_holds_the_exact_value():
+    # past the threshold f(y) = sum nums[i] y^i / den lies in the
+    # enclosure of a_d y^d / den, from y itself (k <= m) and from a wider
+    # interval around it (k = m + 100).  Points with a short odd part have
+    # powers that the trim leaves exact, so only the widening by 2^-g
+    # covers the lower terms.  Without g the power is enclosed exactly.
+    rng = random.Random(67)
+    g = heights._TAIL_BITS + 8
+    for _ in range(400):
+        nums, _, _, _, _ = draw_dominant_case(rng)
+        den, d = rng.choice((1, 1, 3, 12)), len(nums) - 1
+        m = g + sum(map(abs, nums[:-1])).bit_length() + rng.randint(0, 200)
+        y = rng.choice((rng.randint(1, 7), rng.randint(1, 1 << 300))) << m
+        y *= rng.choice((1, -1))
+        fy = Fraction(sum(c * y ** i for i, c in enumerate(nums)), den)
+        wide = abs(y) >> m + 200 > 0      # lo stays past the threshold
+        for k in (0, 1, 40, m, m + 100) if wide else (0, 1, 40, m):
+            lo, hi = y >> k, -(-y >> k)
+            alo, ahi, t = heights._power_enclosure(nums[-1], d, lo, hi, k,
+                                                   den, g)
+            assert alo * Fraction(2) ** t <= fy <= ahi * Fraction(2) ** t, \
+                (nums, den, y, k)
+            if k == 0:
+                exact = Fraction(nums[-1] * y ** d, den)
+                alo, ahi, t = heights._power_enclosure(nums[-1], d, y, y, 0,
+                                                       den)
+                assert alo * Fraction(2) ** t <= exact \
+                    <= ahi * Fraction(2) ** t
+
+
 def test_escape_tail_stopped_on_a_huge_exact_start(monkeypatch):
     # 0 -> 2^2000 -> 2^4000 + 2^2000 escapes at step 2, past float range,
     # and the cap stops the tail before its first step
@@ -442,7 +514,7 @@ def test_escape_tail_stopped_on_a_huge_exact_start(monkeypatch):
         exact_height(nums, Fraction(0), 5)
 
 
-@pytest.mark.xfail(strict=True, reason="open defect, ROADMAP item 1: "
+@pytest.mark.xfail(strict=True, reason="open defect, ROADMAP item 18: "
                    "poly_complex_roots drops non-finite iterates")
 def test_weil_height_alg_refuses_lost_roots():
     # the start radius 1 + max|c| is about 2e8 here, so z^60 overflows and
@@ -464,7 +536,7 @@ def _green_x2_plus_x(z: float) -> float:
 
 _LOST_ROOTS = pytest.mark.xfail(
     strict=True, raises=EmbeddingError,
-    reason="open defect, ROADMAP item 1: poly_complex_roots fails on the "
+    reason="open defect, ROADMAP item 18: poly_complex_roots fails on the "
            "minimal polynomial of the last iterate")
 
 

@@ -358,6 +358,55 @@ def test_integer_nf_eval_squares_one_object(monkeypatch):
         assert log == squares
 
 
+@pytest.mark.parametrize("modulus", [X ** 64 + X + 1, X ** 16 - 2])
+def test_integer_nf_eval_on_reps_far_below_the_field_degree(modulus,
+                                                            monkeypatch):
+    # y is squared before it is padded to the field degree: a constant,
+    # t + 1, t^2 - 3 and zero against Poly.evaluate, for maps of degree 0
+    # to 5 with and without zero coefficients
+    field = NumberField(modulus, check=False)
+    calls = count_evaluate(monkeypatch)
+    rng = random.Random(4253)
+    reps = (Poly.const(-7), X + 1, X ** 2 - 3, Poly.zero())
+    for f in [integer_map(rng, k, span) for k in range(6)
+              for span in (9, 2 ** 70)] + [X ** 2, X ** 4 + 1]:
+        for rep in reps:
+            a = field.element(rep)
+            want = field.element(f.evaluate(a))
+            calls.clear()
+            got = nf_eval(f, a)
+            assert not calls and got == want, (f, rep)
+            assert got.rep.degree < field.degree
+
+
+def test_bit_size_is_the_fraction_sum():
+    # the integral fast path against the bit lengths of every coefficient's
+    # numerator and denominator, over integral and rational reps with zero
+    # coefficients, constants and the zero element
+    def fraction_sum(a):
+        return sum(c.numerator.bit_length() + c.denominator.bit_length()
+                   for c in a.rep.coeffs)
+
+    rng = random.Random(4259)
+    field = NumberField(X ** 16 - 2)
+    elems = [field.zero(), field.one(), field.element(-5),
+             field.element(Fraction(-3, 8)), field.generator()]
+    for _ in range(200):
+        n = rng.randint(1, field.degree)
+        bits = rng.choice((3, 40, 300))
+        nums = [rng.randint(-2 ** bits, 2 ** bits) if rng.random() < 0.6
+                else 0 for _ in range(n)]
+        den = rng.choice((1, 1, 2, 6, 2 ** 65 + 1))
+        elems.append(field.element(Poly.from_int_list(nums, den)))
+    integral = 0
+    for a in elems:
+        assert a.bit_size() == fraction_sum(a), a
+        integral += a.rep.int_form()[1] == 1
+    assert integral > 60 and len(elems) - integral > 60
+    assert field.zero().bit_size() == 0
+    assert field.element(-5).bit_size() == 4
+
+
 def test_scaled_matches_the_fraction_route_bit_for_bit():
     # ratios of numerators against float() of the Fraction quotient, with
     # coefficients of up to 10^5 bits and ratios below the subnormal range
