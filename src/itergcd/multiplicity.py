@@ -11,15 +11,21 @@ carrying its exactly computed order).
 The case analysis keys on the local behaviour of q around the periodic point
 c0 = c(lambda): the return map's linearization a1 can be absent (c0 critical,
 "superattracting"), a non-root-of-unity, or torsion; each branch yields a
-different shape of bound.  divisor_h multiplies the per-factor bounds into a
-single polynomial that every gcd(f^(m) - c, g^(n) - c) on a grid must divide,
-and checks that it does.
+different shape of bound.  On the torsion branch every y = ell + idx*r has
+q^(y) = (q^(r))^(idx) o q^(ell), and q^(r) has order 1 at c0, so q^(y) - c0
+vanishes at lambda to the same order t = e as q^(ell) - c0: one jet depth
+serves the whole cycle and no order is searched for.
+
+divisor_h multiplies the per-factor bounds into a single polynomial that
+every gcd(f^(m) - c, g^(n) - c) on a grid must divide, and checks that it
+does.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import count, takewhile
 
 from .dynamics import (
     IN_RAMIFIED,
@@ -112,27 +118,6 @@ def direct_v(q: Poly, c: Poly, lam_field: NumberField, n: int) -> int:
 # the certificate
 # ---------------------------------------------------------------------------
 
-class ApproachParams(namedtuple(
-        "ApproachParams", "c0 hit ell periodic r e u a1 prefix cycle notes",
-        defaults=((), (), ()))):
-    """Intermediate local data at lambda: where the orbit meets c0 and how.
-
-    c0        the NumberFieldElem c(lambda)
-    hit       does the lambda-orbit ever reach c0?
-    ell       first n >= 1 with q^(n)(lambda) = c0, else None
-    periodic  is c0 periodic under q?
-    r         least period of c0 when periodic, else None
-    e         order of q^(ell) - c0 at lambda, else None
-    u         first nonvanishing jet index of q^(r) at c0, else None
-    a1        linear coefficient of q^(r) at c0, else None
-    prefix    lambda, q(lambda), ..., q^(ell-1)(lambda)
-    cycle     c0, q(c0), ..., q^(r-1)(c0)
-    notes     tuple of str
-    """
-
-    __slots__ = ()
-
-
 CERT_COLUMNS = ("case", "bound", "congruence", "ell", "r", "e", "u", "s",
                 "d", "exceptional", "notes", "lambda_modulus", "c0")
 
@@ -186,37 +171,6 @@ def _resolved_orbit(q: Poly, x0: NumberFieldElem):
     return rec
 
 
-def local_approach_params(q: Poly, c: Poly, lam_field: NumberField) -> ApproachParams:
-    """Local data of the (q, c) pair at the field's distinguished root."""
-    if q.degree < 2:
-        raise DegenerateInputError("need deg q >= 2")
-    lam = lam_field.generator()
-    c0 = nf_eval(c, lam)
-    notes = []
-    lam_rec = _resolved_orbit(q, lam)
-    ell = next((i for i in range(1, len(lam_rec.points))
-                if lam_rec.points[i] == c0), None)
-    if ell is None:
-        if not lam_rec.is_periodic:
-            notes.append("no-hit conclusion relies on the orbit size cap "
-                         "(escape after %d steps)" % (len(lam_rec.points) - 1))
-        return ApproachParams(c0, False, None, False, None, None, None, None,
-                           notes=tuple(notes))
-    c0_rec = _resolved_orbit(q, c0)
-    if not c0_rec.is_periodic or c0_rec.preperiod != 0:
-        # a second hit would force c0 to be periodic, so ell is the only one
-        return ApproachParams(c0, True, ell, False, None, None, None, None,
-                           notes=tuple(notes))
-    r = c0_rec.period
-    lam_pts = lam_rec.points[:ell]
-    cyc_pts = c0_rec.points[:r]
-    e = _least_index(lambda order: _chain_jet(q, lam_pts, order).first_nonzero(1))
-    u = _least_index(lambda order: _chain_jet(q, cyc_pts, order).first_nonzero(1))
-    a_jet = _chain_jet(q, cyc_pts, max(2, u + 1))
-    return ApproachParams(c0, True, ell, True, r, e, u, a_jet.coeffs[1],
-                       lam_pts, cyc_pts, tuple(notes))
-
-
 def _exceptional_power_solutions(a1: NumberFieldElem, w: NumberFieldElem) -> list[int]:
     """All k >= 0 with a1^k = w, for a1 certified not a root of unity.
 
@@ -262,67 +216,67 @@ def multiplicity_bound(q: Poly, c: Poly,
                 "vanishing grow without bound")
         if rc == UNDECIDED_CAP:
             raise UndecidedError("ramified-cycle check hit the orbit cap")
-    params = local_approach_params(q, c, lam_field)
-    if not params.hit:
+    # ell: the first n >= 1 with q^(n)(lambda) = c0
+    lam_rec = _resolved_orbit(q, lam)
+    ell = next((i for i in range(1, len(lam_rec.points))
+                if lam_rec.points[i] == c0), None)
+    if ell is None:
+        notes = () if lam_rec.is_periodic else (
+            "no-hit conclusion relies on the orbit size cap (escape after "
+            "%d steps)" % (len(lam_rec.points) - 1),)
         return MultiplicityCertificate(
-            lam_field, c0, "not-periodic", 0, "no n", notes=params.notes)
-    if not params.periodic:
-        v = direct_v(q, c, lam_field, params.ell)
+            lam_field, c0, "not-periodic", 0, "no n", notes=notes)
+    c0_rec = _resolved_orbit(q, c0)
+    if not c0_rec.is_periodic or c0_rec.preperiod != 0:
+        # a second hit would force c0 to be periodic, so ell is the only one
+        v = direct_v(q, c, lam_field, ell)
         return MultiplicityCertificate(
             lam_field, c0, "not-periodic", v, "single n",
-            ell=params.ell, exceptional_ns=((params.ell, v),),
-            notes=params.notes)
+            ell=ell, exceptional_ns=((ell, v),))
 
-    ell, r, e, u = params.ell, params.r, params.e, params.u
-    prefix, cycle = params.prefix, params.cycle
+    # c0 has least period r; e is the order of q^(ell) - c0 at lambda and
+    # u the first nonvanishing jet index of the return map q^(r) at c0
+    r = c0_rec.period
+    prefix = lam_rec.points[:ell]
+    cycle = c0_rec.points[:r]
+    e = _least_index(lambda order: _chain_jet(q, prefix, order).first_nonzero(1))
+    u = _least_index(lambda order: _chain_jet(q, cycle, order).first_nonzero(1))
     congruence = "%d mod %d" % (ell, r)
     if c.is_constant():
-        if params.a1.is_zero():
+        if u != 1:
             raise VerificationError(
                 "unramified cycle produced a vanishing linearization")
         return MultiplicityCertificate(
             lam_field, c0, "constant-c", e, congruence,
-            ell=ell, r=r, e=e, u=1, notes=params.notes)
+            ell=ell, r=r, e=e, u=1)
 
     degc = c.degree
     c_jet = jet_at(c, lam, degc + 1)
 
     if u > 1:
-        exceptional = []
-        big = degc
-        k = 0
-        while e * u ** k <= degc:
-            n_k = ell + r * k
-            v_k = _v_on_cycle(q, c, lam, prefix, cycle, k)
-            exceptional.append((n_k, v_k))
-            big = max(big, v_k)
-            k += 1
+        exceptional, big = _orders_on_cycle(
+            q, c, lam, prefix, cycle,
+            takewhile(lambda k: e * u ** k <= degc, count()), degc)
         return MultiplicityCertificate(
             lam_field, c0, "superattracting", big, congruence,
-            ell=ell, r=r, e=e, u=u, exceptional_ns=tuple(exceptional),
-            notes=params.notes)
+            ell=ell, r=r, e=e, u=u, exceptional_ns=exceptional)
 
-    a1 = params.a1
+    a1 = _chain_jet(q, cycle, 2).coeffs[1]
     s = root_of_unity_order(a1)
     if s == NOT_A_ROOT_OF_UNITY:
         b_e = _chain_jet(q, prefix, e + 1).coeffs[e]
         c_e = c_jet.coeffs[e] if e <= degc else lam_field.zero()
-        t_c = c_jet.first_nonzero(1)
-        exceptional = []
-        big = e
-        if t_c == e and not c_e.is_zero():
-            for k in _exceptional_power_solutions(a1, c_e / b_e):
-                n_k = ell + r * k
-                v_k = _v_on_cycle(q, c, lam, prefix, cycle, k)
-                exceptional.append((n_k, v_k))
-                big = max(big, v_k)
+        ks = (_exceptional_power_solutions(a1, c_e / b_e)
+              if c_jet.first_nonzero(1) == e and not c_e.is_zero() else ())
+        exceptional, big = _orders_on_cycle(q, c, lam, prefix, cycle, ks, e)
         return MultiplicityCertificate(
             lam_field, c0, "u1-nontorsion", big, congruence,
-            ell=ell, r=r, e=e, u=1, exceptional_ns=tuple(exceptional),
-            notes=params.notes)
+            ell=ell, r=r, e=e, u=1, exceptional_ns=exceptional)
 
     # a1 is torsion of exact order s: the rs-return map is tangent to the
-    # identity and the decisive data is its first nonlinear coefficient
+    # identity and the decisive data is its first nonlinear coefficient d;
+    # q^(y) - c0 has order t = e at every y = ell + idx*r (module docstring),
+    # so one depth t*d + 1 serves every idx
     rs_pts = cycle * s
 
     def nonlinear_index(order):
@@ -333,34 +287,37 @@ def multiplicity_bound(q: Poly, c: Poly,
         return rs_jet.first_nonzero(2)
 
     d = _least_index(nonlinear_index)
-    exceptional = []
-    big = 0
+    ed = e * d
+    depth = max(ed, degc) + 1
+    alpha_d = _chain_jet(q, rs_pts, depth).coeffs[d]
+    c_ed = c_jet.coeffs[ed] if ed <= degc else lam_field.zero()
+    exceptional = ()
+    big = ed
     lam_pts = prefix + rs_pts[:(s - 1) * r]
     for idx in range(s):
-        y = ell + idx * r
-        g_pts = lam_pts[:y]
-        t = _least_index(lambda order: _chain_jet(q, g_pts, order).first_nonzero(1))
-        depth = max(t * d, degc) + 1
+        g_pts = lam_pts[:ell + idx * r]
         g_jet = _chain_jet(q, g_pts, depth)
-        rs_deep = _chain_jet(q, rs_pts, depth)
-        alpha_d = rs_deep.coeffs[d]
-        beta_t = g_jet.coeffs[t]
-        beta_td = g_jet.coeffs[t * d]
-        c_td = c_jet.coeffs[t * d] if t * d <= degc else lam_field.zero()
-        big = max(big, t * d)
-        k_star = (c_td - beta_td) / (alpha_d * beta_t ** d)
+        k_star = (c_ed - g_jet.coeffs[ed]) / (alpha_d * g_jet.coeffs[e] ** d)
+        ks = ()
         if k_star.is_rational():
             kq = k_star.as_fraction()
             if kq.denominator == 1 and kq >= 0:
-                k_int = int(kq)
-                n_star = y + r * s * k_int
-                v_star = _v_on_cycle(q, c, lam, g_pts, rs_pts, k_int, depth)
-                exceptional.append((n_star, v_star))
-                big = max(big, v_star)
+                ks = (int(kq),)
+        found, big = _orders_on_cycle(q, c, lam, g_pts, rs_pts, ks, big, depth)
+        exceptional += found
     return MultiplicityCertificate(
         lam_field, c0, "u1-torsion", big, congruence,
         ell=ell, r=r, e=e, u=1, s=s, d=d,
-        exceptional_ns=tuple(sorted(exceptional)), notes=params.notes)
+        exceptional_ns=tuple(sorted(exceptional)))
+
+
+def _orders_on_cycle(q: Poly, c: Poly, lam: NumberFieldElem, pts, cyc, ks,
+                     floor: int, order: int = 8):
+    """((n, v), ...) at n = len(pts) + len(cyc) k for each k in ks, with v
+    from _v_on_cycle, and the bound max(floor, every v)."""
+    found = tuple((len(pts) + len(cyc) * k,
+                   _v_on_cycle(q, c, lam, pts, cyc, k, order)) for k in ks)
+    return found, max([floor] + [v for _, v in found])
 
 
 def _v_on_cycle(q: Poly, c: Poly, lam: NumberFieldElem, g_pts, rs_pts,

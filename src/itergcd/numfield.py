@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import (
     DegenerateInputError,
@@ -29,7 +30,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .factoring import _prime_split, is_irreducible
-from .modular import _binary_power, zx_mul
+from .modular import _binary_power, zx_mul, zx_trim
 from .polys import Poly, render_poly
 
 NOT_A_ROOT_OF_UNITY = "not a root of unity"
@@ -221,27 +222,28 @@ def nf_eval(f: Poly, a: NumberFieldElem) -> NumberFieldElem:
     if field._low is None or den != 1 or yd != 1 or not nums:
         return field.element(f.evaluate(a))
     top = len(nums) - 1
-    acc = [nums[top]] + [0] * (n - 1)
+    acc = [nums[top]]
     if top >= 2:
-        sq = _reduce(zx_mul(y, y), field._low, n)   # before y is padded
-        y += [0] * (n - len(y))
-        acc = [nums[top] * s + nums[top - 1] * b for s, b in zip(sq, y)]
+        sq = _reduce(zx_mul(y, y), field._low, n)
+        acc = [nums[top] * s + nums[top - 1] * b
+               for s, b in zip_longest(sq, y, fillvalue=0)] or [0]
         acc[0] += nums[top - 2]
         top -= 2
     for c in reversed(nums[:top]):
-        acc = _reduce(zx_mul(acc, y), field._low, n)
+        # a zero product comes back empty: y is 0 where an orbit reaches 0
+        acc = _reduce(zx_mul(acc, y), field._low, n) or [0]
         acc[0] += c
     return NumberFieldElem(field, Poly.from_int_list(acc))
 
 
 def _reduce(v: list[int], low: list, n: int) -> list[int]:
-    """v mod t^n + sum p_j t^j, low = [(j, p_j)], as n integers."""
+    """v mod t^n + sum p_j t^j, low = [(j, p_j)], with no trailing zeros."""
     for k in range(len(v) - 1, n - 1, -1):
         t = v[k]
         if t:
             for j, c in low:
                 v[k - n + j] -= t * c
-    return v[:n] + [0] * (n - len(v))
+    return zx_trim(v[:n])
 
 
 # ---------------------------------------------------------------------------

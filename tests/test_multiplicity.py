@@ -193,6 +193,23 @@ def test_case_u1_torsion_order_two():
     assert got == [2, 1, 2, 1, 2, 1]
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_torsion_exceptional_n_steps_by_the_doubled_cycle(k):
+    # the 2-return map of x^2 - 3/4 at -1/2 is x - 2x^3 + ... (d = 3), so a
+    # cubic coefficient -2k of c about lambda = 1/2 puts the one exceptional
+    # n at ell + r s k = 1 + 2k, not at ell + r k
+    q = X ** 2 - Poly.const(Fraction(3, 4))
+    h = X - Poly.const(Fraction(1, 2))
+    c = Poly.const(Fraction(-1, 2)) + h + h ** 2 - 2 * k * h ** 3
+    field = field_at(Fraction(1, 2))
+    cert = multiplicity_bound(q, c, field)
+    assert (cert.case_tag, cert.s, cert.d) == ("u1-torsion", 2, 3)
+    assert cert.exceptional_ns == ((1 + 2 * k, 4),)
+    got = [direct_v(q, c, field, n) for n in range(1, 2 * k + 4)]
+    assert got[2 * k] == cert.bound_M == 4
+    assert max(got[:2 * k] + got[2 * k + 1:]) == 3
+
+
 def test_periodic_certificates_leave_direct_v_as_the_cross_check(monkeypatch):
     # the exceptional orders come from the cycle jets of the approach data;
     # direct_v, the n-fold chain, only checks them afterwards
@@ -386,22 +403,17 @@ def test_jet_cap_stops_the_torsion_order_d(monkeypatch):
 
 
 def test_jet_cap_stops_the_torsion_order_t(monkeypatch):
-    # t equals e, so the cap is lowered only once e is known; d = 2 still
-    # fits under it and the t probe is the first to need order 9
-    from itergcd import multiplicity
-
+    # t equals e = 8 at every y on the cycle, so the torsion branch takes
+    # one jet depth t d + 1 = 17 with d = 2; e, u and d fit under a cap of
+    # 16, the hoisted depth does not
     q = X * (X - 1) ** 8
     cert = multiplicity_bound(q, X - 1, field_at(1))
-    assert (cert.case_tag, cert.d) == ("u1-torsion", 2)
-    params = multiplicity.local_approach_params
-
-    def params_then_cap(*args):
-        out = params(*args)
-        monkeypatch.setattr(LIMITS, "jet_order", 8)
-        return out
-
-    monkeypatch.setattr(multiplicity, "local_approach_params", params_then_cap)
-    with pytest.raises(ResourceLimitError, match=CAP_MESSAGE):
+    assert cert.to_json_dict() == {
+        "lambda_modulus": "t-1", "c0": "0", "case": "u1-torsion",
+        "bound": 16, "congruence": "1 mod 1", "ell": 1, "r": 1, "e": 8,
+        "u": 1, "s": 1, "d": 2, "exceptional": [[1, 1]], "notes": []}
+    monkeypatch.setattr(LIMITS, "jet_order", 16)
+    with pytest.raises(ResourceLimitError, match="jet order 17 exceeds cap 16"):
         multiplicity_bound(q, X - 1, field_at(1))
 
 

@@ -361,15 +361,19 @@ def test_integer_nf_eval_squares_one_object(monkeypatch):
 @pytest.mark.parametrize("modulus", [X ** 64 + X + 1, X ** 16 - 2])
 def test_integer_nf_eval_on_reps_far_below_the_field_degree(modulus,
                                                             monkeypatch):
-    # y is squared before it is padded to the field degree: a constant,
-    # t + 1, t^2 - 3 and zero against Poly.evaluate, for maps of degree 0
-    # to 5 with and without zero coefficients
+    # no list is padded to the field degree: a constant, t, t + 1, t^2 - 3
+    # and zero against Poly.evaluate, for maps of degree 0 to 5 with and
+    # without zero coefficients, and for maps whose Horner steps come to 0
+    # and go on: at -7 the first step of x^3 + 7x^2 + 5 and of
+    # (x + 7) x^3 cancels, and at t the modulus itself does
     field = NumberField(modulus, check=False)
     calls = count_evaluate(monkeypatch)
     rng = random.Random(4253)
-    reps = (Poly.const(-7), X + 1, X ** 2 - 3, Poly.zero())
+    reps = (Poly.const(-7), X, X + 1, X ** 2 - 3, Poly.zero())
+    zeroing = [X ** 3 + 7 * X ** 2 + 5, (X + 7) * X ** 3,
+               modulus * X ** 2, modulus * (X - 3)]
     for f in [integer_map(rng, k, span) for k in range(6)
-              for span in (9, 2 ** 70)] + [X ** 2, X ** 4 + 1]:
+              for span in (9, 2 ** 70)] + [X ** 2, X ** 4 + 1] + zeroing:
         for rep in reps:
             a = field.element(rep)
             want = field.element(f.evaluate(a))

@@ -12,9 +12,7 @@ from itergcd.gcdlab import (
     GcdGridReport, SuiteReport, SuiteRow, gcd_grid, reference_suite,
 )
 from itergcd.heights import HeightValue, ProbeReport, ProbeRow
-from itergcd.multiplicity import (
-    ApproachParams, MultiplicityCertificate, multiplicity_bound,
-)
+from itergcd.multiplicity import MultiplicityCertificate, multiplicity_bound
 from itergcd.numfield import NumberField
 from itergcd.polys import Poly
 
@@ -36,15 +34,13 @@ def _records():
         HeightValue(0.0, 0.0),
         row,
         ProbeReport("x^2", "0", (row,)),
-        ApproachParams(Q.element(0), False, None, False, None, None, None,
-                       None),
         cert,
     ]
 
 
 RECORD_TYPES = {OrbitRecord, Word, FactorList, GcdGridReport, SuiteRow,
                 SuiteReport, HeightValue, ProbeRow, ProbeReport,
-                ApproachParams, MultiplicityCertificate}
+                MultiplicityCertificate}
 
 
 def test_every_record_is_immutable():
